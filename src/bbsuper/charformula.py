@@ -4,8 +4,10 @@ The numerator collects, for every orbit element w and every orthogonal
 support s built on imaginary indices annihilated by the highest weight,
 a signed exponential at defect(w) + w(s).  Images of imaginary simple
 roots under real reflection words stay in the positive cone, so every
-collected exponent does too, and dividing by the denominator product
-recovers the character exactly within the height window.
+collected exponent does too.  By the denominator identity the numerator
+N_0 at highest weight zero is the product over positive roots, so the
+character is the quotient N_lambda N_0^{-1}: one inversion and one
+product, with no root table, exact within the height window.
 
 Support signs come in three flavours per index: any level n with sign -1
 at a non-isotropic imaginary index, the inverse-Euler coefficients at an
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 from .datum import OddCartanDatum, Weight, height, unit_root
 from .errors import BadGeneratorIndex
-from .series import CharSeries, denominator_R
+from .series import CharSeries
 from .weyl import act_on_root, orbit_frontier
 
 
@@ -185,15 +187,15 @@ class CharacterResult:
     residual_terms: int
 
 
-def irreducible_character(datum, lam, table, height_bound) -> CharacterResult:
-    """Divide the alternating numerator by the denominator product.
+def irreducible_character(datum, lam, height_bound) -> CharacterResult:
+    """Divide the alternating numerator N_lambda by N_0.
 
-    The table must cover the height window.  The residual diagnostic
-    counts exponents where numerator and character times denominator
-    disagree, which is zero whenever the arithmetic is consistent.
+    The residual diagnostic counts exponents where N_lambda and the
+    character times N_0 disagree, which is zero whenever the arithmetic
+    is consistent.
     """
     numerator, orbit_size, contributed = _numerator_with_count(datum, lam, height_bound)
-    denom = denominator_R(datum, table, height_bound)
+    denom = numerator_series(datum, datum.zero_weight(), height_bound)
     quotient = numerator.mul(denom.invert())
     residual = numerator - quotient.mul(denom)
     return CharacterResult(

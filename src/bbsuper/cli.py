@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -128,8 +129,7 @@ def _cmd_char(args):
     datum = _load_datum(args.datum)
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)
-    table = solve_multiplicities(datum, height)
-    result = irreducible_character(datum, lam, table, height)
+    result = irreducible_character(datum, lam, height)
     doc = character_result_to_json(result)
     rows = [(json.dumps(t["exp"]), t["coef"]) for t in doc["character"]["terms"]]
     _emit(doc, args.format, (("exp", "coef"), rows))
@@ -169,6 +169,11 @@ def _oracle_cell(payload):
     return irreducible_dim(datum, lam, mu, caps)
 
 
+def _worker_count(jobs, cells):
+    """Worker processes for the oracle cells: at most one per cell and per CPU."""
+    return max(1, min(jobs, cells, os.cpu_count() or 1))
+
+
 def _oracle_dims(datum, lam, height, symbolic, jobs):
     from .datum import datum_to_json, weight_to_json
 
@@ -180,8 +185,9 @@ def _oracle_dims(datum, lam, height, symbolic, jobs):
         (datum_doc, lam_doc, beta, (caps.max_word_length, caps.max_height))
         for beta in offsets
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             dims = list(pool.map(_oracle_cell, payloads))
     else:
         dims = [_oracle_cell(p) for p in payloads]
@@ -205,8 +211,7 @@ def _cmd_compare(args):
     datum = _load_datum(args.datum)
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)
-    table = solve_multiplicities(datum, height)
-    result = irreducible_character(datum, lam, table, height)
+    result = irreducible_character(datum, lam, height)
     offsets, dims = _oracle_dims(datum, lam, height, False, args.jobs)
     differences = []
     for beta, dim in zip(offsets, dims):
@@ -269,6 +274,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
     try:
+        if args.jobs < 1:
+            raise _CliError(f"--jobs must be positive, got {args.jobs}")
         return _COMMANDS[args.subcommand](args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -312,14 +312,24 @@ def weight_to_json(w: Weight) -> dict:
 
 def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
     n = datum.rank
+    if not isinstance(obj, dict):
+        raise ValueError("a weight must be an object of Lambda, delta and alpha blocks")
 
     def block(name):
+        entries = obj.get(name) or {}
+        if not isinstance(entries, dict):
+            raise ValueError(f"weight block {name!r} must be an object")
         out = [Fraction(0)] * n
-        for key, value in (obj.get(name) or {}).items():
+        for key, value in entries.items():
             i = int(key) - 1
             if i not in range(n):
                 raise ValueError(f"index {key} out of range in weight block {name!r}")
-            out[i] = Fraction(value)
+            try:
+                out[i] = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"zero denominator at index {key} in weight block {name!r}"
+                ) from None
         return tuple(out)
 
     return Weight(block("Lambda"), block("delta"), block("alpha"))

@@ -45,6 +45,10 @@ class NegativeMultiplicity(BBSuperError):
     """The multiplicity recursion produced a negative value."""
 
 
+class NonIntegralMultiplicity(BBSuperError):
+    """The multiplicity recursion produced a value that is not an integer."""
+
+
 class BadGeneratorIndex(BBSuperError):
     """Generator label (i, l) lies outside the admissible index set."""
 

@@ -1,21 +1,29 @@
-"""Root multiplicities solved from the denominator identity.
+"""Root multiplicities solved from the logarithm of the denominator identity.
 
-The specialized numerator at highest weight zero equals the full product
-over positive roots.  Working upward in height, the coefficient gap
-between the partial product over lower roots and the numerator isolates
-each multiplicity: both factor shapes contribute minus the multiplicity
-at first order.  Distinct exponents at one height never interact, so the
-recursion is triangular.  A negative gap aborts; it cannot happen for a
-valid datum and clamping it would silently corrupt every later height.
+The specialized numerator N_0 at highest weight zero equals the product
+over positive roots of (1-e^{-beta})^m for even beta and (1+e^{-beta})^{-m}
+for odd beta.  With D the height derivation, which scales e^{-gamma} by
+ht(gamma), the log-derivative L = D(N_0) N_0^{-1} is an integer series
+and, by the product form,
+
+    -L_gamma = sum over k | gamma of eps_k(gamma/k) ht(gamma/k) m_{gamma/k},
+
+where eps_k(beta) is 1 for even beta and (-1)^{k+1} for odd beta.  The
+k = 1 term isolates ht(gamma) m_gamma, so one pass in graded order solves
+every multiplicity by Moebius inversion, as in Kang's superdimension
+formula.  A negative or non-integral multiplicity aborts: neither can
+happen for a valid datum, and rounding or clamping would silently corrupt
+every later height.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .charformula import numerator_series
 from .datum import OddCartanDatum, height
-from .errors import NegativeMultiplicity
-from .series import CharSeries, binomial_factor
+from .errors import NegativeMultiplicity, NonIntegralMultiplicity
+from .series import CharSeries, log_sign
 
 
 @dataclass(frozen=True)
@@ -64,35 +72,47 @@ def classify(datum: OddCartanDatum, beta) -> str:
     return "real" if datum.root_bilinear(beta, beta) > 0 else "imaginary"
 
 
-def _mult_from_gap(product_coef: int, rhs_coef: int, beta) -> int:
-    m = product_coef - rhs_coef
+def _mult_from_log(beta, log_coef: int, entries) -> int:
+    """m_beta from the log-derivative coefficient L_beta and the entries
+    already solved at the proper divisors beta/k."""
+    h = height(beta)
+    total = -log_coef
+    g = gcd(*beta)
+    for k in range(2, g + 1):
+        if g % k:
+            continue
+        entry = entries.get(tuple(x // k for x in beta))
+        if entry is not None:
+            total -= log_sign(entry.parity, k) * (h // k) * entry.mult
+    m, rest = divmod(total, h)
+    if rest:
+        raise NonIntegralMultiplicity(f"multiplicity {total}/{h} at exponent {beta}")
     if m < 0:
-        raise NegativeMultiplicity(f"gap {m} at exponent {beta}")
+        raise NegativeMultiplicity(f"multiplicity {m} at exponent {beta}")
     return m
 
 
 def solve_multiplicities(datum: OddCartanDatum, height_bound: int) -> RootTable:
-    """Solve every multiplicity below the bound by height induction."""
-    rhs = numerator_series(datum, datum.zero_weight(), height_bound)
+    """Solve every multiplicity below the bound from L = D(N_0) N_0^{-1}."""
     rank = datum.rank
-    product = CharSeries.one(height_bound, rank)
+    numerator = numerator_series(datum, datum.zero_weight(), height_bound)
+    derived = CharSeries(
+        height_bound, rank, {e: height(e) * c for e, c in numerator.terms.items()}
+    )
+    log_terms = derived.mul(numerator.invert()).terms
+    candidates = [set() for _ in range(height_bound + 1)]
+    for gamma in log_terms:
+        candidates[height(gamma)].add(gamma)
     entries = {}
     for h in range(1, height_bound + 1):
-        layer = {e for e in product.terms if sum(e) == h}
-        layer.update(e for e in rhs.terms if sum(e) == h)
-        found = []
-        for beta in sorted(layer):
-            m = _mult_from_gap(product.coefficient(beta), rhs.coefficient(beta), beta)
-            if m:
-                entries[beta] = RootEntry(m, datum.parity_of(beta), classify(datum, beta) == "real")
-                found.append(beta)
-        for beta in found:
-            entry = entries[beta]
-            if entry.parity == 0:
-                factor = binomial_factor(beta, entry.mult, -1, 1, height_bound, rank)
-            else:
-                factor = binomial_factor(beta, entry.mult, 1, -1, height_bound, rank)
-            product = product.mul(factor)
+        for gamma in sorted(candidates[h]):
+            m = _mult_from_log(gamma, log_terms.get(gamma, 0), entries)
+            if not m:
+                continue
+            entries[gamma] = RootEntry(m, datum.parity_of(gamma), classify(datum, gamma) == "real")
+            # a multiple of a root can be a root even where L vanishes
+            for k in range(2, height_bound // h + 1):
+                candidates[k * h].add(tuple(k * x for x in gamma))
     return RootTable(rank, height_bound, entries)
 
 

@@ -138,22 +138,32 @@ class CharSeries:
         a = self._by_height()
         b = {0: {zero: c0}}
         for h in range(1, self.height_bound + 1):
-            layer = defaultdict(int)
-            for k in range(1, h + 1):
-                if k not in a:
-                    continue
-                lower = b.get(h - k)
-                if not lower:
-                    continue
-                for ea, ca in a[k].items():
-                    for eb, cb in lower.items():
-                        layer[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+            layer = _layer_convolution(a, b, h)
             b[h] = {e: -c0 * v for e, v in layer.items() if v}
-        merged = {}
-        for layer in b.values():
-            merged.update(layer)
         base = None if self.base is None else -self.base
-        return CharSeries(self.height_bound, self.rank, merged, base)
+        return CharSeries(self.height_bound, self.rank, _merge_layers(b), base)
+
+
+def _layer_convolution(a, b, h) -> dict:
+    """Height-h part of the product of a's positive-height layers with the
+    layers of b below h; both map a height to {exponent: coefficient}."""
+    layer = defaultdict(int)
+    for k in range(1, h + 1):
+        upper = a.get(k)
+        lower = b.get(h - k)
+        if not upper or not lower:
+            continue
+        for ea, ca in upper.items():
+            for eb, cb in lower.items():
+                layer[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    return layer
+
+
+def _merge_layers(layers) -> dict:
+    merged = {}
+    for layer in layers.values():
+        merged.update(layer)
+    return merged
 
 
 def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> CharSeries:
@@ -182,23 +192,50 @@ def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> Char
     return CharSeries(height_bound, rank, terms)
 
 
+def log_sign(parity, k) -> int:
+    """eps_k: the sign with which a root of this parity reaches e^{-k beta}
+    in the log-derivative of its denominator factor; -1 only for odd roots
+    at even k."""
+    return -1 if parity and k % 2 == 0 else 1
+
+
 def denominator_R(datum, table, height_bound) -> CharSeries:
-    """Product over the root table: even roots contribute (1-e^{-beta})^m,
-    odd roots (1+e^{-beta})^{-m}."""
+    """Product over the root table in one pass: even roots contribute
+    (1-e^{-beta})^m, odd roots (1+e^{-beta})^{-m}.
+
+    With D the height derivation (e^{-gamma} -> ht(gamma) e^{-gamma}), the
+    log-derivative L = D(R)/R is read off the table: an even root beta adds
+    -m ht(beta) e^{-k beta} for every k >= 1, an odd one
+    -m ht(beta) (-1)^{k+1} e^{-k beta}.  Then D(R) = R L fixes R layer by
+    layer from R_0 = 1, since ht(gamma) R_gamma is the sum of
+    R_delta L_{gamma-delta} over delta of smaller height.  Every division
+    is exact for integer multiplicities; a remainder raises.  The table is
+    read only through items_sorted() and height_bound.
+    """
     if table.height_bound < height_bound:
         raise IncompleteRootTable(
             f"table stops at {table.height_bound}, need {height_bound}"
         )
-    acc = CharSeries.one(height_bound, datum.rank, base=datum.zero_weight())
+    log_layers = defaultdict(lambda: defaultdict(int))
     for beta, entry in table.items_sorted():
-        if height(beta) > height_bound:
+        h = height(beta)
+        if h > height_bound:
             break
-        if entry.parity == 0:
-            factor = binomial_factor(beta, entry.mult, -1, 1, height_bound, datum.rank)
-        else:
-            factor = binomial_factor(beta, entry.mult, 1, -1, height_bound, datum.rank)
-        acc = acc.mul(factor.with_base(datum.zero_weight()))
-    return acc
+        for k in range(1, height_bound // h + 1):
+            log_layers[k * h][tuple(k * x for x in beta)] -= (
+                log_sign(entry.parity, k) * entry.mult * h
+            )
+    layers = {0: {(0,) * datum.rank: 1}}
+    for h in range(1, height_bound + 1):
+        layer = {}
+        for e, v in _layer_convolution(log_layers, layers, h).items():
+            coef, rest = divmod(v, h)
+            if rest:
+                raise ArithmeticError(f"coefficient {v}/{h} at {e} is not an integer")
+            if coef:
+                layer[e] = coef
+        layers[h] = layer
+    return CharSeries(height_bound, datum.rank, _merge_layers(layers), datum.zero_weight())
 
 
 def verma_character(datum, lam, table, height_bound) -> CharSeries:

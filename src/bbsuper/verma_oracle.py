@@ -42,11 +42,13 @@ def caps_from_env(env=None) -> OracleCaps:
         values = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"cannot parse {ENV_CAP}={raw!r}") from None
+    if len(values) not in (1, 2):
+        raise ValueError(f"{ENV_CAP} takes one or two integers, got {raw!r}")
+    if min(values) < 1:
+        raise ValueError(f"{ENV_CAP} takes positive integers, got {raw!r}")
     if len(values) == 1:
         return OracleCaps(values[0], values[0])
-    if len(values) == 2:
-        return OracleCaps(values[0], values[1])
-    raise ValueError(f"{ENV_CAP} takes one or two integers, got {raw!r}")
+    return OracleCaps(values[0], values[1])
 
 
 def _resolve_caps(caps) -> OracleCaps:

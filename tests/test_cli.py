@@ -151,6 +151,17 @@ def test_oracle_cap_env_malformed(tmp_path, capsys, sl2_files, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-2", "4,0"])
+def test_oracle_cap_env_nonpositive(capsys, sl2_files, monkeypatch, cap):
+    monkeypatch.setenv("BBSUPER_CAP", cap)
+    datum, lam = sl2_files
+    code, _, err = run(
+        capsys, ["oracle", "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert code == 1
+    assert "positive" in err
+
+
 def test_compare_match(tmp_path, capsys, sl2_files):
     datum, lam = sl2_files
     code, out, _ = run(
@@ -249,6 +260,50 @@ def test_weight_rank_guard(tmp_path, capsys, sl2_files):
     )
     assert code == 1
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("command", ["char", "oracle"])
+def test_weight_list_rejected(tmp_path, capsys, sl2_files, command):
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "list.json", [1])
+    code, out, err = run(
+        capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["char", "oracle"])
+def test_weight_zero_denominator_rejected(tmp_path, capsys, sl2_files, command):
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "zero.json", {"Lambda": {"1": "1/0"}})
+    code, out, err = run(
+        capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert "zero denominator" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_positive(capsys, sl2_files, jobs):
+    datum, lam = sl2_files
+    code, out, err = run(
+        capsys,
+        ["oracle", "--datum", datum, "--lambda", lam, "--height", "2", "--jobs", jobs],
+    )
+    assert (code, out) == (1, "")
+    assert "--jobs" in err
+
+
+def test_worker_count_clamp(monkeypatch):
+    import bbsuper.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+    assert cli_mod._worker_count(1, 50) == 1
+    assert cli_mod._worker_count(8, 50) == 2
+    assert cli_mod._worker_count(8, 1) == 1
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
+    assert cli_mod._worker_count(8, 50) == 1
 
 
 def test_argparse_surface(capsys):

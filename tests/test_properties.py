@@ -1,0 +1,106 @@
+"""Randomized agreement of the log-derivative solver, the one-pass
+denominator and the character quotient with the naive root-by-root
+product, over small valid data (rank at most 3, height at most 6)."""
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bbsuper.charformula import irreducible_character, numerator_series
+from bbsuper.datum import validate_datum
+from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
+from bbsuper.series import CharSeries, binomial_factor, denominator_R
+
+# Fixed examples keep the suite reproducible and within a few seconds.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def datums(draw):
+    """Symmetrizable data with valid diagonals and odd real rows even."""
+    rank = draw(st.integers(1, 3))
+    diag = [draw(st.sampled_from([2, 0, -2, -4])) for _ in range(rank)]
+    d = [draw(st.sampled_from([1, 2])) for _ in range(rank)]
+    odd = [i for i in range(rank) if draw(st.booleans())]
+    a = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        a[i][i] = diag[i]
+        for j in range(i):
+            step = lcm(d[i], d[j])
+            if (i in odd and diag[i] == 2) or (j in odd and diag[j] == 2):
+                step *= 2
+            s = -draw(st.integers(0, 2)) * step
+            a[i][j] = s // d[i]
+            a[j][i] = s // d[j]
+    return validate_datum(a, d, odd=odd)
+
+
+def dominant(datum, levels):
+    lam = datum.zero_weight()
+    for i, c in enumerate(levels[: datum.rank]):
+        if datum.is_real(i) and datum.is_odd(i):
+            c *= 2
+        lam = lam + c * datum.fundamental_weight(i)
+    return lam
+
+
+def naive_product(rank, table, bound):
+    """One truncated product per root, as the denominator used to be built."""
+    acc = CharSeries.one(bound, rank)
+    for beta, entry in table.items_sorted():
+        if entry.parity == 0:
+            factor = binomial_factor(beta, entry.mult, -1, 1, bound, rank)
+        else:
+            factor = binomial_factor(beta, entry.mult, 1, -1, bound, rank)
+        acc = acc.mul(factor)
+    return acc
+
+
+@st.composite
+def root_tables(draw):
+    """Arbitrary tables, not necessarily of any datum: rows and parities free."""
+    rank = draw(st.integers(1, 3))
+    bound = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, bound)] * rank).filter(
+        lambda e: 0 < sum(e) <= bound
+    )
+    rows = draw(st.dictionaries(exps, st.tuples(st.integers(1, 3), st.integers(0, 1)), max_size=6))
+    entries = {e: RootEntry(m, p, False) for e, (m, p) in rows.items()}
+    return RootTable(rank, bound, entries)
+
+
+@PROPERTY
+@given(datums(), st.integers(1, 6))
+def test_solved_table_multiplies_out_to_numerator(datum, bound):
+    table = solve_multiplicities(datum, bound)
+    numerator = numerator_series(datum, datum.zero_weight(), bound)
+    assert naive_product(datum.rank, table, bound).terms == numerator.terms
+
+
+@PROPERTY
+@given(root_tables())
+def test_denominator_matches_naive_product(table):
+    # the datum only supplies the rank and the zero weight
+    n = table.rank
+    d = validate_datum([[2 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n)
+    bound = table.height_bound
+    assert denominator_R(d, table, bound).terms == naive_product(table.rank, table, bound).terms
+
+
+@PROPERTY
+@given(datums(), st.integers(1, 6), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_character_quotient_has_no_residual(datum, bound, levels):
+    lam = dominant(datum, levels)
+    result = irreducible_character(datum, lam, bound)
+    assert result.residual_terms == 0
+    table = solve_multiplicities(datum, bound)
+    numerator = numerator_series(datum, lam, bound)
+    assert result.series.mul(denominator_R(datum, table, bound)).terms == numerator.terms
+
+
+@PROPERTY
+@given(datums(), st.integers(1, 4))
+def test_solve_truncation_coherent(datum, bound):
+    assert solve_multiplicities(datum, bound + 2).truncate(bound) == solve_multiplicities(
+        datum, bound
+    )

@@ -1,13 +1,13 @@
-"""Multiplicity solving from the height-graded product identity."""
+"""Multiplicity solving from the logarithm of the denominator identity."""
 import pytest
 
 from bbsuper.charformula import numerator_series
 from bbsuper.datum import validate_datum
-from bbsuper.errors import NegativeMultiplicity
+from bbsuper.errors import NegativeMultiplicity, NonIntegralMultiplicity
 from bbsuper.roots import (
     RootEntry,
     RootTable,
-    _mult_from_gap,
+    _mult_from_log,
     classify,
     roots_to_json,
     solve_multiplicities,
@@ -155,10 +155,44 @@ def test_classify_norms():
     assert classify(osp, (2,)) == "real"
 
 
-def test_negative_gap_aborts():
+def test_log_step_divisor_sum():
+    # osp(1|2): L = D(N_0)/N_0 for N_0 = 1 - q reads -q - q^2 - ...; the odd
+    # root at 1 feeds q^2 with eps_2 = -1, leaving the even root at 2
+    odd = {(1,): RootEntry(1, 1, True)}
+    assert _mult_from_log((1,), -1, {}) == 1
+    assert _mult_from_log((2,), -1, odd) == 1
+    assert _mult_from_log((2,), -1, {(1,): RootEntry(1, 0, True)}) == 0
+    assert _mult_from_log((1, 1), -4, {}) == 2
+    # a root can sit where L vanishes
+    assert _mult_from_log((2,), 0, {(1,): RootEntry(2, 1, False)}) == 1
+
+
+def test_solver_visits_multiples_where_log_vanishes(monkeypatch):
+    import bbsuper.roots as roots_module
+
+    # an odd root of multiplicity 2 at beta and an even one of multiplicity
+    # 1 at 2 beta cancel in L at 2 beta; the solver must still find 2 beta
+    d = validate_datum([[0, -1], [-1, 0]], [1, 1], odd=[0])
+    rows = {(1, 1): RootEntry(2, 1, False), (2, 2): RootEntry(1, 0, False)}
+    product = denominator_R(d, RootTable(2, 6, rows), 6)
+    monkeypatch.setattr(roots_module, "numerator_series", lambda *args: product)
+    table = solve_multiplicities(d, 6)
+    assert {b: e.mult for b, e in table.entries.items()} == {(1, 1): 2, (2, 2): 1}
+
+
+def test_negative_multiplicity_aborts():
     with pytest.raises(NegativeMultiplicity):
-        _mult_from_gap(0, 1, (1,))
-    assert _mult_from_gap(3, 1, (1,)) == 2
+        _mult_from_log((1,), 1, {})
+    # an even root at 1 already accounts for more than L_2 allows
+    with pytest.raises(NegativeMultiplicity):
+        _mult_from_log((2,), -1, {(1,): RootEntry(3, 0, True)})
+
+
+def test_non_integral_multiplicity_aborts():
+    with pytest.raises(NonIntegralMultiplicity):
+        _mult_from_log((2,), -1, {})
+    with pytest.raises(NonIntegralMultiplicity):
+        _mult_from_log((1, 2), -4, {})
 
 
 def test_truncate_matches_shallow_solve():
