@@ -11,17 +11,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .charformula import character_result_to_json, irreducible_character
-from .datum import datum_from_json, weight_from_json
+from .datum import datum_from_json, datum_to_json, weight_from_json
 from .errors import BBSuperError, Unreachable
 from .roots import roots_to_json, solve_multiplicities
 from .series import denominator_R
 from .verma_oracle import (
     caps_from_env,
     generic_dim,
-    irreducible_dim,
+    irreducible_dims,
     weight_window,
 )
 
@@ -157,16 +156,8 @@ def _cmd_denom_check(args):
 
 
 def _oracle_cell(payload):
-    datum_doc, lam_doc, beta, caps = payload
-    from .verma_oracle import OracleCaps
-
-    datum = datum_from_json(datum_doc)
-    caps = OracleCaps(*caps)
-    if lam_doc is None:
-        return generic_dim(datum, beta, caps)
-    lam = weight_from_json(datum, lam_doc)
-    mu = lam - datum.weight_from_roots(beta)
-    return irreducible_dim(datum, lam, mu, caps)
+    datum_doc, beta, caps = payload
+    return generic_dim(datum_from_json(datum_doc), beta, caps)
 
 
 def _worker_count(jobs, cells):
@@ -175,18 +166,19 @@ def _worker_count(jobs, cells):
 
 
 def _oracle_dims(datum, lam, height, symbolic, jobs):
-    from .datum import datum_to_json, weight_to_json
-
+    """Window offsets and their dimensions.  Numeric cells build on the
+    cells below them and run in this process; generic cells are
+    independent and spread over --jobs processes."""
     caps = caps_from_env()
     offsets = weight_window(datum.rank, height)
+    if not symbolic:
+        return offsets, irreducible_dims(datum, lam, height, caps)
     datum_doc = datum_to_json(datum)
-    lam_doc = None if symbolic else weight_to_json(lam)
-    payloads = [
-        (datum_doc, lam_doc, beta, (caps.max_word_length, caps.max_height))
-        for beta in offsets
-    ]
+    payloads = [(datum_doc, beta, caps) for beta in offsets]
     workers = _worker_count(jobs, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             dims = list(pool.map(_oracle_cell, payloads))
     else:
@@ -264,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="generic-weight mode (oracle only)",
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel cells")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="processes for --symbolic cells; numeric cells run in-process",
+        )
     return parser
 
 

@@ -1,14 +1,17 @@
-"""Exact rank computations over the integers, rationals and integer
-polynomial rings.
+"""Exact linear algebra over the rationals and integer polynomial rings.
 
-Gram matrices arrive either with Fraction entries, when the highest
-weight is a concrete point, or with Polynomial entries in one symbol per
-row index, when the rank is wanted at a generic point.  Both paths avoid
-floating point entirely: Gaussian elimination over Fraction and the
-Bareiss fraction-free scheme over the polynomial ring, whose divisions
-are exact by construction.
+Two routines, one per coefficient domain.  `row_basis` eliminates rows
+with Fraction (or int) entries: it keeps the first linearly independent
+rows and expresses every row in them, which is what the weight-space
+propagation of the oracle needs, and `rank_gauss` is its length.
+`rank_bareiss` ranks matrices whose entries are Polynomials, the Gram
+matrices of the generic-weight oracle, by the fraction-free Bareiss
+scheme, whose divisions are exact by construction.  No floating point
+enters either path.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def _grlex(mono):
@@ -190,26 +193,46 @@ def rank_bareiss(rows):
     return rank
 
 
-def rank_gauss(rows):
-    """Rank by ordinary elimination; entries must support exact field
-    arithmetic, Fraction in practice."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    for col in range(nc):
-        pivot_row = next((r for r in range(rank, nr) if m[r][col]), None)
-        if pivot_row is None:
+def row_basis(rows):
+    """The first linearly independent rows, in order, and the coordinates
+    of every row in them.
+
+    Returns (pivot_rows, coords): pivot_rows are input rows, unchanged, and
+    row r equals the sum over k of coords[r][k] * pivot_rows[k] exactly.
+    Entries must allow exact field arithmetic; ints and Fractions both
+    work.
+    """
+    pivot_rows = []
+    # (column, vector that is 1 there and 0 at earlier pivot columns,
+    #  that vector as a combination of the pivot rows)
+    echelon = []
+    coords = []
+    for row in rows:
+        vec = list(row)
+        combo = [0] * len(pivot_rows)
+        for col, unit, unit_combo in echelon:
+            c = vec[col]
+            if c:
+                for k in range(col, len(vec)):
+                    if unit[k]:
+                        vec[k] -= c * unit[k]
+                for k, u in enumerate(unit_combo):
+                    combo[k] += c * u
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            coords.append(combo)
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nr):
-            if m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col, nc):
-                    m[r][c] = m[r][c] - factor * m[rank][c]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        inv = 1 / Fraction(vec[lead])
+        echelon.append(
+            (lead, [x * inv for x in vec], [-c * inv for c in combo] + [inv])
+        )
+        coords.append([0] * len(pivot_rows) + [1])
+        pivot_rows.append(row)
+    for c in coords:
+        c.extend([0] * (len(pivot_rows) - len(c)))
+    return pivot_rows, coords
+
+
+def rank_gauss(rows):
+    """Rank over the rationals: the number of pivot rows of row_basis."""
+    return len(row_basis(rows)[0])

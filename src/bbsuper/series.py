@@ -116,14 +116,17 @@ class CharSeries:
         """Truncated convolution; base weights add when both are set."""
         self._check_compatible(other)
         bound = self.height_bound
+        right = other._by_height()
         acc = {}
-        for ea, ca in self.terms.items():
-            ha = sum(ea)
-            for eb, cb in other.terms.items():
-                if ha + sum(eb) > bound:
+        for ha, left in self._by_height().items():
+            for hb in range(bound - ha + 1):
+                layer = right.get(hb)
+                if not layer:
                     continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0) + ca * cb
+                for ea, ca in left.items():
+                    for eb, cb in layer.items():
+                        e = tuple(x + y for x, y in zip(ea, eb))
+                        acc[e] = acc.get(e, 0) + ca * cb
         base = None
         if self.base is not None and other.base is not None:
             base = self.base + other.base

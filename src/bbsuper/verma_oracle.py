@@ -1,10 +1,21 @@
-"""Brute-force weight-space dimensions from contravariant Gram ranks.
+"""Weight-space dimensions of highest-weight modules from the defining
+relations alone.
 
-Monomials in the lowering generators span every weight space of a Verma
-module, so the rank of the pairing matrix computes the dimension of the
-irreducible quotient without knowing a basis, and with the pairings left
-symbolic it computes the generic (Verma) dimension instead.  Everything
-is driven by the defining relations alone; no multiplicity table enters,
+The irreducible quotient L(lam) is computed by propagation in graded
+order.  The radical of the contravariant form is the maximal submodule,
+so a vector of positive depth vanishes in L(lam) exactly when every
+raising generator e_{jk} sends it to zero there.  Each weight space is
+therefore spanned by f_{il} applied to the bases already found below it,
+and a candidate is recorded by the coordinates of its e-images, which the
+commutation rule e_{jk} f_{il} = s f_{il} e_{jk} + [(j,k) = (i,l)] l h_i
+reads off the stored e and f matrices of lower cells.  The rank of those
+coordinates is the dimension; the first independent candidates become
+the basis, and their coordinates the new e and f matrices.
+
+The generic (Verma) dimension is still a Gram rank: every ordered word in
+the lowering generators is paired with every other through the same
+raising action, with the pairings left as polynomials in the highest
+weight.  No multiplicity table and no formula output enters either path,
 which is what makes the result an independent check.
 """
 from __future__ import annotations
@@ -12,10 +23,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .datum import OddCartanDatum, Weight, height
 from .errors import BadGeneratorIndex, Unreachable
-from .exactlinalg import Polynomial, rank_bareiss, rank_gauss
+from .exactlinalg import Polynomial, rank_bareiss, row_basis
 
 ENV_CAP = "BBSUPER_CAP"
 
@@ -260,8 +272,92 @@ def pair_with_cell(datum, lam, beta, combo, caps=None) -> list:
     ]
 
 
+def _generators(datum, beta):
+    """Generators (i, l) with l alpha_i <= beta; real indices carry l = 1."""
+    return [
+        (i, l)
+        for i in range(datum.rank)
+        for l in range(1, (min(beta[i], 1) if datum.is_real(i) else beta[i]) + 1)
+    ]
+
+
+def _minus(beta, i, l):
+    return beta[:i] + (beta[i] - l,) + beta[i + 1 :]
+
+
+def _propagate(datum, lam, cells) -> dict:
+    """dim L(lam) at every cell; cells must be closed under lowering and
+    listed in graded order.
+
+    For each cell beta the basis is a list of candidates f_{il} b, and
+    two matrices are kept: e_mat[beta, (j, k)] holds the coordinates of
+    e_{jk} on that basis, f_mat[gamma, (i, l)] those of f_{il} from the
+    basis at gamma to the one at gamma + l alpha_i.
+    """
+    dims = {}
+    e_mat = {}
+    f_mat = {}
+    for beta in cells:
+        if not any(beta):
+            dims[beta] = 1
+            continue
+        gens = _generators(datum, beta)
+        blocks = []
+        width = 0
+        for j, k in gens:
+            size = dims[_minus(beta, j, k)]
+            blocks.append((j, k, width, size))
+            width += size
+        rows = []
+        for i, l in gens:
+            gamma = _minus(beta, i, l)
+            odd_i = datum.is_odd(i)
+            h_value = datum.pair(i, lam) - datum.pair_root(i, gamma)
+            for b in range(dims[gamma]):
+                row = [0] * width
+                for j, k, start, size in blocks:
+                    if gamma[j] >= k:
+                        # s f_{il} e_{jk} b, through the cell below gamma
+                        image = e_mat[gamma, (j, k)][b]
+                        f_below = f_mat[_minus(gamma, j, k), (i, l)]
+                        sign = -1 if odd_i and datum.is_odd(j) else 1
+                        for c, x in enumerate(image):
+                            if x:
+                                x *= sign
+                                for t, y in enumerate(f_below[c]):
+                                    if y:
+                                        row[start + t] += x * y
+                    if (j, k) == (i, l):
+                        row[start + b] += l * h_value
+                rows.append(row)
+        pivots, coords = row_basis(rows)
+        dims[beta] = len(pivots)
+        for j, k, start, size in blocks:
+            e_mat[beta, (j, k)] = [p[start : start + size] for p in pivots]
+        first = 0
+        for i, l in gens:
+            gamma = _minus(beta, i, l)
+            f_mat[gamma, (i, l)] = coords[first : first + dims[gamma]]
+            first += dims[gamma]
+    return dims
+
+
+def irreducible_dims(datum: OddCartanDatum, lam: Weight, height_bound: int, caps=None) -> list:
+    """dim L(lam) at every cell of weight_window, in window order.
+
+    Every cell is checked against the caps before any work starts.
+    """
+    caps = _resolve_caps(caps)
+    cells = weight_window(datum.rank, height_bound)
+    for beta in cells:
+        _check_cell(beta, caps)
+    dims = _propagate(datum, lam, cells)
+    return [dims[beta] for beta in cells]
+
+
 def irreducible_dim(datum: OddCartanDatum, lam: Weight, mu: Weight, caps=None) -> int:
-    """dim of the irreducible quotient at weight mu, as a Gram rank.
+    """dim of the irreducible quotient at weight mu, by propagation over
+    the box of cells below lam - mu.
 
     Weights outside the cone under lam have dimension zero.
     """
@@ -275,8 +371,10 @@ def irreducible_dim(datum: OddCartanDatum, lam: Weight, mu: Weight, caps=None) -
         if c.denominator != 1 or c < 0:
             return 0
         beta.append(int(c))
-    cell = gram_matrix(datum, lam, tuple(beta), caps)
-    return rank_gauss([list(row) for row in cell.gram])
+    beta = tuple(beta)
+    _check_cell(beta, _resolve_caps(caps))
+    box = sorted(product(*(range(b + 1) for b in beta)), key=lambda g: (sum(g), g))
+    return _propagate(datum, lam, box)[beta]
 
 
 def generic_dim(datum: OddCartanDatum, beta, caps=None) -> int:
@@ -289,14 +387,6 @@ def generic_dim(datum: OddCartanDatum, beta, caps=None) -> int:
 def weight_window(rank: int, height_bound: int):
     """All cone offsets up to the height bound in graded lex order."""
     out = []
-
-    def build(prefix, remaining):
-        if len(prefix) == rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(remaining + 1):
-            build(prefix + [c], remaining - c)
-
     for h in range(height_bound + 1):
         layer = []
 

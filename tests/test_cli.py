@@ -177,7 +177,10 @@ def test_compare_match(tmp_path, capsys, sl2_files):
 def test_compare_mismatch_exit(tmp_path, capsys, sl2_files, monkeypatch):
     import bbsuper.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "irreducible_dim", lambda *a, **k: 0)
+    def zeros(datum, lam, height, caps=None):
+        return [0] * len(cli_mod.weight_window(datum.rank, height))
+
+    monkeypatch.setattr(cli_mod, "irreducible_dims", zeros)
     datum, lam = sl2_files
     code, out, _ = run(
         capsys, ["compare", "--datum", datum, "--lambda", lam, "--height", "2"]

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from bbsuper.exactlinalg import Polynomial, exact_div, rank_bareiss, rank_gauss
+from bbsuper.exactlinalg import Polynomial, exact_div, rank_bareiss, rank_gauss, row_basis
 
 
 def P(nvars, terms):
@@ -114,6 +114,55 @@ def test_rank_edge_cases():
     assert rank_bareiss([[1, 0], [0, 1]]) == 2
     assert rank_bareiss([[0, 1], [0, 2], [0, 3]]) == 1
     assert rank_bareiss([[1, 2, 3], [2, 4, 6]]) == 1
+
+
+def assert_reconstructs(rows, pivots, coords):
+    assert len(coords) == len(rows)
+    for row, c in zip(rows, coords):
+        assert len(c) == len(pivots)
+        rebuilt = [
+            sum((k * p[col] for k, p in zip(c, pivots)), Fraction(0)) for col in range(len(row))
+        ]
+        assert rebuilt == [Fraction(x) for x in row]
+
+
+def test_row_basis_picks_first_independent_rows():
+    rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [0, 0, 5]]
+    pivots, coords = row_basis(rows)
+    assert pivots == [[1, 2, 3], [0, 1, 1], [0, 0, 5]]
+    assert coords == [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+    assert_reconstructs(rows, pivots, coords)
+
+
+def test_row_basis_zero_and_empty():
+    assert row_basis([]) == ([], [])
+    assert row_basis([[0, 0], [Fraction(0), 0]]) == ([], [[], []])
+    assert row_basis([[], []]) == ([], [[], []])
+
+
+def test_row_basis_random_against_brute_force():
+    rng = random.Random(5)
+    for _ in range(40):
+        nr = rng.randint(1, 5)
+        nc = rng.randint(1, 4)
+        base = [
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(nc)] for _ in range(2)
+        ]
+        # rows mixing two random rows and noise, so most inputs are rank deficient
+        rows = []
+        for _ in range(nr):
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = [a * x + b * y for x, y in zip(*base)]
+            if rng.random() < 0.2:
+                row[rng.randrange(nc)] += 1
+            rows.append(row)
+        pivots, coords = row_basis(rows)
+        assert len(pivots) == brute_rank(rows) == rank_gauss(rows)
+        assert_reconstructs(rows, pivots, coords)
+        # each pivot is the first row not in the span of the rows before it
+        chosen = [next(r for r in range(len(rows)) if rows[r] is p) for p in pivots]
+        for r in range(len(rows)):
+            assert (r in chosen) == (brute_rank(rows[: r + 1]) > brute_rank(rows[:r]))
 
 
 def test_rank_symbolic():

@@ -1,6 +1,8 @@
 """Randomized agreement of the log-derivative solver, the one-pass
 denominator and the character quotient with the naive root-by-root
-product, over small valid data (rank at most 3, height at most 6)."""
+product, over small valid data (rank at most 3, height at most 6), and
+of the propagated oracle with the all-word Gram rank and the formula on
+small windows."""
 from math import lcm
 
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import validate_datum
+from bbsuper.exactlinalg import rank_gauss
 from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
 from bbsuper.series import CharSeries, binomial_factor, denominator_R
+from bbsuper.verma_oracle import gram_matrix, irreducible_dims, weight_window
 
 # Fixed examples keep the suite reproducible and within a few seconds.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -104,3 +108,19 @@ def test_solve_truncation_coherent(datum, bound):
     assert solve_multiplicities(datum, bound + 2).truncate(bound) == solve_multiplicities(
         datum, bound
     )
+
+
+# Window height by rank: the all-word Gram reference grows fast with it.
+ORACLE_HEIGHT = {1: 5, 2: 4, 3: 3}
+
+
+@PROPERTY
+@given(datums(), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_oracle_matches_gram_rank_and_formula(datum, levels):
+    lam = dominant(datum, levels)
+    bound = ORACLE_HEIGHT[datum.rank]
+    dims = irreducible_dims(datum, lam, bound)
+    character = irreducible_character(datum, lam, bound).series
+    for beta, dim in zip(weight_window(datum.rank, bound), dims):
+        assert dim == rank_gauss(gram_matrix(datum, lam, beta).gram), beta
+        assert dim == character.coefficient(beta), beta

@@ -16,6 +16,7 @@ from bbsuper.verma_oracle import (
     generic_dim,
     gram_matrix,
     irreducible_dim,
+    irreducible_dims,
     lower_with_e,
     orthogonality_vector,
     pair_with_cell,
@@ -234,6 +235,37 @@ def test_odd_iso_dims():
     lam = d.fundamental_weight(0)
     for n in range(7):
         assert irreducible_dim(d, lam, lam - n * d.alpha(0)) == count_distinct_partitions(n)
+
+
+def test_irreducible_dims_deep_windows():
+    # deep enough that the all-word Gram matrices would hold thousands of words
+    d = even_iso()
+    lam = d.fundamental_weight(0)
+    assert irreducible_dims(d, lam, 12, WIDE) == [count_partitions(n) for n in range(13)]
+    o = odd_iso()
+    lam = o.fundamental_weight(0)
+    assert irreducible_dims(o, lam, 12, WIDE) == [
+        count_distinct_partitions(n) for n in range(13)
+    ]
+
+
+def test_irreducible_dims_agree_with_single_cells():
+    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    lam = d.fundamental_weight(0) + d.fundamental_weight(1)
+    window = weight_window(d.rank, 4)
+    assert irreducible_dims(d, lam, 4) == [
+        irreducible_dim(d, lam, lam - d.weight_from_roots(beta)) for beta in window
+    ]
+
+
+def test_irreducible_dims_caps():
+    d = sl2()
+    lam = d.fundamental_weight(0)
+    with pytest.raises(Unreachable):
+        irreducible_dims(d, lam, 7)
+    with pytest.raises(Unreachable):
+        irreducible_dims(d, lam, 7, OracleCaps(6, 12))
+    assert irreducible_dims(d, lam, 7, WIDE) == [1, 1] + [0] * 6
 
 
 def test_generic_dims_free_case():
