@@ -2,24 +2,23 @@
 
 Every subcommand reads a datum (and usually a weight) from JSON, runs
 one engine entry point and prints a single canonical document, so runs
-are reproducible byte for byte regardless of parallelism.  Exit codes:
+are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input, 2 comparison mismatch, 3 resource cap hit.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .charformula import character_result_to_json, irreducible_character
-from .datum import datum_from_json, datum_to_json, weight_from_json
+from .datum import datum_from_json, weight_from_json
 from .errors import BBSuperError, Unreachable
 from .roots import roots_to_json, solve_multiplicities
 from .series import denominator_R
 from .verma_oracle import (
     caps_from_env,
-    generic_dim,
+    generic_dims,
     irreducible_dims,
     weight_window,
 )
@@ -155,42 +154,21 @@ def _cmd_denom_check(args):
     return EXIT_OK
 
 
-def _oracle_cell(payload):
-    datum_doc, beta, caps = payload
-    return generic_dim(datum_from_json(datum_doc), beta, caps)
-
-
-def _worker_count(jobs, cells):
-    """Worker processes for the oracle cells: at most one per cell and per CPU."""
-    return max(1, min(jobs, cells, os.cpu_count() or 1))
-
-
-def _oracle_dims(datum, lam, height, symbolic, jobs):
-    """Window offsets and their dimensions.  Numeric cells build on the
-    cells below them and run in this process; generic cells are
-    independent and spread over --jobs processes."""
+def _oracle_dims(datum, lam, height):
+    """Window offsets and their dimensions, in one in-process pass; lam
+    None gives the generic (Verma) dimensions."""
     caps = caps_from_env()
     offsets = weight_window(datum.rank, height)
-    if not symbolic:
-        return offsets, irreducible_dims(datum, lam, height, caps)
-    datum_doc = datum_to_json(datum)
-    payloads = [(datum_doc, beta, caps) for beta in offsets]
-    workers = _worker_count(jobs, len(payloads))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dims = list(pool.map(_oracle_cell, payloads))
-    else:
-        dims = [_oracle_cell(p) for p in payloads]
-    return offsets, dims
+    if lam is None:
+        return offsets, generic_dims(datum, height, caps)
+    return offsets, irreducible_dims(datum, lam, height, caps)
 
 
 def _cmd_oracle(args):
     datum = _load_datum(args.datum)
     lam = None if args.symbolic else _load_weight(datum, args.lam)
     height = _need_height(args)
-    offsets, dims = _oracle_dims(datum, lam, height, args.symbolic, args.jobs)
+    offsets, dims = _oracle_dims(datum, lam, height)
     doc = [
         {"mu_offset": list(beta), "dim": dim} for beta, dim in zip(offsets, dims)
     ]
@@ -204,7 +182,7 @@ def _cmd_compare(args):
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)
     result = irreducible_character(datum, lam, height)
-    offsets, dims = _oracle_dims(datum, lam, height, False, args.jobs)
+    offsets, dims = _oracle_dims(datum, lam, height)
     differences = []
     for beta, dim in zip(offsets, dims):
         formula = result.series.coefficient(beta)
@@ -260,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="processes for --symbolic cells; numeric cells run in-process",
+            help="accepted for compatibility; every subcommand runs in one "
+            "process and the value changes nothing",
         )
     return parser
 

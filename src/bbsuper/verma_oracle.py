@@ -12,11 +12,15 @@ reads off the stored e and f matrices of lower cells.  The rank of those
 coordinates is the dimension; the first independent candidates become
 the basis, and their coordinates the new e and f matrices.
 
-The generic (Verma) dimension is still a Gram rank: every ordered word in
-the lowering generators is paired with every other through the same
-raising action, with the pairings left as polynomials in the highest
-weight.  No multiplicity table and no formula output enters either path,
+The generic (Verma) dimension runs the same pass with the highest weight
+left symbolic: each pairing <h_i, lam - gamma> = t_i - <h_i, gamma> is
+kept as two rationals, its t_i-coefficient and its constant, so every
+e-image is t_j A + B with A and B rational and no polynomial ring is
+needed.  No multiplicity table and no formula output enters either path,
 which is what makes the result an independent check.
+
+The all-word Gram matrix (gram_matrix, pair_with_cell) stays, for a
+numeric highest weight, as the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from itertools import product
 
 from .datum import OddCartanDatum, Weight, height
 from .errors import BadGeneratorIndex, Unreachable
-from .exactlinalg import Polynomial, rank_bareiss, row_basis
+from .exactlinalg import row_basis
 
 ENV_CAP = "BBSUPER_CAP"
 
@@ -187,11 +191,7 @@ def lower_with_e(datum: OddCartanDatum, i, l, word, lam: Weight) -> dict:
     """Expansion of e_{il} applied to (word)v_lam, as a combination of
     shorter monomials."""
     factors = word.factors if isinstance(word, FMonomial) else tuple(word)
-
-    def pairing(idx, offset):
-        return datum.pair(idx, lam) - datum.pair_root(idx, offset)
-
-    state = _apply_e(datum, i, l, {factors: Fraction(1)}, pairing)
+    state = _apply_e(datum, i, l, {factors: Fraction(1)}, _pairing_fn(datum, lam))
     return {
         FMonomial.from_factors(datum, w): c for w, c in state.items()
     }
@@ -199,30 +199,21 @@ def lower_with_e(datum: OddCartanDatum, i, l, word, lam: Weight) -> dict:
 
 def _pairing_fn(datum, lam):
     if lam is None:
-        rank = datum.rank
+        raise ValueError(
+            "word pairings need a numeric highest weight; "
+            "generic dimensions come from generic_dims"
+        )
 
-        def symbolic(idx, offset):
-            shift = datum.pair_root(idx, offset)
-            return Polynomial(
-                rank,
-                {
-                    tuple(1 if k == idx else 0 for k in range(rank)): 1,
-                    (0,) * rank: -int(shift),
-                },
-            )
-
-        return symbolic, Polynomial.const(rank, 1)
-
-    def numeric(idx, offset):
+    def pairing(idx, offset):
         return datum.pair(idx, lam) - datum.pair_root(idx, offset)
 
-    return numeric, Fraction(1)
+    return pairing
 
 
 @dataclass(frozen=True)
 class GramCell:
     """Pairing matrix of every spanning word against every other at one
-    weight-space depth; lam None means symbolic pairings."""
+    weight-space depth, for a numeric highest weight."""
 
     lam: object
     beta: tuple
@@ -245,13 +236,13 @@ def gram_matrix(datum: OddCartanDatum, lam, beta, caps=None) -> GramCell:
     in order, which realizes the reversed word under the transpose
     anti-involution acting on b.
     """
+    pairing = _pairing_fn(datum, lam)
     monomials = enumerate_f_monomials(datum, beta, caps)
-    pairing, one = _pairing_fn(datum, lam)
     rows = []
     for ma in monomials:
         row = []
         for mb in monomials:
-            entry = _pair_against(datum, ma.factors, {mb.factors: one}, pairing)
+            entry = _pair_against(datum, ma.factors, {mb.factors: Fraction(1)}, pairing)
             row.append(entry)
         rows.append(tuple(row))
     return GramCell(lam, tuple(beta), tuple(monomials), tuple(rows))
@@ -261,12 +252,12 @@ def pair_with_cell(datum, lam, beta, combo, caps=None) -> list:
     """Pairing of each spanning word at depth beta against a fixed
     combination of words, given as a mapping from factor tuples (or
     FMonomials) to coefficients."""
+    pairing = _pairing_fn(datum, lam)
     monomials = enumerate_f_monomials(datum, beta, caps)
-    pairing, one = _pairing_fn(datum, lam)
     state0 = {}
     for w, c in combo.items():
         factors = w.factors if isinstance(w, FMonomial) else tuple(w)
-        state0[factors] = state0.get(factors, 0) + c * one
+        state0[factors] = state0.get(factors, 0) + Fraction(c)
     return [
         _pair_against(datum, ma.factors, dict(state0), pairing) for ma in monomials
     ]
@@ -285,15 +276,27 @@ def _minus(beta, i, l):
     return beta[:i] + (beta[i] - l,) + beta[i + 1 :]
 
 
+def _h_parts(datum, lam, i, gamma):
+    """<h_i, lam - gamma> as its parts: one number for a numeric lam; for
+    lam None (generic), its t_i-coefficient and its constant."""
+    shift = datum.pair_root(i, gamma)
+    if lam is None:
+        return (1, -shift)
+    return (datum.pair(i, lam) - shift,)
+
+
 def _propagate(datum, lam, cells) -> dict:
-    """dim L(lam) at every cell; cells must be closed under lowering and
-    listed in graded order.
+    """dim L(lam) at every cell, or the generic (Verma) dimension for lam
+    None; cells must be closed under lowering and listed in graded order.
 
     For each cell beta the basis is a list of candidates f_{il} b, and
     two matrices are kept: e_mat[beta, (j, k)] holds the coordinates of
     e_{jk} on that basis, f_mat[gamma, (i, l)] those of f_{il} from the
-    basis at gamma to the one at gamma + l alpha_i.
+    basis at gamma to the one at gamma + l alpha_i.  An e-image has one
+    part per h-part of the pairing, side by side: for lam None it is
+    t_j A + B, stored as A then B, all parts over the rationals.
     """
+    nparts = 1 if lam is not None else 2
     dims = {}
     e_mat = {}
     f_mat = {}
@@ -307,33 +310,39 @@ def _propagate(datum, lam, cells) -> dict:
         for j, k in gens:
             size = dims[_minus(beta, j, k)]
             blocks.append((j, k, width, size))
-            width += size
+            width += nparts * size
         rows = []
         for i, l in gens:
             gamma = _minus(beta, i, l)
             odd_i = datum.is_odd(i)
-            h_value = datum.pair(i, lam) - datum.pair_root(i, gamma)
+            h_parts = _h_parts(datum, lam, i, gamma)
             for b in range(dims[gamma]):
                 row = [0] * width
                 for j, k, start, size in blocks:
                     if gamma[j] >= k:
                         # s f_{il} e_{jk} b, through the cell below gamma
                         image = e_mat[gamma, (j, k)][b]
-                        f_below = f_mat[_minus(gamma, j, k), (i, l)]
+                        below = _minus(gamma, j, k)
+                        f_below = f_mat[below, (i, l)]
+                        size_below = dims[below]
                         sign = -1 if odd_i and datum.is_odd(j) else 1
                         for c, x in enumerate(image):
                             if x:
                                 x *= sign
-                                for t, y in enumerate(f_below[c]):
+                                part, col = divmod(c, size_below)
+                                base = start + part * size
+                                for t, y in enumerate(f_below[col]):
                                     if y:
-                                        row[start + t] += x * y
+                                        row[base + t] += x * y
                     if (j, k) == (i, l):
-                        row[start + b] += l * h_value
+                        for part, h in enumerate(h_parts):
+                            row[start + part * size + b] += l * h
                 rows.append(row)
         pivots, coords = row_basis(rows)
         dims[beta] = len(pivots)
         for j, k, start, size in blocks:
-            e_mat[beta, (j, k)] = [p[start : start + size] for p in pivots]
+            end = start + nparts * size
+            e_mat[beta, (j, k)] = [p[start:end] for p in pivots]
         first = 0
         for i, l in gens:
             gamma = _minus(beta, i, l)
@@ -342,17 +351,27 @@ def _propagate(datum, lam, cells) -> dict:
     return dims
 
 
-def irreducible_dims(datum: OddCartanDatum, lam: Weight, height_bound: int, caps=None) -> list:
-    """dim L(lam) at every cell of weight_window, in window order.
-
-    Every cell is checked against the caps before any work starts.
-    """
+def _window_dims(datum, lam, height_bound, caps):
     caps = _resolve_caps(caps)
     cells = weight_window(datum.rank, height_bound)
     for beta in cells:
         _check_cell(beta, caps)
     dims = _propagate(datum, lam, cells)
     return [dims[beta] for beta in cells]
+
+
+def _box_dim(datum, lam, beta, caps):
+    _check_cell(beta, _resolve_caps(caps))
+    box = sorted(product(*(range(b + 1) for b in beta)), key=lambda g: (sum(g), g))
+    return _propagate(datum, lam, box)[beta]
+
+
+def irreducible_dims(datum: OddCartanDatum, lam: Weight, height_bound: int, caps=None) -> list:
+    """dim L(lam) at every cell of weight_window, in window order.
+
+    Every cell is checked against the caps before any work starts.
+    """
+    return _window_dims(datum, lam, height_bound, caps)
 
 
 def irreducible_dim(datum: OddCartanDatum, lam: Weight, mu: Weight, caps=None) -> int:
@@ -371,17 +390,25 @@ def irreducible_dim(datum: OddCartanDatum, lam: Weight, mu: Weight, caps=None) -
         if c.denominator != 1 or c < 0:
             return 0
         beta.append(int(c))
-    beta = tuple(beta)
-    _check_cell(beta, _resolve_caps(caps))
-    box = sorted(product(*(range(b + 1) for b in beta)), key=lambda g: (sum(g), g))
-    return _propagate(datum, lam, box)[beta]
+    return _box_dim(datum, lam, tuple(beta), caps)
+
+
+def generic_dims(datum: OddCartanDatum, height_bound: int, caps=None) -> list:
+    """Verma dimension for generic highest weight at every cell of
+    weight_window, in window order.
+
+    Every cell is checked against the caps before any work starts.
+    """
+    return _window_dims(datum, None, height_bound, caps)
 
 
 def generic_dim(datum: OddCartanDatum, beta, caps=None) -> int:
-    """Verma dimension at depth beta for generic highest weight, as the
-    symbolic Gram rank."""
-    cell = gram_matrix(datum, None, beta, caps)
-    return rank_bareiss([list(row) for row in cell.gram])
+    """Verma dimension at depth beta for generic highest weight, by
+    propagation over the box of cells below beta."""
+    beta = tuple(int(b) for b in beta)
+    if any(b < 0 for b in beta):
+        raise ValueError(f"{beta} is not in the positive cone")
+    return _box_dim(datum, None, beta, caps)
 
 
 def weight_window(rank: int, height_bound: int):

@@ -142,6 +142,20 @@ def test_oracle_cap_env_override(tmp_path, capsys, sl2_files, monkeypatch):
     assert [cell["dim"] for cell in json.loads(out)] == [1, 1, 1, 0, 0, 0, 0, 0]
 
 
+def test_oracle_symbolic_caps(tmp_path, capsys, monkeypatch):
+    datum = write_json(tmp_path / "d.json", {"A": [[-2]], "D": [1]})
+    argv = ["oracle", "--datum", datum, "--height", "7", "--symbolic"]
+    monkeypatch.delenv("BBSUPER_CAP", raising=False)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "cap" in err
+    monkeypatch.setenv("BBSUPER_CAP", "8")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    # the free algebra: compositions of n
+    assert [cell["dim"] for cell in json.loads(out)] == [1, 1, 2, 4, 8, 16, 32, 64]
+
+
 def test_oracle_cap_env_malformed(tmp_path, capsys, sl2_files, monkeypatch):
     monkeypatch.setenv("BBSUPER_CAP", "eight")
     datum, lam = sl2_files
@@ -193,24 +207,15 @@ def test_compare_mismatch_exit(tmp_path, capsys, sl2_files, monkeypatch):
 
 def test_jobs_do_not_change_output(tmp_path, capsys, sl2_files):
     datum, lam = sl2_files
-    code1, out1, _ = run(
-        capsys, ["oracle", "--datum", datum, "--lambda", lam, "--height", "3"]
-    )
-    code2, out2, _ = run(
-        capsys,
-        [
-            "oracle",
-            "--datum",
-            datum,
-            "--lambda",
-            lam,
-            "--height",
-            "3",
-            "--jobs",
-            "2",
-        ],
-    )
-    assert (code1, out1) == (code2, out2)
+    free = write_json(tmp_path / "free.json", {"A": [[-2]], "D": [1]})
+    for argv in (
+        ["oracle", "--datum", datum, "--lambda", lam, "--height", "3"],
+        ["oracle", "--datum", free, "--height", "4", "--symbolic"],
+    ):
+        code1, out1, _ = run(capsys, argv)
+        code2, out2, _ = run(capsys, argv + ["--jobs", "2"])
+        assert code1 == 0
+        assert (code1, out1) == (code2, out2)
 
 
 def test_table_format(tmp_path, capsys, sl2_files):
@@ -296,17 +301,6 @@ def test_jobs_must_be_positive(capsys, sl2_files, jobs):
     )
     assert (code, out) == (1, "")
     assert "--jobs" in err
-
-
-def test_worker_count_clamp(monkeypatch):
-    import bbsuper.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
-    assert cli_mod._worker_count(1, 50) == 1
-    assert cli_mod._worker_count(8, 50) == 2
-    assert cli_mod._worker_count(8, 1) == 1
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
-    assert cli_mod._worker_count(8, 50) == 1
 
 
 def test_argparse_surface(capsys):

@@ -1,8 +1,9 @@
 """Randomized agreement of the log-derivative solver, the one-pass
 denominator and the character quotient with the naive root-by-root
-product, over small valid data (rank at most 3, height at most 6), and
-of the propagated oracle with the all-word Gram rank and the formula on
-small windows."""
+product, over small valid data (rank at most 3, height at most 6), of
+the propagated oracle with the all-word Gram rank and the formula on
+small windows, and of the generic (Verma) dimensions with the inverted
+denominator."""
 from math import lcm
 
 from hypothesis import given, settings
@@ -13,7 +14,13 @@ from bbsuper.datum import validate_datum
 from bbsuper.exactlinalg import rank_gauss
 from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
 from bbsuper.series import CharSeries, binomial_factor, denominator_R
-from bbsuper.verma_oracle import gram_matrix, irreducible_dims, weight_window
+from bbsuper.verma_oracle import (
+    generic_dim,
+    generic_dims,
+    gram_matrix,
+    irreducible_dims,
+    weight_window,
+)
 
 # Fixed examples keep the suite reproducible and within a few seconds.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -110,7 +117,8 @@ def test_solve_truncation_coherent(datum, bound):
     )
 
 
-# Window height by rank: the all-word Gram reference grows fast with it.
+# Window height by rank: the all-word Gram reference grows fast with it,
+# and the generic properties below use the same windows.
 ORACLE_HEIGHT = {1: 5, 2: 4, 3: 3}
 
 
@@ -124,3 +132,31 @@ def test_oracle_matches_gram_rank_and_formula(datum, levels):
     for beta, dim in zip(weight_window(datum.rank, bound), dims):
         assert dim == rank_gauss(gram_matrix(datum, lam, beta).gram), beta
         assert dim == character.coefficient(beta), beta
+
+
+@PROPERTY
+@given(datums())
+def test_generic_dims_match_inverted_denominator(datum):
+    # the oracle reads no table; the reference here is the formula side
+    bound = ORACLE_HEIGHT[datum.rank]
+    verma = denominator_R(datum, solve_multiplicities(datum, bound), bound).invert()
+    window = weight_window(datum.rank, bound)
+    assert generic_dims(datum, bound) == [verma.coefficient(beta) for beta in window]
+
+
+@PROPERTY
+@given(datums(), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_generic_dims_bound_irreducible_dims(datum, levels):
+    bound = ORACLE_HEIGHT[datum.rank]
+    generic = generic_dims(datum, bound)
+    irreducible = irreducible_dims(datum, dominant(datum, levels), bound)
+    for beta, g, d in zip(weight_window(datum.rank, bound), generic, irreducible):
+        assert g >= d, beta
+
+
+@PROPERTY
+@given(datums())
+def test_generic_dim_box_matches_window(datum):
+    bound = ORACLE_HEIGHT[datum.rank]
+    window = weight_window(datum.rank, bound)
+    assert [generic_dim(datum, beta) for beta in window] == generic_dims(datum, bound)

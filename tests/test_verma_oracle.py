@@ -5,7 +5,6 @@ import pytest
 
 from bbsuper.datum import validate_datum
 from bbsuper.errors import BadGeneratorIndex, Unreachable
-from bbsuper.exactlinalg import Polynomial
 from bbsuper.roots import solve_multiplicities
 from bbsuper.series import denominator_R
 from bbsuper.verma_oracle import (
@@ -14,6 +13,7 @@ from bbsuper.verma_oracle import (
     caps_from_env,
     enumerate_f_monomials,
     generic_dim,
+    generic_dims,
     gram_matrix,
     irreducible_dim,
     irreducible_dims,
@@ -183,11 +183,15 @@ def test_gram_odd_iso_level_blocks():
     )
 
 
-def test_gram_symbolic_sl2():
+def test_gram_generic_weight_rejected():
+    # generic dimensions come from propagation, not from word pairings
     d = sl2()
-    cell = gram_matrix(d, None, (2,))
-    t = Polynomial.variable(1, 0)
-    assert cell.gram[0][0] == 2 * t * t - 2 * t
+    with pytest.raises(ValueError, match="generic_dims"):
+        gram_matrix(d, None, (2,))
+    with pytest.raises(ValueError, match="generic_dims"):
+        pair_with_cell(d, None, (1,), {((0, 1),): 1})
+    with pytest.raises(ValueError, match="generic_dims"):
+        lower_with_e(d, 0, 1, ((0, 1),), None)
 
 
 def test_gram_even_symmetric():
@@ -271,10 +275,23 @@ def test_irreducible_dims_caps():
 def test_generic_dims_free_case():
     d = free_imag()
     assert [generic_dim(d, (n,)) for n in range(6)] == [1, 1, 2, 4, 8, 16]
+    assert generic_dims(d, 8, WIDE) == [1] + [2 ** (n - 1) for n in range(1, 9)]
+
+
+def test_generic_dims_caps():
+    d = free_imag()
+    with pytest.raises(Unreachable):
+        generic_dims(d, 7, OracleCaps())
+    with pytest.raises(Unreachable):
+        generic_dims(d, 7, OracleCaps(6, 12))
+    with pytest.raises(Unreachable):
+        generic_dim(d, (7,), OracleCaps())
+    with pytest.raises(ValueError):
+        generic_dim(d, (-1,))
 
 
 def test_generic_matches_pbw_series():
-    # the symbolic rank must reproduce the inverted denominator, which
+    # the generic dimensions must reproduce the inverted denominator, which
     # ties the solved table to the defining relations
     for a, dd, odd in [
         ([[-2]], [1], []),
