@@ -6,8 +6,8 @@ a signed exponential at defect(w) + w(s).  Images of imaginary simple
 roots under real reflection words stay in the positive cone, so every
 collected exponent does too.  By the denominator identity the numerator
 N_0 at highest weight zero is the product over positive roots, so the
-character is the quotient N_lambda N_0^{-1}: one inversion and one
-product, with no root table, exact within the height window.
+character is the quotient N_lambda / N_0: one layered division, with no
+root table, exact within the height window.
 
 Support signs come in three flavours per index: any level n with sign -1
 at a non-isotropic imaginary index, the inverse-Euler coefficients at an
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .datum import OddCartanDatum, Weight, height, unit_root
+from .datum import OddCartanDatum, Weight, depth_below, height, unit_root, weight_to_json
 from .errors import BadGeneratorIndex
-from .series import CharSeries
+from .series import CharSeries, series_to_json
 from .weyl import act_on_root, orbit_frontier
 
 
@@ -44,11 +44,9 @@ def _odd_iso_table(bound: int) -> tuple:
     for l in range(1, bound + 1):
         for m in range(bound, l - 1, -1):
             dist[m] += dist[m - l]
-    inv = [0] * (bound + 1)
-    inv[0] = 1
-    for m in range(1, bound + 1):
-        inv[m] = -sum(dist[k] * inv[m - k] for k in range(1, m + 1))
-    return tuple(inv)
+    product = CharSeries(bound, 1, {(m,): c for m, c in enumerate(dist)})
+    inv = CharSeries.one(bound, 1).divide(product)
+    return tuple(inv.coefficient((m,)) for m in range(bound + 1))
 
 
 def euler_phi(n: int) -> int:
@@ -144,7 +142,7 @@ def s_lambda_series(datum, lam, height_bound) -> CharSeries:
     for sup in enumerate_supports(datum, lam, height_bound):
         if sup.sign:
             acc[sup.weight] = acc.get(sup.weight, 0) + sup.sign
-    return CharSeries(height_bound, datum.rank, acc, base=datum.zero_weight())
+    return CharSeries(height_bound, datum.rank, acc)
 
 
 def _numerator_with_count(datum, lam, height_bound):
@@ -167,7 +165,7 @@ def _numerator_with_count(datum, lam, height_bound):
             key = tuple(exp)
             acc[key] = acc.get(key, 0) + elt.sign * sup.sign
             contributed += 1
-    series = CharSeries(height_bound, n, acc, base=datum.zero_weight())
+    series = CharSeries(height_bound, n, acc)
     return series, len(elements), contributed
 
 
@@ -179,9 +177,11 @@ def numerator_series(datum, lam, height_bound) -> CharSeries:
 
 @dataclass(frozen=True)
 class CharacterResult:
-    """Character series based at the highest weight plus run diagnostics."""
+    """Character series below the highest weight plus run diagnostics:
+    the coefficient at beta is the dimension at highest_weight - beta."""
 
     series: CharSeries
+    highest_weight: Weight
     orbit_size: int
     support_terms: int
     residual_terms: int
@@ -196,10 +196,11 @@ def irreducible_character(datum, lam, height_bound) -> CharacterResult:
     """
     numerator, orbit_size, contributed = _numerator_with_count(datum, lam, height_bound)
     denom = numerator_series(datum, datum.zero_weight(), height_bound)
-    quotient = numerator.mul(denom.invert())
+    quotient = numerator.divide(denom)
     residual = numerator - quotient.mul(denom)
     return CharacterResult(
-        series=quotient.with_base(lam),
+        series=quotient,
+        highest_weight=lam,
         orbit_size=orbit_size,
         support_terms=contributed,
         residual_terms=len(residual.terms),
@@ -221,16 +222,9 @@ def casimir_shift(datum, i: int, l: int) -> int:
 def is_primitive_candidate(datum, lam, mu) -> bool:
     """Whether mu could carry a primitive vector: mu equals lam, or the
     difference is the weight of an orthogonal support for lam."""
-    diff = lam - mu
-    if any(c != 0 for c in diff.fundamental_part):
+    coords = depth_below(lam, mu)
+    if coords is None:
         return False
-    if any(c != 0 for c in diff.aux_part):
-        return False
-    coords = []
-    for c in diff.root_part:
-        if c.denominator != 1 or c < 0:
-            return False
-        coords.append(int(c))
     support = [i for i, c in enumerate(coords) if c]
     if not support:
         return True
@@ -246,10 +240,11 @@ def is_primitive_candidate(datum, lam, mu) -> bool:
 
 
 def character_result_to_json(result: CharacterResult) -> dict:
-    from .series import series_to_json
-
     return {
-        "character": series_to_json(result.series),
+        "character": {
+            "base": weight_to_json(result.highest_weight),
+            **series_to_json(result.series),
+        },
         "diagnostics": {
             "orbit_size": result.orbit_size,
             "support_terms": result.support_terms,

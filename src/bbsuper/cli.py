@@ -11,7 +11,11 @@ import argparse
 import json
 import sys
 
-from .charformula import character_result_to_json, irreducible_character
+from .charformula import (
+    character_result_to_json,
+    irreducible_character,
+    numerator_series,
+)
 from .datum import datum_from_json, weight_from_json
 from .errors import BBSuperError, Unreachable
 from .roots import roots_to_json, solve_multiplicities
@@ -138,8 +142,6 @@ def _cmd_denom_check(args):
     datum = _load_datum(args.datum)
     height = _need_height(args)
     table = solve_multiplicities(datum, height)
-    from .charformula import numerator_series
-
     residual = denominator_R(datum, table, height) - numerator_series(
         datum, datum.zero_weight(), height
     )
@@ -253,17 +255,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise _CliError(f"--jobs must be positive, got {args.jobs}")
         return _COMMANDS[args.subcommand](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except Unreachable as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except ValueError as exc:
-        # covers BBSUPER_CAP parse failures and malformed vectors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except BBSuperError as exc:
+    except (_CliError, ValueError, BBSuperError) as exc:
+        # ValueError covers BBSUPER_CAP parse failures and malformed vectors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -37,6 +37,11 @@ def height(beta) -> int:
     return sum(beta)
 
 
+def graded_key(beta) -> tuple:
+    """Sort key of the graded order: height first, then lexicographic."""
+    return (sum(beta), beta)
+
+
 def unit_root(n: int, i: int) -> RootVector:
     return tuple(1 if j == i else 0 for j in range(n))
 
@@ -270,6 +275,17 @@ class OddCartanDatum:
                 if self.is_odd(i) and c.numerator % 2 != 0:
                     return False
         return True
+
+
+def depth_below(lam: Weight, mu: Weight) -> tuple | None:
+    """The root vector beta with mu = lam - beta, or None when lam - mu is
+    not a nonnegative integer combination of simple roots."""
+    diff = lam - mu
+    if any(diff.fundamental_part) or any(diff.aux_part):
+        return None
+    if any(c.denominator != 1 or c < 0 for c in diff.root_part):
+        return None
+    return tuple(int(c) for c in diff.root_part)
 
 
 def validate_datum(a, d, odd=()) -> OddCartanDatum:

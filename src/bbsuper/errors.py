@@ -34,7 +34,7 @@ class HeightMismatch(BBSuperError):
 
 
 class NonUnitConstantTerm(BBSuperError):
-    """Only series with constant term 1 or -1 can be inverted."""
+    """Only series with constant term 1 or -1 can divide or be inverted."""
 
 
 class IncompleteRootTable(BBSuperError):
@@ -54,4 +54,4 @@ class BadGeneratorIndex(BBSuperError):
 
 
 class Unreachable(BBSuperError):
-    """A Gram cell exceeds the configured resource caps."""
+    """An oracle cell lies deeper than the configured height cap."""

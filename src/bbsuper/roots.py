@@ -3,7 +3,7 @@
 The specialized numerator N_0 at highest weight zero equals the product
 over positive roots of (1-e^{-beta})^m for even beta and (1+e^{-beta})^{-m}
 for odd beta.  With D the height derivation, which scales e^{-gamma} by
-ht(gamma), the log-derivative L = D(N_0) N_0^{-1} is an integer series
+ht(gamma), the log-derivative L = D(N_0) / N_0 is an integer series
 and, by the product form,
 
     -L_gamma = sum over k | gamma of eps_k(gamma/k) ht(gamma/k) m_{gamma/k},
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .charformula import numerator_series
-from .datum import OddCartanDatum, height
+from .datum import OddCartanDatum, graded_key, height
 from .errors import NegativeMultiplicity, NonIntegralMultiplicity
 from .series import CharSeries, log_sign
 
@@ -48,7 +48,7 @@ class RootTable:
         return entry.mult if entry else 0
 
     def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.entries.items(), key=lambda kv: graded_key(kv[0]))
 
     def truncate(self, height_bound) -> "RootTable":
         kept = {b: e for b, e in self.entries.items() if sum(b) <= height_bound}
@@ -93,13 +93,13 @@ def _mult_from_log(beta, log_coef: int, entries) -> int:
 
 
 def solve_multiplicities(datum: OddCartanDatum, height_bound: int) -> RootTable:
-    """Solve every multiplicity below the bound from L = D(N_0) N_0^{-1}."""
+    """Solve every multiplicity below the bound from L = D(N_0) / N_0."""
     rank = datum.rank
     numerator = numerator_series(datum, datum.zero_weight(), height_bound)
     derived = CharSeries(
         height_bound, rank, {e: height(e) * c for e, c in numerator.terms.items()}
     )
-    log_terms = derived.mul(numerator.invert()).terms
+    log_terms = derived.divide(numerator).terms
     candidates = [set() for _ in range(height_bound + 1)]
     for gamma in log_terms:
         candidates[height(gamma)].add(gamma)

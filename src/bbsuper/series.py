@@ -2,30 +2,25 @@
 
 A series holds integer coefficients on exponent vectors e^{-beta} with
 beta in the nonnegative root lattice and ht(beta) bounded by a fixed H.
-All arithmetic is exact and closed under that truncation.  An optional
-base weight tags the sum as e^{base} times the stored part; bases add
-under multiplication and negate under inversion.
+All arithmetic is exact and closed under that truncation.  Products and
+quotients walk height layers, and _layer_convolution is their one pair
+loop: a product merges its layers, a quotient solves them in turn.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from math import comb
 
+from .datum import graded_key, height
 from .errors import HeightMismatch, IncompleteRootTable, NonUnitConstantTerm
-from .datum import height
-
-
-def _graded_lex(item):
-    exp = item[0]
-    return (sum(exp), exp)
 
 
 class CharSeries:
     """Truncated sum of integer multiples of e^{-beta}."""
 
-    __slots__ = ("height_bound", "rank", "terms", "base")
+    __slots__ = ("height_bound", "rank", "terms")
 
-    def __init__(self, height_bound, rank, terms=None, base=None):
+    def __init__(self, height_bound, rank, terms=None):
         self.height_bound = height_bound
         self.rank = rank
         self.terms = {}
@@ -40,20 +35,16 @@ class CharSeries:
                     self.terms[exp] = self.terms.get(exp, 0) + coef
             for exp in [e for e, c in self.terms.items() if c == 0]:
                 del self.terms[exp]
-        self.base = base
 
     @classmethod
-    def one(cls, height_bound, rank, base=None):
-        return cls(height_bound, rank, {(0,) * rank: 1}, base)
+    def one(cls, height_bound, rank):
+        return cls(height_bound, rank, {(0,) * rank: 1})
 
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
 
     def items_sorted(self):
-        return sorted(self.terms.items(), key=_graded_lex)
-
-    def with_base(self, base) -> "CharSeries":
-        return CharSeries(self.height_bound, self.rank, self.terms, base)
+        return sorted(self.terms.items(), key=lambda item: graded_key(item[0]))
 
     def truncate(self, height_bound) -> "CharSeries":
         if height_bound > self.height_bound:
@@ -61,7 +52,7 @@ class CharSeries:
                 f"cannot widen a series truncated at {self.height_bound} to {height_bound}"
             )
         kept = {e: c for e, c in self.terms.items() if sum(e) <= height_bound}
-        return CharSeries(height_bound, self.rank, kept, self.base)
+        return CharSeries(height_bound, self.rank, kept)
 
     def _check_compatible(self, other):
         if self.height_bound != other.height_bound:
@@ -76,7 +67,6 @@ class CharSeries:
             self.height_bound == other.height_bound
             and self.rank == other.rank
             and self.terms == other.terms
-            and self.base == other.base
         )
 
     def __hash__(self):
@@ -90,21 +80,17 @@ class CharSeries:
 
     def __add__(self, other):
         self._check_compatible(other)
-        if self.base != other.base:
-            raise ValueError("cannot add series with different bases")
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, 0) + c
-        return CharSeries(self.height_bound, self.rank, merged, self.base)
+        return CharSeries(self.height_bound, self.rank, merged)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        if self.base != other.base:
-            raise ValueError("cannot subtract series with different bases")
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, 0) - c
-        return CharSeries(self.height_bound, self.rank, merged, self.base)
+        return CharSeries(self.height_bound, self.rank, merged)
 
     def _by_height(self):
         out = defaultdict(dict)
@@ -113,45 +99,40 @@ class CharSeries:
         return out
 
     def mul(self, other) -> "CharSeries":
-        """Truncated convolution; base weights add when both are set."""
+        """Truncated product, one height layer at a time."""
         self._check_compatible(other)
-        bound = self.height_bound
-        right = other._by_height()
-        acc = {}
-        for ha, left in self._by_height().items():
-            for hb in range(bound - ha + 1):
-                layer = right.get(hb)
-                if not layer:
-                    continue
-                for ea, ca in left.items():
-                    for eb, cb in layer.items():
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        acc[e] = acc.get(e, 0) + ca * cb
-        base = None
-        if self.base is not None and other.base is not None:
-            base = self.base + other.base
-        return CharSeries(bound, self.rank, acc, base)
+        a, b = self._by_height(), other._by_height()
+        layers = {h: _layer_convolution(a, b, h) for h in range(self.height_bound + 1)}
+        return CharSeries(self.height_bound, self.rank, _merge_layers(layers))
+
+    def divide(self, other) -> "CharSeries":
+        """The series q with q * other == self; the constant term of other
+        must be 1 or -1.  Layer h of q is solved from the layers below it:
+        q_h = c_0 (self_h - sum over k >= 1 of other_k q_{h-k})."""
+        self._check_compatible(other)
+        c0 = other.terms.get((0,) * self.rank, 0)
+        if c0 not in (1, -1):
+            raise NonUnitConstantTerm(f"constant term {c0}")
+        num, den = self._by_height(), other._by_height()
+        q = {}
+        for h in range(self.height_bound + 1):
+            # q_h is not in q yet, so the k = 0 term drops out
+            rest = _layer_convolution(den, q, h)
+            for e, c in num.get(h, {}).items():
+                rest[e] -= c
+            q[h] = {e: -c0 * v for e, v in rest.items() if v}
+        return CharSeries(self.height_bound, self.rank, _merge_layers(q))
 
     def invert(self) -> "CharSeries":
         """Inverse as a truncated series; constant term must be 1 or -1."""
-        zero = (0,) * self.rank
-        c0 = self.terms.get(zero, 0)
-        if c0 not in (1, -1):
-            raise NonUnitConstantTerm(f"constant term {c0}")
-        a = self._by_height()
-        b = {0: {zero: c0}}
-        for h in range(1, self.height_bound + 1):
-            layer = _layer_convolution(a, b, h)
-            b[h] = {e: -c0 * v for e, v in layer.items() if v}
-        base = None if self.base is None else -self.base
-        return CharSeries(self.height_bound, self.rank, _merge_layers(b), base)
+        return CharSeries.one(self.height_bound, self.rank).divide(self)
 
 
 def _layer_convolution(a, b, h) -> dict:
-    """Height-h part of the product of a's positive-height layers with the
-    layers of b below h; both map a height to {exponent: coefficient}."""
+    """Height-h part of the product of a and b, which map a height to
+    {exponent: coefficient}; a missing layer counts as zero."""
     layer = defaultdict(int)
-    for k in range(1, h + 1):
+    for k in range(h + 1):
         upper = a.get(k)
         lower = b.get(h - k)
         if not upper or not lower:
@@ -238,23 +219,15 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
             if coef:
                 layer[e] = coef
         layers[h] = layer
-    return CharSeries(height_bound, datum.rank, _merge_layers(layers), datum.zero_weight())
-
-
-def verma_character(datum, lam, table, height_bound) -> CharSeries:
-    """Character of the Verma module, the inverse denominator based at lam."""
-    return denominator_R(datum, table, height_bound).invert().with_base(lam)
+    return CharSeries(height_bound, datum.rank, _merge_layers(layers))
 
 
 # ---- JSON form ----
 
 
 def series_to_json(series: CharSeries) -> dict:
-    from .datum import weight_to_json
-
     return {
         "height_bound": series.height_bound,
-        "base": None if series.base is None else weight_to_json(series.base),
         "terms": [
             {"exp": list(e), "coef": str(c)} for e, c in series.items_sorted()
         ],
@@ -262,13 +235,8 @@ def series_to_json(series: CharSeries) -> dict:
 
 
 def series_from_json(obj, datum=None) -> CharSeries:
-    from .datum import weight_from_json
-
-    base = None
-    if obj.get("base") is not None:
-        if datum is None:
-            raise ValueError("need a datum to read a based series")
-        base = weight_from_json(datum, obj["base"])
+    """Read a series; the rank comes from the datum when given, else from
+    the first exponent."""
     rank = datum.rank if datum is not None else None
     terms = {}
     for row in obj["terms"]:
@@ -277,5 +245,5 @@ def series_from_json(obj, datum=None) -> CharSeries:
             rank = len(exp)
         terms[exp] = int(row["coef"])
     if rank is None:
-        raise ValueError("cannot infer the rank of an empty unbased series")
-    return CharSeries(int(obj["height_bound"]), rank, terms, base)
+        raise ValueError("cannot infer the rank of an empty series without a datum")
+    return CharSeries(int(obj["height_bound"]), rank, terms)

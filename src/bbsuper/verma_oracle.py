@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .datum import OddCartanDatum, Weight, height
+from .datum import OddCartanDatum, Weight, depth_below, graded_key, height
 from .errors import BadGeneratorIndex, Unreachable
 from .exactlinalg import row_basis
 
@@ -38,16 +38,14 @@ ENV_CAP = "BBSUPER_CAP"
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Resource ceiling: words no longer than max_word_length, cells no
-    deeper than max_height."""
+    """Resource ceiling: no oracle cell deeper than max_height."""
 
-    max_word_length: int = 8
     max_height: int = 6
 
 
 def caps_from_env(env=None) -> OracleCaps:
-    """Default caps, overridden by BBSUPER_CAP as "length,height" or a
-    single integer applied to both."""
+    """Default caps, overridden by BBSUPER_CAP as one integer, or as two
+    ("a,b", the older length and height form) that cap at their minimum."""
     if env is None:
         env = os.environ
     raw = env.get(ENV_CAP)
@@ -62,9 +60,7 @@ def caps_from_env(env=None) -> OracleCaps:
         raise ValueError(f"{ENV_CAP} takes one or two integers, got {raw!r}")
     if min(values) < 1:
         raise ValueError(f"{ENV_CAP} takes positive integers, got {raw!r}")
-    if len(values) == 1:
-        return OracleCaps(values[0], values[0])
-    return OracleCaps(values[0], values[1])
+    return OracleCaps(min(values))
 
 
 def _resolve_caps(caps) -> OracleCaps:
@@ -113,11 +109,6 @@ def _check_cell(beta, caps):
     if h > caps.max_height:
         raise Unreachable(
             f"height {h} exceeds cap {caps.max_height}; raise {ENV_CAP} to go deeper"
-        )
-    if h > caps.max_word_length:
-        raise Unreachable(
-            f"spanning words need length {h}, cap is {caps.max_word_length}; "
-            f"raise {ENV_CAP} to go deeper"
         )
 
 
@@ -362,7 +353,7 @@ def _window_dims(datum, lam, height_bound, caps):
 
 def _box_dim(datum, lam, beta, caps):
     _check_cell(beta, _resolve_caps(caps))
-    box = sorted(product(*(range(b + 1) for b in beta)), key=lambda g: (sum(g), g))
+    box = sorted(product(*(range(b + 1) for b in beta)), key=graded_key)
     return _propagate(datum, lam, box)[beta]
 
 
@@ -380,17 +371,8 @@ def irreducible_dim(datum: OddCartanDatum, lam: Weight, mu: Weight, caps=None) -
 
     Weights outside the cone under lam have dimension zero.
     """
-    diff = lam - mu
-    if any(c != 0 for c in diff.fundamental_part):
-        return 0
-    if any(c != 0 for c in diff.aux_part):
-        return 0
-    beta = []
-    for c in diff.root_part:
-        if c.denominator != 1 or c < 0:
-            return 0
-        beta.append(int(c))
-    return _box_dim(datum, lam, tuple(beta), caps)
+    beta = depth_below(lam, mu)
+    return 0 if beta is None else _box_dim(datum, lam, beta, caps)
 
 
 def generic_dims(datum: OddCartanDatum, height_bound: int, caps=None) -> list:

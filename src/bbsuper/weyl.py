@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .datum import OddCartanDatum, Weight, height
+from .datum import OddCartanDatum, Weight, depth_below, graded_key, height
 from .errors import NotDominant
 
 
@@ -30,16 +30,6 @@ class OrbitElement:
     sign: int
     image: Weight
     defect: tuple
-
-
-def _defect_between(start: Weight, image: Weight) -> tuple:
-    out = []
-    for a, b in zip(start.root_part, image.root_part):
-        c = a - b
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"defect coordinate {c} is not a nonnegative integer")
-        out.append(int(c))
-    return tuple(out)
 
 
 def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> list:
@@ -64,10 +54,13 @@ def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> lis
             image = datum.reflect(i, elt.image)
             if image.root_part in seen:
                 continue
-            nxt = OrbitElement((i,) + elt.word, -elt.sign, image, _defect_between(start, image))
+            defect = depth_below(start, image)
+            if defect is None:
+                raise ValueError(f"{image} does not lie below {start}")
+            nxt = OrbitElement((i,) + elt.word, -elt.sign, image, defect)
             seen[image.root_part] = nxt
             queue.append(nxt)
-    return sorted(seen.values(), key=lambda e: (height(e.defect), e.defect))
+    return sorted(seen.values(), key=lambda e: graded_key(e.defect))
 
 
 def act_on_root(datum: OddCartanDatum, word, beta) -> tuple:

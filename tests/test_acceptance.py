@@ -12,7 +12,7 @@ from bbsuper.charformula import (
 )
 from bbsuper.datum import validate_datum
 from bbsuper.roots import roots_to_json, solve_multiplicities
-from bbsuper.series import denominator_R, series_to_json, verma_character
+from bbsuper.series import denominator_R, series_to_json
 from bbsuper.verma_oracle import (
     OracleCaps,
     generic_dim,
@@ -22,7 +22,7 @@ from bbsuper.verma_oracle import (
     weight_window,
 )
 
-DEEP = OracleCaps(12, 12)
+DEEP = OracleCaps(12)
 
 
 def report(number, name, problems):
@@ -251,7 +251,7 @@ def test_criterion_7_property_suite():
                         f"seed {seed}: reflection at {exp} index {i}",
                     )
 
-        verma = verma_character(datum, lam, table, height)
+        verma = denominator_R(datum, table, height).invert()
         for exp, coef in series.terms.items():
             check(
                 problems,

@@ -192,7 +192,7 @@ def test_character_sl2_family():
         dims = [result.series.coefficient((k,)) for k in range(9)]
         assert dims == [1 if k <= m else 0 for k in range(9)]
         assert result.residual_terms == 0
-        assert result.series.base == lam
+        assert result.highest_weight == lam
 
 
 def test_character_a2_adjoint():

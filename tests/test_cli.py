@@ -85,6 +85,7 @@ def test_char_json(tmp_path, capsys, sl2_files):
         {"exp": [2], "coef": "1"},
     ]
     assert doc["diagnostics"]["residual_terms"] == 0
+    assert doc["character"]["base"] == {"Lambda": {"1": "2"}, "alpha": {}, "delta": {}}
 
 
 def test_denom_check_free_case(tmp_path, capsys):

@@ -24,7 +24,7 @@ from bbsuper.verma_oracle import (
     weight_window,
 )
 
-WIDE = OracleCaps(12, 12)
+WIDE = OracleCaps(12)
 
 
 # ---- reference counts ----
@@ -111,15 +111,19 @@ def test_enumerate_caps():
         enumerate_f_monomials(sl2(), (7,))
     assert len(enumerate_f_monomials(sl2(), (7,), WIDE)) == 1
     with pytest.raises(Unreachable):
-        enumerate_f_monomials(sl2(), (7,), OracleCaps(6, 12))
+        enumerate_f_monomials(sl2(), (7,), OracleCaps(6))
     with pytest.raises(ValueError):
         enumerate_f_monomials(sl2(), (-1,))
 
 
 def test_caps_from_env():
-    assert caps_from_env({}) == OracleCaps(8, 6)
-    assert caps_from_env({"BBSUPER_CAP": "12"}) == OracleCaps(12, 12)
-    assert caps_from_env({"BBSUPER_CAP": "10, 6"}) == OracleCaps(10, 6)
+    assert caps_from_env({}) == OracleCaps(6)
+    assert caps_from_env({"BBSUPER_CAP": "12"}) == OracleCaps(12)
+    # the two-integer form caps at its minimum
+    assert caps_from_env({"BBSUPER_CAP": "10, 6"}) == OracleCaps(6)
+    assert caps_from_env({"BBSUPER_CAP": "5,9"}) == OracleCaps(5)
+    with pytest.raises(ValueError):
+        caps_from_env({"BBSUPER_CAP": "4,0"})
     with pytest.raises(ValueError):
         caps_from_env({"BBSUPER_CAP": "a"})
     with pytest.raises(ValueError):
@@ -268,7 +272,7 @@ def test_irreducible_dims_caps():
     with pytest.raises(Unreachable):
         irreducible_dims(d, lam, 7)
     with pytest.raises(Unreachable):
-        irreducible_dims(d, lam, 7, OracleCaps(6, 12))
+        irreducible_dims(d, lam, 7, OracleCaps(6))
     assert irreducible_dims(d, lam, 7, WIDE) == [1, 1] + [0] * 6
 
 
@@ -283,7 +287,7 @@ def test_generic_dims_caps():
     with pytest.raises(Unreachable):
         generic_dims(d, 7, OracleCaps())
     with pytest.raises(Unreachable):
-        generic_dims(d, 7, OracleCaps(6, 12))
+        generic_dims(d, 7, OracleCaps(6))
     with pytest.raises(Unreachable):
         generic_dim(d, (7,), OracleCaps())
     with pytest.raises(ValueError):
