@@ -192,7 +192,10 @@ def irreducible_character(datum, lam, height_bound) -> CharacterResult:
 
     The residual diagnostic counts exponents where N_lambda and the
     character times N_0 disagree, which is zero whenever the arithmetic
-    is consistent.
+    is consistent.  The product is computed in full although divide makes
+    it exact by construction: it is the only check that divide's own
+    recurrence reproduces N_lambda.  It shares the pair loop with
+    divide, so a fault in that loop can cancel out of it.
     """
     numerator, orbit_size, contributed = _numerator_with_count(datum, lam, height_bound)
     denom = numerator_series(datum, datum.zero_weight(), height_bound)

@@ -46,14 +46,6 @@ def unit_root(n: int, i: int) -> RootVector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def add_roots(a, b) -> RootVector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale_root(k: int, a) -> RootVector:
-    return tuple(k * x for x in a)
-
-
 def _fractions(values) -> tuple:
     return tuple(Fraction(v) for v in values)
 

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-One elimination routine: `row_basis` eliminates rows with Fraction (or
-int) entries, keeps the first linearly independent rows and expresses
-every row in them, which is what the weight-space propagation of the
-oracle needs, for a numeric and for a generic highest weight alike.
-`rank_gauss` is its length.  No floating point enters.
+One elimination routine: `row_basis` eliminates sparse rows, mappings
+from column to a Fraction (or int) entry, keeps the first linearly
+independent rows and expresses every row in them, which is what the
+weight-space propagation of the oracle needs, for a numeric and for a
+generic highest weight alike.  `rank_gauss` is its length on dense rows.
+No floating point enters.
 """
 from __future__ import annotations
 
@@ -15,10 +16,13 @@ def row_basis(rows):
     """The first linearly independent rows, in order, and the coordinates
     of every row in them.
 
-    Returns (pivot_rows, coords): pivot_rows are input rows, unchanged, and
-    row r equals the sum over k of coords[r][k] * pivot_rows[k] exactly.
-    Entries must allow exact field arithmetic; ints and Fractions both
-    work.
+    Each row maps columns (any mutually comparable keys) to entries;
+    missing columns and zero entries both read as zero.  Returns
+    (pivot_rows, coords): pivot_rows are input rows, unchanged, and
+    coords[r] maps pivot indices k to nonzero coefficients with row r equal
+    to the sum of coords[r][k] * pivot_rows[k] exactly.  Each new pivot is
+    taken at its smallest nonzero column.  Entries must allow exact field
+    arithmetic; ints and Fractions both work.
     """
     pivot_rows = []
     # (column, vector that is 1 there and 0 at earlier pivot columns,
@@ -26,31 +30,37 @@ def row_basis(rows):
     echelon = []
     coords = []
     for row in rows:
-        vec = list(row)
-        combo = [0] * len(pivot_rows)
+        vec = {col: x for col, x in row.items() if x}
+        combo = {}
         for col, unit, unit_combo in echelon:
-            c = vec[col]
+            c = vec.get(col)
             if c:
-                for k in range(col, len(vec)):
-                    if unit[k]:
-                        vec[k] -= c * unit[k]
-                for k, u in enumerate(unit_combo):
-                    combo[k] += c * u
-        lead = next((k for k, x in enumerate(vec) if x), None)
-        if lead is None:
+                for k, u in unit.items():
+                    x = vec.get(k, 0) - c * u
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+                for k, u in unit_combo.items():
+                    x = combo.get(k, 0) + c * u
+                    if x:
+                        combo[k] = x
+                    else:
+                        del combo[k]
+        if not vec:
             coords.append(combo)
             continue
+        lead = min(vec)
         inv = 1 / Fraction(vec[lead])
-        echelon.append(
-            (lead, [x * inv for x in vec], [-c * inv for c in combo] + [inv])
-        )
-        coords.append([0] * len(pivot_rows) + [1])
+        unit_combo = {k: -c * inv for k, c in combo.items()}
+        unit_combo[len(pivot_rows)] = inv
+        echelon.append((lead, {k: x * inv for k, x in vec.items()}, unit_combo))
+        coords.append({len(pivot_rows): 1})
         pivot_rows.append(row)
-    for c in coords:
-        c.extend([0] * (len(pivot_rows) - len(c)))
     return pivot_rows, coords
 
 
 def rank_gauss(rows):
-    """Rank over the rationals: the number of pivot rows of row_basis."""
-    return len(row_basis(rows)[0])
+    """Rank over the rationals of dense rows (sequences of entries): the
+    number of pivot rows of row_basis."""
+    return len(row_basis([dict(enumerate(r)) for r in rows])[0])

@@ -8,9 +8,11 @@ raising generator e_{jk} sends it to zero there.  Each weight space is
 therefore spanned by f_{il} applied to the bases already found below it,
 and a candidate is recorded by the coordinates of its e-images, which the
 commutation rule e_{jk} f_{il} = s f_{il} e_{jk} + [(j,k) = (i,l)] l h_i
-reads off the stored e and f matrices of lower cells.  The rank of those
-coordinates is the dimension; the first independent candidates become
-the basis, and their coordinates the new e and f matrices.
+reads off the bases and the stored f matrices of lower cells.  Those rows
+are sparse, keyed by generator, h-part and basis index.  Their rank is
+the dimension; the first independent candidates become the basis, each
+kept as its own row of e-images, and the coordinates of every candidate
+in that basis become the new f matrices.
 
 The generic (Verma) dimension runs the same pass with the highest weight
 left symbolic: each pairing <h_i, lam - gamma> = t_i - <h_i, gamma> is
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .datum import OddCartanDatum, Weight, depth_below, graded_key, height
 from .errors import BadGeneratorIndex, Unreachable
@@ -280,66 +282,46 @@ def _propagate(datum, lam, cells) -> dict:
     """dim L(lam) at every cell, or the generic (Verma) dimension for lam
     None; cells must be closed under lowering and listed in graded order.
 
-    For each cell beta the basis is a list of candidates f_{il} b, and
-    two matrices are kept: e_mat[beta, (j, k)] holds the coordinates of
-    e_{jk} on that basis, f_mat[gamma, (i, l)] those of f_{il} from the
-    basis at gamma to the one at gamma + l alpha_i.  An e-image has one
-    part per h-part of the pairing, side by side: for lam None it is
-    t_j A + B, stored as A then B, all parts over the rationals.
+    basis[beta] lists the first independent candidates f_{il} b, each
+    stored as its row of e-images: key (j, k, part, c) holds the
+    coefficient of basis vector c at beta - k alpha_j in part `part` of
+    e_{jk} applied to it.  A numeric lam has one part; for lam None the
+    image is t_j A + B, stored as part 0 (A) and part 1 (B), all over the
+    rationals.  f_mat[gamma, (i, l)] holds, for each basis vector at
+    gamma, the coordinates {index: coefficient} of its f_{il}-image in
+    the basis at gamma + l alpha_i.
     """
-    nparts = 1 if lam is not None else 2
-    dims = {}
-    e_mat = {}
+    basis = {}
     f_mat = {}
     for beta in cells:
         if not any(beta):
-            dims[beta] = 1
+            basis[beta] = [{}]
             continue
         gens = _generators(datum, beta)
-        blocks = []
-        width = 0
-        for j, k in gens:
-            size = dims[_minus(beta, j, k)]
-            blocks.append((j, k, width, size))
-            width += nparts * size
         rows = []
         for i, l in gens:
             gamma = _minus(beta, i, l)
             odd_i = datum.is_odd(i)
             h_parts = _h_parts(datum, lam, i, gamma)
-            for b in range(dims[gamma]):
-                row = [0] * width
-                for j, k, start, size in blocks:
-                    if gamma[j] >= k:
-                        # s f_{il} e_{jk} b, through the cell below gamma
-                        image = e_mat[gamma, (j, k)][b]
-                        below = _minus(gamma, j, k)
-                        f_below = f_mat[below, (i, l)]
-                        size_below = dims[below]
-                        sign = -1 if odd_i and datum.is_odd(j) else 1
-                        for c, x in enumerate(image):
-                            if x:
-                                x *= sign
-                                part, col = divmod(c, size_below)
-                                base = start + part * size
-                                for t, y in enumerate(f_below[col]):
-                                    if y:
-                                        row[base + t] += x * y
-                    if (j, k) == (i, l):
-                        for part, h in enumerate(h_parts):
-                            row[start + part * size + b] += l * h
+            for b, vec in enumerate(basis[gamma]):
+                row = {}
+                # s f_{il} e_{jk} b, through the cell below gamma
+                for (j, k, part, c), x in vec.items():
+                    if odd_i and datum.is_odd(j):
+                        x = -x
+                    for t, y in f_mat[_minus(gamma, j, k), (i, l)][c].items():
+                        key = (j, k, part, t)
+                        row[key] = row.get(key, 0) + x * y
+                for part, h in enumerate(h_parts):
+                    key = (i, l, part, b)
+                    row[key] = row.get(key, 0) + l * h
                 rows.append(row)
-        pivots, coords = row_basis(rows)
-        dims[beta] = len(pivots)
-        for j, k, start, size in blocks:
-            end = start + nparts * size
-            e_mat[beta, (j, k)] = [p[start:end] for p in pivots]
-        first = 0
+        basis[beta], coords = row_basis(rows)
+        coords = iter(coords)
         for i, l in gens:
             gamma = _minus(beta, i, l)
-            f_mat[gamma, (i, l)] = coords[first : first + dims[gamma]]
-            first += dims[gamma]
-    return dims
+            f_mat[gamma, (i, l)] = list(islice(coords, len(basis[gamma])))
+    return {beta: len(vecs) for beta, vecs in basis.items()}
 
 
 def _window_dims(datum, lam, height_bound, caps):

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from bbsuper.charformula import irreducible_character
 from bbsuper.cli import main
 from bbsuper.datum import validate_datum, weight_to_json
+from bbsuper.series import CharSeries
 
 
 def write_json(path, doc):
@@ -86,6 +88,26 @@ def test_char_json(tmp_path, capsys, sl2_files):
     ]
     assert doc["diagnostics"]["residual_terms"] == 0
     assert doc["character"]["base"] == {"Lambda": {"1": "2"}, "alpha": {}, "delta": {}}
+
+
+def test_residual_sees_a_wrong_quotient(capsys, sl2_files, monkeypatch):
+    # the residual is the one check that divide's own recurrence reproduces
+    # the numerator, so one stray term in the quotient must show in it
+    divide = CharSeries.divide
+
+    def off_by_one_term(self, other):
+        q = divide(self, other)
+        return q + CharSeries(q.height_bound, q.rank, {(q.height_bound,) + (0,) * (q.rank - 1): 1})
+
+    monkeypatch.setattr(CharSeries, "divide", off_by_one_term)
+    d = validate_datum([[2]], [1])
+    assert irreducible_character(d, 2 * d.fundamental_weight(0), 4).residual_terms > 0
+    datum, lam = sl2_files
+    code, out, _ = run(
+        capsys, ["char", "--datum", datum, "--lambda", lam, "--height", "4"]
+    )
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["residual_terms"] > 0
 
 
 def test_denom_check_free_case(tmp_path, capsys):

@@ -207,6 +207,4 @@ def test_weight_json_round_trip():
 
 def test_root_vector_helpers():
     assert dt.height((2, 0, 1)) == 3
-    assert dt.add_roots((1, 2), (0, 3)) == (1, 5)
-    assert dt.scale_root(3, (1, 0)) == (3, 0)
     assert dt.unit_root(3, 1) == (0, 1, 0)

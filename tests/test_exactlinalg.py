@@ -55,9 +55,14 @@ def test_rank_edge_cases():
         assert rank_gauss([[Fraction(v) for v in row] for row in rows]) == expected
 
 
+def dense(coords, npivots):
+    """Coordinate dicts {pivot index: coef} as dense lists."""
+    return [[c.get(k, 0) for k in range(npivots)] for c in coords]
+
+
 def assert_reconstructs(rows, pivots, coords):
     assert len(coords) == len(rows)
-    for row, c in zip(rows, coords):
+    for row, c in zip(rows, dense(coords, len(pivots))):
         assert len(c) == len(pivots)
         rebuilt = [
             sum((k * p[col] for k, p in zip(c, pivots)), Fraction(0)) for col in range(len(row))
@@ -67,16 +72,18 @@ def assert_reconstructs(rows, pivots, coords):
 
 def test_row_basis_picks_first_independent_rows():
     rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [0, 0, 5]]
-    pivots, coords = row_basis(rows)
-    assert pivots == [[1, 2, 3], [0, 1, 1], [0, 0, 5]]
-    assert coords == [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+    pivots, coords = row_basis([dict(enumerate(r)) for r in rows])
+    assert pivots == [dict(enumerate(r)) for r in [[1, 2, 3], [0, 1, 1], [0, 0, 5]]]
+    assert dense(coords, 3) == [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
     assert_reconstructs(rows, pivots, coords)
 
 
 def test_row_basis_zero_and_empty():
     assert row_basis([]) == ([], [])
-    assert row_basis([[0, 0], [Fraction(0), 0]]) == ([], [[], []])
-    assert row_basis([[], []]) == ([], [[], []])
+    pivots, coords = row_basis([dict(enumerate([0, 0])), dict(enumerate([Fraction(0), 0]))])
+    assert (pivots, dense(coords, 0)) == ([], [[], []])
+    pivots, coords = row_basis([{}, {}])
+    assert (pivots, dense(coords, 0)) == ([], [[], []])
 
 
 def test_row_basis_random_against_brute_force():
@@ -95,10 +102,11 @@ def test_row_basis_random_against_brute_force():
             if rng.random() < 0.2:
                 row[rng.randrange(nc)] += 1
             rows.append(row)
-        pivots, coords = row_basis(rows)
+        sparse = [dict(enumerate(r)) for r in rows]
+        pivots, coords = row_basis(sparse)
         assert len(pivots) == brute_rank(rows) == rank_gauss(rows)
         assert_reconstructs(rows, pivots, coords)
         # each pivot is the first row not in the span of the rows before it
-        chosen = [next(r for r in range(len(rows)) if rows[r] is p) for p in pivots]
+        chosen = [next(r for r in range(len(rows)) if sparse[r] is p) for p in pivots]
         for r in range(len(rows)):
             assert (r in chosen) == (brute_rank(rows[: r + 1]) > brute_rank(rows[:r]))

@@ -1,8 +1,12 @@
 """Gram oracle: spanning words, raising action, ranks, relation kernels."""
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bbsuper import exactlinalg, verma_oracle
+from bbsuper.charformula import irreducible_character
 from bbsuper.datum import validate_datum
 from bbsuper.errors import BadGeneratorIndex, Unreachable
 from bbsuper.roots import solve_multiplicities
@@ -266,6 +270,19 @@ def test_irreducible_dims_agree_with_single_cells():
     ]
 
 
+def test_irreducible_dims_match_formula_rank3_deep():
+    # every cell of a rank-3 window two levels deeper than the property tests,
+    # where the e-image rows are a few percent nonzero
+    d = validate_datum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
+    lam = d.fundamental_weight(0)
+    window = weight_window(d.rank, 7)
+    assert len(window) == 120
+    character = irreducible_character(d, lam, 7).series
+    assert irreducible_dims(d, lam, 7, OracleCaps(7)) == [
+        character.coefficient(beta) for beta in window
+    ]
+
+
 def test_irreducible_dims_caps():
     d = sl2()
     lam = d.fundamental_weight(0)
@@ -279,7 +296,7 @@ def test_irreducible_dims_caps():
 def test_generic_dims_free_case():
     d = free_imag()
     assert [generic_dim(d, (n,)) for n in range(6)] == [1, 1, 2, 4, 8, 16]
-    assert generic_dims(d, 8, WIDE) == [1] + [2 ** (n - 1) for n in range(1, 9)]
+    assert generic_dims(d, 9, WIDE) == [1] + [2 ** (n - 1) for n in range(1, 10)]
 
 
 def test_generic_dims_caps():
@@ -371,6 +388,31 @@ def test_orthogonality_vector_guards():
 
 
 # ---- misc ----
+
+
+def package_imports(module):
+    """Modules of the package that a source file imports, by their names
+    inside the package."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.add(node.module or "")
+            elif node.module and node.module.split(".")[0] == "bbsuper":
+                found.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            found.update(
+                a.name.partition(".")[2] for a in node.names if a.name.split(".")[0] == "bbsuper"
+            )
+    return found
+
+
+def test_oracle_reads_no_formula_or_root_table():
+    # compare means something only while the oracle is built from the
+    # defining relations alone
+    assert package_imports(verma_oracle) <= {"datum", "errors", "exactlinalg"}
+    assert package_imports(exactlinalg) == set()
 
 
 def test_weight_window_order():
