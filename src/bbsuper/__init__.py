@@ -1,130 +1,81 @@
 """Exact characters of highest-weight modules over generalized
-Kac-Moody superalgebras with higher-level imaginary generators."""
+Kac-Moody superalgebras with higher-level imaginary generators.
+
+The public names below are served lazily (PEP 562): a submodule is
+imported the first time one of its names is read, so importing the
+package, or running one CLI subcommand, loads only the engine in use.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .charformula import (
-    CharacterResult,
-    OrthogonalSupport,
-    casimir_shift,
-    character_result_to_json,
-    eligible_indices,
-    enumerate_supports,
-    euler_phi,
-    irreducible_character,
-    is_primitive_candidate,
-    numerator_series,
-    odd_iso_coeffs,
-    s_lambda_series,
-)
-from .datum import (
-    OddCartanDatum,
-    RootVector,
-    Weight,
-    datum_from_json,
-    datum_to_json,
-    height,
-    validate_datum,
-    weight_from_json,
-    weight_to_json,
-)
-from .errors import (
-    BBSuperError,
-    BadDiagonal,
-    BadGeneratorIndex,
-    HeightMismatch,
-    ImaginaryIndexReflection,
-    IncompleteRootTable,
-    NegativeMultiplicity,
-    NonIntegralMultiplicity,
-    NonUnitConstantTerm,
-    NotDominant,
-    NotSymmetrizable,
-    OddReParity,
-    PositiveOffDiagonal,
-    Unreachable,
-)
-from .roots import RootEntry, RootTable, roots_to_json, solve_multiplicities
-from .series import (
-    CharSeries,
-    denominator_R,
-    series_from_json,
-    series_to_json,
-)
-from .verma_oracle import (
-    FMonomial,
-    GramCell,
-    OracleCaps,
-    caps_from_env,
-    enumerate_f_monomials,
-    generic_dim,
-    generic_dims,
-    gram_matrix,
-    irreducible_dim,
-    irreducible_dims,
-    lower_with_e,
-    weight_window,
-)
-from .weyl import OrbitElement, act_on_root, orbit_frontier
+_EXPORTS = {
+    "charformula": (
+        "CharacterResult",
+        "OrthogonalSupport",
+        "character_result_to_json",
+        "eligible_indices",
+        "enumerate_supports",
+        "euler_phi",
+        "irreducible_character",
+        "numerator_series",
+        "odd_iso_coeffs",
+    ),
+    "datum": (
+        "OddCartanDatum",
+        "RootVector",
+        "Weight",
+        "datum_from_json",
+        "datum_to_json",
+        "height",
+        "validate_datum",
+        "weight_from_json",
+        "weight_to_json",
+    ),
+    "errors": (
+        "BBSuperError",
+        "BadDiagonal",
+        "BadGeneratorIndex",
+        "HeightMismatch",
+        "ImaginaryIndexReflection",
+        "IncompleteRootTable",
+        "NegativeMultiplicity",
+        "NonIntegralMultiplicity",
+        "NonUnitConstantTerm",
+        "NotDominant",
+        "NotSymmetrizable",
+        "OddReParity",
+        "PositiveOffDiagonal",
+        "Unreachable",
+    ),
+    "roots": ("RootEntry", "RootTable", "roots_to_json", "solve_multiplicities"),
+    "series": ("CharSeries", "denominator_R", "series_from_json", "series_to_json"),
+    "verma_oracle": (
+        "OracleCaps",
+        "caps_from_env",
+        "generic_dim",
+        "generic_dims",
+        "irreducible_dim",
+        "irreducible_dims",
+        "weight_window",
+    ),
+    "weyl": ("OrbitElement", "act_on_root", "orbit_frontier"),
+}
 
-__all__ = [
-    "BBSuperError",
-    "BadDiagonal",
-    "BadGeneratorIndex",
-    "CharSeries",
-    "CharacterResult",
-    "FMonomial",
-    "GramCell",
-    "HeightMismatch",
-    "ImaginaryIndexReflection",
-    "IncompleteRootTable",
-    "NegativeMultiplicity",
-    "NonIntegralMultiplicity",
-    "NonUnitConstantTerm",
-    "NotDominant",
-    "NotSymmetrizable",
-    "OddCartanDatum",
-    "OddReParity",
-    "OracleCaps",
-    "OrbitElement",
-    "OrthogonalSupport",
-    "PositiveOffDiagonal",
-    "RootEntry",
-    "RootTable",
-    "RootVector",
-    "Unreachable",
-    "Weight",
-    "act_on_root",
-    "caps_from_env",
-    "casimir_shift",
-    "character_result_to_json",
-    "datum_from_json",
-    "datum_to_json",
-    "denominator_R",
-    "eligible_indices",
-    "enumerate_f_monomials",
-    "enumerate_supports",
-    "euler_phi",
-    "generic_dim",
-    "generic_dims",
-    "gram_matrix",
-    "height",
-    "irreducible_character",
-    "irreducible_dim",
-    "irreducible_dims",
-    "is_primitive_candidate",
-    "lower_with_e",
-    "numerator_series",
-    "odd_iso_coeffs",
-    "orbit_frontier",
-    "roots_to_json",
-    "s_lambda_series",
-    "series_from_json",
-    "series_to_json",
-    "solve_multiplicities",
-    "validate_datum",
-    "weight_from_json",
-    "weight_to_json",
-    "weight_window",
-    "__version__",
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -16,11 +16,10 @@ product at an odd isotropic one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .datum import OddCartanDatum, Weight, depth_below, height, unit_root, weight_to_json
-from .errors import BadGeneratorIndex
+from .datum import OddCartanDatum, Weight, height, unit_root, weight_to_json
 from .series import CharSeries, series_to_json
 from .weyl import act_on_root, orbit_frontier
 
@@ -63,18 +62,14 @@ def odd_iso_coeffs(n: int) -> int:
     return _odd_iso_table(n)[n]
 
 
-@dataclass(frozen=True)
-class OrthogonalSupport:
+class OrthogonalSupport(namedtuple("OrthogonalSupport", "indices coeffs weight sign")):
     """Distinct pairwise-orthogonal imaginary indices with level totals.
 
     weight is sum coeffs[k] * alpha_{indices[k]} on root coordinates and
     sign the product of the per-index factors, possibly zero.
     """
 
-    indices: tuple
-    coeffs: tuple
-    weight: tuple
-    sign: int
+    __slots__ = ()
 
 
 def eligible_indices(datum: OddCartanDatum, lam: Weight) -> tuple:
@@ -136,15 +131,6 @@ def enumerate_supports(datum, lam, budget, costs=None) -> list:
     return out
 
 
-def s_lambda_series(datum, lam, height_bound) -> CharSeries:
-    """The untwisted support sum as a series."""
-    acc = {}
-    for sup in enumerate_supports(datum, lam, height_bound):
-        if sup.sign:
-            acc[sup.weight] = acc.get(sup.weight, 0) + sup.sign
-    return CharSeries(height_bound, datum.rank, acc)
-
-
 def _numerator_with_count(datum, lam, height_bound):
     elements = orbit_frontier(datum, lam, height_bound)
     elig = eligible_indices(datum, lam)
@@ -175,16 +161,13 @@ def numerator_series(datum, lam, height_bound) -> CharSeries:
     return series
 
 
-@dataclass(frozen=True)
-class CharacterResult:
+class CharacterResult(namedtuple(
+    "CharacterResult", "series highest_weight orbit_size support_terms residual_terms"
+)):
     """Character series below the highest weight plus run diagnostics:
     the coefficient at beta is the dimension at highest_weight - beta."""
 
-    series: CharSeries
-    highest_weight: Weight
-    orbit_size: int
-    support_terms: int
-    residual_terms: int
+    __slots__ = ()
 
 
 def irreducible_character(datum, lam, height_bound) -> CharacterResult:
@@ -208,38 +191,6 @@ def irreducible_character(datum, lam, height_bound) -> CharacterResult:
         support_terms=contributed,
         residual_terms=len(residual.terms),
     )
-
-
-def casimir_shift(datum, i: int, l: int) -> int:
-    """Commutation constant (l^2 - l) (alpha_i, alpha_i) of the level-l
-    generator against the quadratic Casimir operator."""
-    if i not in range(datum.rank):
-        raise BadGeneratorIndex(f"index {i} out of range")
-    if l < 1:
-        raise BadGeneratorIndex(f"level {l} must be positive")
-    if datum.is_real(i) and l != 1:
-        raise BadGeneratorIndex(f"real index {i} admits only level 1")
-    return (l * l - l) * datum.d[i] * datum.a[i][i]
-
-
-def is_primitive_candidate(datum, lam, mu) -> bool:
-    """Whether mu could carry a primitive vector: mu equals lam, or the
-    difference is the weight of an orthogonal support for lam."""
-    coords = depth_below(lam, mu)
-    if coords is None:
-        return False
-    support = [i for i, c in enumerate(coords) if c]
-    if not support:
-        return True
-    elig = set(eligible_indices(datum, lam))
-    if not set(support) <= elig:
-        return False
-    n = datum.rank
-    for a in support:
-        for b in support:
-            if a < b and datum.root_bilinear(unit_root(n, a), unit_root(n, b)) != 0:
-                return False
-    return True
 
 
 def character_result_to_json(result: CharacterResult) -> dict:

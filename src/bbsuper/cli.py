@@ -4,6 +4,11 @@ Every subcommand reads a datum (and usually a weight) from JSON, runs
 one engine entry point and prints a single canonical document, so runs
 are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input, 2 comparison mismatch, 3 resource cap hit.
+
+Each handler imports its engine itself, so a run loads and compiles only
+the modules its subcommand needs: validate stops at the datum, the
+formula side never loads the oracle, and the oracle never loads the
+formula side.
 """
 from __future__ import annotations
 
@@ -11,21 +16,8 @@ import argparse
 import json
 import sys
 
-from .charformula import (
-    character_result_to_json,
-    irreducible_character,
-    numerator_series,
-)
 from .datum import datum_from_json, weight_from_json
 from .errors import BBSuperError, Unreachable
-from .roots import roots_to_json, solve_multiplicities
-from .series import denominator_R
-from .verma_oracle import (
-    caps_from_env,
-    generic_dims,
-    irreducible_dims,
-    weight_window,
-)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -119,6 +111,8 @@ def _roots_rows(rows_json):
 
 
 def _cmd_roots(args):
+    from .roots import roots_to_json, solve_multiplicities
+
     datum = _load_datum(args.datum)
     height = _need_height(args)
     table = solve_multiplicities(datum, height)
@@ -128,6 +122,8 @@ def _cmd_roots(args):
 
 
 def _cmd_char(args):
+    from .charformula import character_result_to_json, irreducible_character
+
     datum = _load_datum(args.datum)
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)
@@ -139,6 +135,10 @@ def _cmd_char(args):
 
 
 def _cmd_denom_check(args):
+    from .charformula import numerator_series
+    from .roots import roots_to_json, solve_multiplicities
+    from .series import denominator_R
+
     datum = _load_datum(args.datum)
     height = _need_height(args)
     table = solve_multiplicities(datum, height)
@@ -159,6 +159,8 @@ def _cmd_denom_check(args):
 def _oracle_dims(datum, lam, height):
     """Window offsets and their dimensions, in one in-process pass; lam
     None gives the generic (Verma) dimensions."""
+    from .verma_oracle import caps_from_env, generic_dims, irreducible_dims, weight_window
+
     caps = caps_from_env()
     offsets = weight_window(datum.rank, height)
     if lam is None:
@@ -180,6 +182,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_compare(args):
+    from .charformula import irreducible_character
+
     datum = _load_datum(args.datum)
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)

@@ -14,7 +14,6 @@ from one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -50,8 +49,53 @@ def _fractions(values) -> tuple:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Weight:
+def _integer(x, what) -> int:
+    """x as an int; a bool, or a value that int() would change, is refused
+    instead of truncated."""
+    try:
+        n = int(x)
+    except OverflowError:  # an infinite float
+        n = None
+    if isinstance(x, bool) or n is None or n != x:
+        raise ValueError(f"{what} = {x!r} is not an integer")
+    return n
+
+
+class _Value:
+    """Value semantics over __slots__: field-wise equality, hash and repr.
+
+    Subclasses set every field once in __init__ through object.__setattr__;
+    assigning to a field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(_Value):
     """Point of the weight space, kept in three coordinate blocks.
 
     fundamental_part and aux_part are coordinates over the Lambda_i and the
@@ -60,16 +104,17 @@ class Weight:
     three blocks agree, which is what keeps orbit defects recoverable.
     """
 
-    fundamental_part: tuple
-    aux_part: tuple
-    root_part: tuple
+    __slots__ = ("fundamental_part", "aux_part", "root_part")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fundamental_part", _fractions(self.fundamental_part))
-        object.__setattr__(self, "aux_part", _fractions(self.aux_part))
-        object.__setattr__(self, "root_part", _fractions(self.root_part))
-        if not len(self.fundamental_part) == len(self.aux_part) == len(self.root_part):
+    def __init__(self, fundamental_part, aux_part, root_part):
+        fundamental_part = _fractions(fundamental_part)
+        aux_part = _fractions(aux_part)
+        root_part = _fractions(root_part)
+        if not len(fundamental_part) == len(aux_part) == len(root_part):
             raise ValueError("coordinate blocks disagree in length")
+        object.__setattr__(self, "fundamental_part", fundamental_part)
+        object.__setattr__(self, "aux_part", aux_part)
+        object.__setattr__(self, "root_part", root_part)
 
     @property
     def rank(self) -> int:
@@ -105,23 +150,24 @@ class Weight:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class OddCartanDatum:
+class OddCartanDatum(_Value):
     """Validated matrix, symmetrizer and parity marking.
 
     Construction runs the full validation, so any instance in hand is a
-    legal datum.
+    legal datum.  Every entry must be an integer: a bool or a value with a
+    fractional part is refused, never truncated.
     """
 
-    a: tuple
-    d: tuple
-    odd: frozenset
+    __slots__ = ("a", "d", "odd")
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.a)
+    def __init__(self, a, d, odd):
+        rows = tuple(
+            tuple(_integer(x, f"a[{i}][{j}]") for j, x in enumerate(row))
+            for i, row in enumerate(a)
+        )
         object.__setattr__(self, "a", rows)
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        object.__setattr__(self, "odd", frozenset(int(i) for i in self.odd))
+        object.__setattr__(self, "d", tuple(_integer(x, f"d[{i}]") for i, x in enumerate(d)))
+        object.__setattr__(self, "odd", frozenset(_integer(i, "odd index") for i in odd))
         self._validate()
 
     def _validate(self):
@@ -303,7 +349,7 @@ def datum_from_json(obj) -> OddCartanDatum:
     d = obj.get("D")
     if d is None:
         d = [1] * len(a)
-    odd = [int(i) - 1 for i in obj.get("odd", [])]
+    odd = [_integer(i, "odd index") - 1 for i in obj.get("odd", [])]
     return validate_datum(a, d, odd)
 
 

@@ -17,7 +17,7 @@ every later height.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .charformula import numerator_series
@@ -26,11 +26,8 @@ from .errors import NegativeMultiplicity, NonIntegralMultiplicity
 from .series import CharSeries, log_sign
 
 
-@dataclass(frozen=True)
-class RootEntry:
-    mult: int
-    parity: int
-    is_real: bool
+class RootEntry(namedtuple("RootEntry", "mult parity is_real")):
+    __slots__ = ()
 
 
 class RootTable:

@@ -9,7 +9,6 @@ loop: a product merges its layers, a quotient solves them in turn.
 from __future__ import annotations
 
 from collections import defaultdict
-from math import comb
 
 from .datum import graded_key, height
 from .errors import HeightMismatch, IncompleteRootTable, NonUnitConstantTerm
@@ -148,32 +147,6 @@ def _merge_layers(layers) -> dict:
     for layer in layers.values():
         merged.update(layer)
     return merged
-
-
-def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> CharSeries:
-    """Expansion of (1 + sign*e^{-beta})^(exponent_sign*mult).
-
-    sign and exponent_sign are +1 or -1; mult is a nonnegative integer.
-    Generalized binomial coefficients keep everything in the integers.
-    """
-    if sign not in (1, -1) or exponent_sign not in (1, -1):
-        raise ValueError("sign arguments must be +1 or -1")
-    h = height(beta)
-    if h <= 0:
-        raise ValueError("factor exponent must have positive height")
-    power = exponent_sign * mult
-    terms = {}
-    k = 0
-    while k * h <= height_bound:
-        if power >= 0 and k > power:
-            break
-        if power >= 0:
-            c = comb(power, k)
-        else:
-            c = (-1) ** k * comb(-power + k - 1, k)
-        terms[tuple(k * x for x in beta)] = c * sign**k
-        k += 1
-    return CharSeries(height_bound, rank, terms)
 
 
 def log_sign(parity, k) -> int:

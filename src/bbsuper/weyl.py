@@ -10,15 +10,13 @@ faithful enumeration and every recorded word reduced.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .datum import OddCartanDatum, Weight, depth_below, graded_key, height
 from .errors import NotDominant
 
 
-@dataclass(frozen=True)
-class OrbitElement:
+class OrbitElement(namedtuple("OrbitElement", "word sign image defect")):
     """One group element: reduced word, sign, image of lam + rho, defect.
 
     The word lists reflection indices outermost first, so the rightmost
@@ -26,10 +24,7 @@ class OrbitElement:
     with image = (lam + rho) - defect.
     """
 
-    word: tuple
-    sign: int
-    image: Weight
-    defect: tuple
+    __slots__ = ()
 
 
 def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> list:

@@ -1,0 +1,331 @@
+"""Reference computations that the tests compare the package against.
+
+None of this runs on a CLI path; it lives here so that the package
+compiles only what its subcommands use.
+
+- The all-word Gram matrix of a Verma module at a numeric highest weight
+  (enumerate_f_monomials, lower_with_e, gram_matrix, pair_with_cell): a
+  brute-force oracle over every ordered word of lowering generators.
+- The relation vectors serre_vector and orthogonality_vector, which the
+  defining relations kill.
+- binomial_factor, one factor of the denominator product expanded alone.
+- casimir_shift, is_primitive_candidate and s_lambda_series, the
+  ingredients of the character formula taken one at a time.
+"""
+from __future__ import annotations
+
+from collections import namedtuple
+from fractions import Fraction
+from math import comb
+
+from bbsuper.charformula import enumerate_supports, eligible_indices
+from bbsuper.datum import OddCartanDatum, Weight, depth_below, height, unit_root
+from bbsuper.errors import BadGeneratorIndex
+from bbsuper.series import CharSeries
+from bbsuper.verma_oracle import _check_cell, _resolve_caps
+
+# ---- words and Gram matrices (verma_oracle) ----
+
+
+class FMonomial(namedtuple("FMonomial", "factors degree parity")):
+    """Ordered product of lowering generators, outermost first."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_factors(cls, datum: OddCartanDatum, factors) -> "FMonomial":
+        factors = tuple((int(i), int(l)) for i, l in factors)
+        degree = [0] * datum.rank
+        parity = 0
+        for i, l in factors:
+            if i not in range(datum.rank) or l < 1:
+                raise BadGeneratorIndex(f"no generator ({i}, {l})")
+            if l != 1 and datum.is_real(i):
+                raise BadGeneratorIndex(f"real index {i} only carries level 1")
+            degree[i] += l
+            parity ^= 1 if datum.is_odd(i) else 0
+        return cls(factors, tuple(degree), parity)
+
+
+def _word_degree(rank, factors):
+    deg = [0] * rank
+    for i, l in factors:
+        deg[i] += l
+    return tuple(deg)
+
+
+def _word_parity(datum, factors):
+    p = 0
+    for i, _ in factors:
+        p ^= 1 if datum.is_odd(i) else 0
+    return p
+
+
+def enumerate_f_monomials(datum: OddCartanDatum, beta, caps=None) -> list:
+    """Every ordered word of generators whose degrees sum to beta.
+
+    Order matters and no relations are imposed, so the list spans the
+    weight space with repetition of dependent vectors.  Deterministic:
+    words are generated with the leading letter ascending.
+    """
+    caps = _resolve_caps(caps)
+    beta = tuple(int(b) for b in beta)
+    if any(b < 0 for b in beta):
+        raise ValueError(f"{beta} is not in the positive cone")
+    _check_cell(beta, caps)
+    rank = datum.rank
+    out = []
+
+    def build(remaining, acc):
+        if not any(remaining):
+            out.append(tuple(acc))
+            return
+        for i in range(rank):
+            if remaining[i] == 0:
+                continue
+            top = 1 if datum.is_real(i) else remaining[i]
+            for l in range(1, top + 1):
+                left = list(remaining)
+                left[i] -= l
+                acc.append((i, l))
+                build(left, acc)
+                acc.pop()
+
+    build(list(beta), [])
+    return [
+        FMonomial(w, _word_degree(rank, w), _word_parity(datum, w)) for w in out
+    ]
+
+
+def _apply_e(datum, i, l, state, pairing):
+    """One raising step on a combination of words.
+
+    state maps factor tuples to coefficients; pairing(index, offset)
+    must return the evaluation of h_index against the highest weight
+    shifted down by the offset root vector.
+    """
+    odd_i = datum.is_odd(i)
+    rank = datum.rank
+    out = {}
+    for word, coef in state.items():
+        prefix_parity = 0
+        for a, (j, k) in enumerate(word):
+            if j == i and k == l:
+                tail = word[a + 1 :]
+                value = pairing(i, _word_degree(rank, tail))
+                sign = -1 if odd_i and prefix_parity else 1
+                contribution = coef * (sign * l) * value
+                if contribution:
+                    shorter = word[:a] + tail
+                    total = out.get(shorter, 0) + contribution
+                    if total:
+                        out[shorter] = total
+                    else:
+                        del out[shorter]
+            if datum.is_odd(j):
+                prefix_parity ^= 1
+    return out
+
+
+def lower_with_e(datum: OddCartanDatum, i, l, word, lam: Weight) -> dict:
+    """Expansion of e_{il} applied to (word)v_lam, as a combination of
+    shorter monomials."""
+    factors = word.factors if isinstance(word, FMonomial) else tuple(word)
+    state = _apply_e(datum, i, l, {factors: Fraction(1)}, _pairing_fn(datum, lam))
+    return {
+        FMonomial.from_factors(datum, w): c for w, c in state.items()
+    }
+
+
+def _pairing_fn(datum, lam):
+    if lam is None:
+        raise ValueError(
+            "word pairings need a numeric highest weight; "
+            "generic dimensions come from generic_dims"
+        )
+
+    def pairing(idx, offset):
+        return datum.pair(idx, lam) - datum.pair_root(idx, offset)
+
+    return pairing
+
+
+class GramCell(namedtuple("GramCell", "lam beta monomials gram")):
+    """Pairing matrix of every spanning word against every other at one
+    weight-space depth, for a numeric highest weight."""
+
+    __slots__ = ()
+
+
+def _pair_against(datum, letters, state, pairing):
+    for i, l in letters:
+        if not state:
+            break
+        state = _apply_e(datum, i, l, state, pairing)
+    return state.get((), 0)
+
+
+def gram_matrix(datum: OddCartanDatum, lam, beta, caps=None) -> GramCell:
+    """Pairings of all spanning words at depth beta.
+
+    Entry [a][b] pairs word a against word b by raising with a's letters
+    in order, which realizes the reversed word under the transpose
+    anti-involution acting on b.
+    """
+    pairing = _pairing_fn(datum, lam)
+    monomials = enumerate_f_monomials(datum, beta, caps)
+    rows = []
+    for ma in monomials:
+        row = []
+        for mb in monomials:
+            entry = _pair_against(datum, ma.factors, {mb.factors: Fraction(1)}, pairing)
+            row.append(entry)
+        rows.append(tuple(row))
+    return GramCell(lam, tuple(beta), tuple(monomials), tuple(rows))
+
+
+def pair_with_cell(datum, lam, beta, combo, caps=None) -> list:
+    """Pairing of each spanning word at depth beta against a fixed
+    combination of words, given as a mapping from factor tuples (or
+    FMonomials) to coefficients."""
+    pairing = _pairing_fn(datum, lam)
+    monomials = enumerate_f_monomials(datum, beta, caps)
+    state0 = {}
+    for w, c in combo.items():
+        factors = w.factors if isinstance(w, FMonomial) else tuple(w)
+        state0[factors] = state0.get(factors, 0) + Fraction(c)
+    return [
+        _pair_against(datum, ma.factors, dict(state0), pairing) for ma in monomials
+    ]
+
+
+# ---- relation vectors (verma_oracle) ----
+
+
+def _ad_f(datum, i, combo):
+    # ad f x = f x - (-1)^{|f||x|} x f on word combinations
+    fi = (i, 1)
+    odd_i = datum.is_odd(i)
+    out = {}
+
+    def bump(word, c):
+        if c:
+            total = out.get(word, 0) + c
+            if total:
+                out[word] = total
+            else:
+                del out[word]
+
+    for word, c in combo.items():
+        bump((fi,) + word, c)
+        sign = -1 if odd_i and _word_parity(datum, word) else 1
+        bump(word + (fi,), -sign * c)
+    return out
+
+
+def serre_vector(datum: OddCartanDatum, i: int, j: int, l: int) -> dict:
+    """The combination (ad f_i)^(1 - l a_ij) applied to f_{jl}, which the
+    defining relations kill whenever i is real and differs from (j, l)."""
+    if i not in range(datum.rank) or j not in range(datum.rank) or l < 1:
+        raise BadGeneratorIndex(f"no generator pair ({i}; {j}, {l})")
+    if not datum.is_real(i):
+        raise BadGeneratorIndex(f"index {i} must be real")
+    if datum.is_real(j) and l != 1:
+        raise BadGeneratorIndex(f"real index {j} only carries level 1")
+    if (i, 1) == (j, l):
+        raise BadGeneratorIndex("relation requires distinct generators")
+    combo = {((j, l),): 1}
+    for _ in range(1 - l * datum.a[i][j]):
+        combo = _ad_f(datum, i, combo)
+    return combo
+
+
+def orthogonality_vector(datum: OddCartanDatum, first, second) -> dict:
+    """The supercommutator [f_first, f_second], which the relations kill
+    whenever the two indices pair to zero."""
+    (i, l), (j, k) = first, second
+    for idx, lvl in (first, second):
+        if idx not in range(datum.rank) or lvl < 1:
+            raise BadGeneratorIndex(f"no generator ({idx}, {lvl})")
+        if datum.is_real(idx) and lvl != 1:
+            raise BadGeneratorIndex(f"real index {idx} only carries level 1")
+    if datum.a[i][j] != 0:
+        raise BadGeneratorIndex(f"indices {i}, {j} are not orthogonal")
+    sign = -1 if datum.is_odd(i) and datum.is_odd(j) else 1
+    combo = {((i, l), (j, k)): 1}
+    other = ((j, k), (i, l))
+    combo[other] = combo.get(other, 0) - sign
+    return {w: c for w, c in combo.items() if c}
+
+
+# ---- series (series) ----
+
+
+def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> CharSeries:
+    """Expansion of (1 + sign*e^{-beta})^(exponent_sign*mult).
+
+    sign and exponent_sign are +1 or -1; mult is a nonnegative integer.
+    Generalized binomial coefficients keep everything in the integers.
+    """
+    if sign not in (1, -1) or exponent_sign not in (1, -1):
+        raise ValueError("sign arguments must be +1 or -1")
+    h = height(beta)
+    if h <= 0:
+        raise ValueError("factor exponent must have positive height")
+    power = exponent_sign * mult
+    terms = {}
+    k = 0
+    while k * h <= height_bound:
+        if power >= 0 and k > power:
+            break
+        if power >= 0:
+            c = comb(power, k)
+        else:
+            c = (-1) ** k * comb(-power + k - 1, k)
+        terms[tuple(k * x for x in beta)] = c * sign**k
+        k += 1
+    return CharSeries(height_bound, rank, terms)
+
+
+# ---- formula ingredients (charformula) ----
+
+
+def s_lambda_series(datum, lam, height_bound) -> CharSeries:
+    """The untwisted support sum as a series."""
+    acc = {}
+    for sup in enumerate_supports(datum, lam, height_bound):
+        if sup.sign:
+            acc[sup.weight] = acc.get(sup.weight, 0) + sup.sign
+    return CharSeries(height_bound, datum.rank, acc)
+
+
+def casimir_shift(datum, i: int, l: int) -> int:
+    """Commutation constant (l^2 - l) (alpha_i, alpha_i) of the level-l
+    generator against the quadratic Casimir operator."""
+    if i not in range(datum.rank):
+        raise BadGeneratorIndex(f"index {i} out of range")
+    if l < 1:
+        raise BadGeneratorIndex(f"level {l} must be positive")
+    if datum.is_real(i) and l != 1:
+        raise BadGeneratorIndex(f"real index {i} admits only level 1")
+    return (l * l - l) * datum.d[i] * datum.a[i][i]
+
+
+def is_primitive_candidate(datum, lam, mu) -> bool:
+    """Whether mu could carry a primitive vector: mu equals lam, or the
+    difference is the weight of an orthogonal support for lam."""
+    coords = depth_below(lam, mu)
+    if coords is None:
+        return False
+    support = [i for i, c in enumerate(coords) if c]
+    if not support:
+        return True
+    elig = set(eligible_indices(datum, lam))
+    if not set(support) <= elig:
+        return False
+    n = datum.rank
+    for a in support:
+        for b in support:
+            if a < b and datum.root_bilinear(unit_root(n, a), unit_root(n, b)) != 0:
+                return False
+    return True

@@ -4,12 +4,7 @@ import random
 import time
 from math import lcm
 
-from bbsuper.charformula import (
-    casimir_shift,
-    irreducible_character,
-    numerator_series,
-    s_lambda_series,
-)
+from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import validate_datum
 from bbsuper.roots import roots_to_json, solve_multiplicities
 from bbsuper.series import denominator_R, series_to_json
@@ -17,10 +12,10 @@ from bbsuper.verma_oracle import (
     OracleCaps,
     generic_dim,
     irreducible_dim,
-    pair_with_cell,
-    serre_vector,
     weight_window,
 )
+
+from reference import casimir_shift, pair_with_cell, s_lambda_series, serre_vector
 
 DEEP = OracleCaps(12)
 

@@ -2,18 +2,17 @@
 import pytest
 
 from bbsuper.charformula import (
-    casimir_shift,
     enumerate_supports,
     eligible_indices,
     euler_phi,
-    is_primitive_candidate,
     irreducible_character,
     numerator_series,
     odd_iso_coeffs,
-    s_lambda_series,
 )
 from bbsuper.datum import validate_datum
 from bbsuper.errors import BadGeneratorIndex
+
+from reference import casimir_shift, is_primitive_candidate, s_lambda_series
 
 
 # ---- independent oracles ----

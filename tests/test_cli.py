@@ -55,6 +55,28 @@ def test_validate_rejects_bad_datum(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"A": [[2.9]]},
+        {"A": [[2]], "D": [1.7]},
+        {"A": [[2]], "odd": [1.2]},
+        {"A": [[2, False], [False, 2]]},
+        {"A": [[2]], "D": [True]},
+        {"A": [[2]], "odd": [True]},
+        {"A": [["2"]]},
+        {"A": [[float("inf")]]},
+    ],
+)
+def test_validate_rejects_non_integral_entries(tmp_path, capsys, doc):
+    datum = write_json(tmp_path / "d.json", doc)
+    code, out, err = run(capsys, ["validate", "--datum", datum])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not an integer" in err
+
+
 def test_missing_and_malformed_files(tmp_path, capsys):
     code, _, err = run(capsys, ["validate", "--datum", str(tmp_path / "nope.json")])
     assert code == 1
@@ -212,12 +234,12 @@ def test_compare_match(tmp_path, capsys, sl2_files):
 
 
 def test_compare_mismatch_exit(tmp_path, capsys, sl2_files, monkeypatch):
-    import bbsuper.cli as cli_mod
+    import bbsuper.verma_oracle as oracle
 
     def zeros(datum, lam, height, caps=None):
-        return [0] * len(cli_mod.weight_window(datum.rank, height))
+        return [0] * len(oracle.weight_window(datum.rank, height))
 
-    monkeypatch.setattr(cli_mod, "irreducible_dims", zeros)
+    monkeypatch.setattr(oracle, "irreducible_dims", zeros)
     datum, lam = sl2_files
     code, out, _ = run(
         capsys, ["compare", "--datum", datum, "--lambda", lam, "--height", "2"]

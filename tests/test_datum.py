@@ -38,6 +38,29 @@ def test_valid_data_construct():
     dt.validate_datum([[2, -2], [-1, 2]], [1, 2])
 
 
+@pytest.mark.parametrize(
+    "a, d, odd",
+    [
+        ([[2.9]], [1], []),
+        ([[2, -1], [-1, 0]], [1.7, 1.7], []),
+        ([[2, -1], [-1, 0]], [1, 1], [1.2]),
+        ([[2, False], [False, 2]], [1, 1], []),
+        ([[2]], [True], []),
+        ([[2]], [1], [False]),
+        ([[float("inf")]], [1], []),
+    ],
+)
+def test_non_integral_entries_rejected(a, d, odd):
+    # int() would truncate each of these to a legal datum (the last one
+    # it cannot convert at all)
+    with pytest.raises(ValueError, match="is not an integer"):
+        dt.validate_datum(a, d, odd)
+
+
+def test_integral_values_of_other_types_accepted():
+    assert dt.validate_datum([[2.0, Fraction(-1)], [-1, 0]], [1, 1], [1]) == mixed_rank2()
+
+
 def test_bad_diagonal():
     with pytest.raises(BadDiagonal):
         dt.validate_datum([[3]], [1])

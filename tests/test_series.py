@@ -7,11 +7,12 @@ from bbsuper.datum import validate_datum
 from bbsuper.errors import HeightMismatch, IncompleteRootTable, NonUnitConstantTerm
 from bbsuper.series import (
     CharSeries,
-    binomial_factor,
     denominator_R,
     series_from_json,
     series_to_json,
 )
+
+from reference import binomial_factor
 
 
 # ---- independent oracles ----

@@ -1,0 +1,111 @@
+"""Import footprint of the CLI: each subcommand loads only its engine.
+
+Every run starts a fresh interpreter, because a module loaded by an
+earlier test would hide what a subcommand imports by itself.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bbsuper
+
+# Runs the CLI, then writes the modules that it loaded to the file named
+# by argv[1]; modules the interpreter loaded at start-up do not count.
+PROBE = """\
+import sys
+before = set(sys.modules)
+from bbsuper.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+FORMULA_SIDE = {"bbsuper.charformula", "bbsuper.roots", "bbsuper.series", "bbsuper.weyl"}
+ORACLE_SIDE = {"bbsuper.verma_oracle", "bbsuper.exactlinalg"}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    datum, lam = root / "datum.json", root / "lam.json"
+    datum.write_text(json.dumps({"A": [[2, -1], [-1, 0]], "odd": [2]}))
+    lam.write_text(json.dumps({"Lambda": {"1": "1"}}))
+    return root, str(datum), str(lam)
+
+
+def loaded(files, *argv):
+    """Modules a fresh interpreter loads to run one subcommand."""
+    root, datum, lam = files
+    out = root / "modules.txt"
+    src = str(Path(bbsuper.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = [a.format(datum=datum, lam=lam) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(out.read_text().split())
+    assert "dataclasses" not in modules
+    return modules
+
+
+def test_validate_loads_no_engine(files):
+    modules = loaded(files, "validate", "--datum", "{datum}")
+    assert {m for m in modules if m.startswith("bbsuper")} == {
+        "bbsuper", "bbsuper.cli", "bbsuper.datum", "bbsuper.errors",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--datum", "{datum}", "--height", "3"),
+        ("char", "--datum", "{datum}", "--lambda", "{lam}", "--height", "3"),
+        ("denom-check", "--datum", "{datum}", "--height", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_formula_commands_load_no_oracle(files, argv):
+    modules = loaded(files, *argv)
+    assert "bbsuper.charformula" in modules
+    assert not modules & ORACLE_SIDE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--datum", "{datum}", "--lambda", "{lam}", "--height", "3"),
+        ("oracle", "--symbolic", "--datum", "{datum}", "--height", "3"),
+    ],
+    ids=["numeric", "symbolic"],
+)
+def test_oracle_loads_no_formula_side(files, argv):
+    modules = loaded(files, *argv)
+    assert "bbsuper.verma_oracle" in modules
+    assert not modules & FORMULA_SIDE
+
+
+def test_compare_loads_both_sides(files):
+    modules = loaded(files, "compare", "--datum", "{datum}", "--lambda", "{lam}", "--height", "3")
+    assert {"bbsuper.charformula", "bbsuper.verma_oracle"} <= modules
+
+
+def test_public_names_resolve():
+    names = dir(bbsuper)
+    for name in bbsuper.__all__:
+        assert getattr(bbsuper, name) is not None
+        assert name in names
+    with pytest.raises(AttributeError):
+        bbsuper.no_such_name
+    from bbsuper import CharSeries, OracleCaps, Weight
+
+    assert CharSeries is bbsuper.series.CharSeries
+    assert OracleCaps is bbsuper.verma_oracle.OracleCaps
+    assert Weight is bbsuper.datum.Weight

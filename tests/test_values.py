@@ -1,0 +1,91 @@
+"""Value semantics of the record types: field-wise equality and hash,
+read-only fields, validation on construction."""
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from bbsuper.charformula import CharacterResult, OrthogonalSupport
+from bbsuper.datum import OddCartanDatum, Weight, validate_datum
+from bbsuper.errors import BadDiagonal
+from bbsuper.roots import RootEntry
+from bbsuper.series import CharSeries
+from bbsuper.verma_oracle import OracleCaps
+from bbsuper.weyl import OrbitElement
+
+
+def test_weight_is_a_value():
+    w = Weight((1, 0), (0, 0), (0, 2))
+    same = Weight((Fraction(1), 0), (0, 0), (0, Fraction(4, 2)))
+    assert w == same and hash(w) == hash(same)
+    assert {w: "lam"}[same] == "lam"
+    assert w != Weight((1, 0), (0, 0), (2, 0))
+    assert w != (w.fundamental_part, w.aux_part, w.root_part)
+    assert w.fundamental_part == (Fraction(1), Fraction(0))
+    assert repr(Weight((1,), (0,), (0,))) == (
+        "Weight(fundamental_part=(Fraction(1, 1),), aux_part=(Fraction(0, 1),), "
+        "root_part=(Fraction(0, 1),))"
+    )
+
+
+def test_datum_is_a_value():
+    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    same = OddCartanDatum(((2, -1), (-1, 0)), (1, 1), frozenset({1}))
+    assert d == same and hash(d) == hash(same)
+    assert {d: "r2"}[same] == "r2"
+    assert d != validate_datum([[2, -1], [-1, 0]], [1, 1])
+    assert repr(validate_datum([[2]], [1])) == "OddCartanDatum(a=((2,),), d=(1,), odd=frozenset())"
+
+
+def test_datum_validates_on_construction():
+    with pytest.raises(BadDiagonal):
+        OddCartanDatum(((3,),), (1,), frozenset())
+    with pytest.raises(ValueError, match="not square"):
+        OddCartanDatum(((2, 0),), (1,), frozenset())
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (Weight((1,), (0,), (0,)), "root_part"),
+        (validate_datum([[2]], [1]), "a"),
+        (RootEntry(1, 0, True), "mult"),
+        (OracleCaps(), "max_height"),
+        (OrthogonalSupport((0,), (1,), (1,), -1), "sign"),
+        (OrbitElement((), 1, None, (0,)), "word"),
+    ],
+)
+def test_fields_are_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+
+
+@pytest.mark.parametrize(
+    "value", [Weight((Fraction(1, 2),), (0,), (1,)), validate_datum([[2]], [1], odd=[0])]
+)
+def test_copy_and_pickle_keep_the_value(value):
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_records_compare_by_field():
+    assert RootEntry(1, 0, True) == RootEntry(1, 0, True)
+    assert hash(RootEntry(2, 1, False)) == hash(RootEntry(2, 1, False))
+    assert RootEntry(1, 0, True) != RootEntry(1, 1, True)
+    entry = RootEntry(mult=3, parity=1, is_real=False)
+    assert (entry.mult, entry.parity, entry.is_real) == (3, 1, False)
+    assert repr(entry) == "RootEntry(mult=3, parity=1, is_real=False)"
+    series = CharSeries.one(2, 1)
+    lam = Weight((1,), (0,), (0,))
+    assert CharacterResult(series, lam, 1, 1, 0) == CharacterResult(
+        series=series, highest_weight=lam, orbit_size=1, support_terms=1, residual_terms=0
+    )
+
+
+def test_oracle_caps_default():
+    assert OracleCaps().max_height == 6
+    assert OracleCaps(9).max_height == 9
+    assert OracleCaps() == OracleCaps(6)

@@ -12,20 +12,23 @@ from bbsuper.errors import BadGeneratorIndex, Unreachable
 from bbsuper.roots import solve_multiplicities
 from bbsuper.series import denominator_R
 from bbsuper.verma_oracle import (
-    FMonomial,
     OracleCaps,
     caps_from_env,
-    enumerate_f_monomials,
     generic_dim,
     generic_dims,
-    gram_matrix,
     irreducible_dim,
     irreducible_dims,
+    weight_window,
+)
+
+from reference import (
+    FMonomial,
+    enumerate_f_monomials,
+    gram_matrix,
     lower_with_e,
     orthogonality_vector,
     pair_with_cell,
     serre_vector,
-    weight_window,
 )
 
 WIDE = OracleCaps(12)
