@@ -68,6 +68,8 @@ def _need_height(args):
 
 
 def _emit(doc, fmt, table_rows):
+    """Print doc as JSON, or table_rows, (headers, rows), as a table; rows
+    may be a generator, and only a table consumes it."""
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
@@ -98,7 +100,7 @@ def _cmd_validate(args):
         "isotropic": _one_based(datum.isotropic_indices),
         "odd": _one_based(sorted(datum.odd)),
     }
-    rows = [(k, json.dumps(doc[k])) for k in sorted(doc)]
+    rows = ((k, json.dumps(doc[k])) for k in sorted(doc))
     _emit(doc, args.format, (("field", "value"), rows))
     return EXIT_OK
 
@@ -106,7 +108,7 @@ def _cmd_validate(args):
 def _roots_rows(rows_json):
     return (
         ("root", "mult", "parity", "class"),
-        [(json.dumps(r["root"]), r["mult"], r["parity"], r["class"]) for r in rows_json],
+        ((json.dumps(r["root"]), r["mult"], r["parity"], r["class"]) for r in rows_json),
     )
 
 
@@ -129,7 +131,7 @@ def _cmd_char(args):
     height = _need_height(args)
     result = irreducible_character(datum, lam, height)
     doc = character_result_to_json(result)
-    rows = [(json.dumps(t["exp"]), t["coef"]) for t in doc["character"]["terms"]]
+    rows = ((json.dumps(t["exp"]), t["coef"]) for t in doc["character"]["terms"])
     _emit(doc, args.format, (("exp", "coef"), rows))
     return EXIT_OK
 
@@ -176,7 +178,7 @@ def _cmd_oracle(args):
     doc = [
         {"mu_offset": list(beta), "dim": dim} for beta, dim in zip(offsets, dims)
     ]
-    rows = [(json.dumps(list(beta)), dim) for beta, dim in zip(offsets, dims)]
+    rows = ((json.dumps(list(beta)), dim) for beta, dim in zip(offsets, dims))
     _emit(doc, args.format, (("mu_offset", "dim"), rows))
     return EXIT_OK
 
@@ -204,7 +206,7 @@ def _cmd_compare(args):
     }
     rows = (
         ("mu_offset", "formula", "oracle"),
-        [(json.dumps(d["mu_offset"]), d["formula"], d["oracle"]) for d in differences],
+        ((json.dumps(d["mu_offset"]), d["formula"], d["oracle"]) for d in differences),
     )
     _emit(doc, args.format, rows)
     return EXIT_OK if not differences else EXIT_MISMATCH

@@ -384,6 +384,10 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
                 raise ValueError(
                     f"zero denominator at index {key} in weight block {name!r}"
                 ) from None
+            except OverflowError:
+                raise ValueError(
+                    f"infinite value at index {key} in weight block {name!r}"
+                ) from None
         return tuple(out)
 
     return Weight(block("Lambda"), block("delta"), block("alpha"))

@@ -5,6 +5,13 @@ beta in the nonnegative root lattice and ht(beta) bounded by a fixed H.
 All arithmetic is exact and closed under that truncation.  Products and
 quotients walk height layers, and _layer_convolution is their one pair
 loop: a product merges its layers, a quotient solves them in turn.
+
+Inside that loop an exponent is one integer, sum of e_i (H+1)^i
+(Kronecker substitution).  Every coordinate of an exponent in the window
+is at most H, and the loop only adds pairs whose sum still has height
+at most H, so no digit carries and adding two keys packs the sum of
+their exponents.  Keys never leave this module: terms, coefficient()
+and the JSON form keep exponent tuples.
 """
 from __future__ import annotations
 
@@ -91,18 +98,20 @@ class CharSeries:
             merged[e] = merged.get(e, 0) - c
         return CharSeries(self.height_bound, self.rank, merged)
 
-    def _by_height(self):
+    def _pack_layers(self):
+        """Terms by height, each exponent packed into its integer key."""
         out = defaultdict(dict)
+        base = self.height_bound + 1
         for e, c in self.terms.items():
-            out[sum(e)][e] = c
+            out[sum(e)][_pack(e, base)] = c
         return out
 
     def mul(self, other) -> "CharSeries":
         """Truncated product, one height layer at a time."""
         self._check_compatible(other)
-        a, b = self._by_height(), other._by_height()
+        a, b = self._pack_layers(), other._pack_layers()
         layers = {h: _layer_convolution(a, b, h) for h in range(self.height_bound + 1)}
-        return CharSeries(self.height_bound, self.rank, _merge_layers(layers))
+        return _unpack_layers(layers, self.height_bound, self.rank)
 
     def divide(self, other) -> "CharSeries":
         """The series q with q * other == self; the constant term of other
@@ -112,7 +121,7 @@ class CharSeries:
         c0 = other.terms.get((0,) * self.rank, 0)
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(f"constant term {c0}")
-        num, den = self._by_height(), other._by_height()
+        num, den = self._pack_layers(), other._pack_layers()
         q = {}
         for h in range(self.height_bound + 1):
             # q_h is not in q yet, so the k = 0 term drops out
@@ -120,16 +129,49 @@ class CharSeries:
             for e, c in num.get(h, {}).items():
                 rest[e] -= c
             q[h] = {e: -c0 * v for e, v in rest.items() if v}
-        return CharSeries(self.height_bound, self.rank, _merge_layers(q))
+        return _unpack_layers(q, self.height_bound, self.rank)
 
     def invert(self) -> "CharSeries":
         """Inverse as a truncated series; constant term must be 1 or -1."""
         return CharSeries.one(self.height_bound, self.rank).divide(self)
 
 
+def _pack(exp, base) -> int:
+    """Key of an exponent: coordinate i is the digit of base**i."""
+    key = 0
+    for x in reversed(exp):
+        key = key * base + x
+    return key
+
+
+def _unpack(key, rank, base) -> tuple:
+    """Exponent of a key, the inverse of _pack."""
+    exp = []
+    for _ in range(rank):
+        key, x = divmod(key, base)
+        exp.append(x)
+    return tuple(exp)
+
+
+def _unpack_layers(layers, height_bound, rank) -> CharSeries:
+    """The series of the nonzero terms of packed layers; their keys come
+    from the window, so the exponents need no check."""
+    base = height_bound + 1
+    out = CharSeries(height_bound, rank)
+    out.terms = {
+        _unpack(key, rank, base): c
+        for layer in layers.values()
+        for key, c in layer.items()
+        if c
+    }
+    return out
+
+
 def _layer_convolution(a, b, h) -> dict:
     """Height-h part of the product of a and b, which map a height to
-    {exponent: coefficient}; a missing layer counts as zero."""
+    {packed exponent: coefficient}; a missing layer counts as zero.
+    Both factors of a pair have heights summing to h, which is within
+    the window, so their keys add without a carry."""
     layer = defaultdict(int)
     for k in range(h + 1):
         upper = a.get(k)
@@ -138,15 +180,8 @@ def _layer_convolution(a, b, h) -> dict:
             continue
         for ea, ca in upper.items():
             for eb, cb in lower.items():
-                layer[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+                layer[ea + eb] += ca * cb
     return layer
-
-
-def _merge_layers(layers) -> dict:
-    merged = {}
-    for layer in layers.values():
-        merged.update(layer)
-    return merged
 
 
 def log_sign(parity, k) -> int:
@@ -173,26 +208,28 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
         raise IncompleteRootTable(
             f"table stops at {table.height_bound}, need {height_bound}"
         )
+    base = height_bound + 1
     log_layers = defaultdict(lambda: defaultdict(int))
     for beta, entry in table.items_sorted():
         h = height(beta)
         if h > height_bound:
             break
+        key = _pack(beta, base)
         for k in range(1, height_bound // h + 1):
-            log_layers[k * h][tuple(k * x for x in beta)] -= (
-                log_sign(entry.parity, k) * entry.mult * h
-            )
-    layers = {0: {(0,) * datum.rank: 1}}
+            # k beta has height at most H, so k key packs it
+            log_layers[k * h][k * key] -= log_sign(entry.parity, k) * entry.mult * h
+    layers = {0: {0: 1}}
     for h in range(1, height_bound + 1):
         layer = {}
         for e, v in _layer_convolution(log_layers, layers, h).items():
             coef, rest = divmod(v, h)
             if rest:
-                raise ArithmeticError(f"coefficient {v}/{h} at {e} is not an integer")
+                exp = _unpack(e, datum.rank, base)
+                raise ArithmeticError(f"coefficient {v}/{h} at {exp} is not an integer")
             if coef:
                 layer[e] = coef
         layers[h] = layer
-    return CharSeries(height_bound, datum.rank, _merge_layers(layers))
+    return _unpack_layers(layers, height_bound, datum.rank)
 
 
 # ---- JSON form ----

@@ -8,7 +8,10 @@ compiles only what its subcommands use.
   brute-force oracle over every ordered word of lowering generators.
 - The relation vectors serre_vector and orthogonality_vector, which the
   defining relations kill.
-- binomial_factor, one factor of the denominator product expanded alone.
+- binomial_factor, one factor of the denominator product expanded alone,
+  and series_product, series_quotient and root_product, the truncated
+  product, quotient and denominator product on exponent tuples, one term
+  at a time, without the package's packed layers.
 - casimir_shift, is_primitive_candidate and s_lambda_series, the
   ingredients of the character formula taken one at a time.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices
@@ -285,6 +289,45 @@ def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> Char
         terms[tuple(k * x for x in beta)] = c * sign**k
         k += 1
     return CharSeries(height_bound, rank, terms)
+
+
+def series_product(a, b, bound) -> dict:
+    """Product of two {exponent tuple: coefficient} maps, truncated at
+    height bound, zeros dropped."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= bound:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def series_quotient(a, b, bound, rank) -> dict:
+    """The map q with series_product(q, b, bound) == a, solved one exponent
+    at a time in order of height; the constant term of b is 1 or -1."""
+    c0 = b[(0,) * rank]
+    q = {}
+    window = [e for e in product(range(bound + 1), repeat=rank) if sum(e) <= bound]
+    for gamma in sorted(window, key=sum):
+        rest = a.get(gamma, 0)
+        for delta, c in b.items():
+            below = tuple(g - d for g, d in zip(gamma, delta))
+            if any(delta) and min(below) >= 0:
+                rest -= c * q.get(below, 0)
+        q[gamma] = c0 * rest
+    return {e: c for e, c in q.items() if c}
+
+
+def root_product(table, bound) -> dict:
+    """Product over the table of (1 - e^{-beta})^m for even roots and
+    (1 + e^{-beta})^{-m} for odd ones, one factor at a time."""
+    acc = {(0,) * table.rank: 1}
+    for beta, entry in table.items_sorted():
+        sign = 1 if entry.parity else -1
+        factor = binomial_factor(beta, entry.mult, sign, -sign, bound, table.rank)
+        acc = series_product(acc, factor.terms, bound)
+    return acc
 
 
 # ---- formula ingredients (charformula) ----

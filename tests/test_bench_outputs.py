@@ -1,0 +1,30 @@
+"""Every formula job of the benchmark, run in-process at seed 0, prints
+exactly the stdout whose SHA-256 perfbench/reference.json records."""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from bbsuper.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.append(str(PERFBENCH))
+from workloads import WORKLOADS, permutation, relabel_inputs  # noqa: E402
+
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["jobs"]
+
+
+@pytest.mark.parametrize("job", WORKLOADS["formula"], ids=lambda job: job.name)
+def test_formula_job_matches_reference_digest(job, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BBSUPER_CAP", raising=False)
+    for key, value in job.env:
+        monkeypatch.setenv(key, value)
+    datum_doc, lam_doc = relabel_inputs(job.datum, permutation(0, job.datum))
+    paths = (tmp_path / "datum.json", tmp_path / "lambda.json")
+    paths[0].write_text(json.dumps(datum_doc))
+    paths[1].write_text(json.dumps(lam_doc))
+    assert main(job.argv({job.datum: tuple(map(str, paths))})) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REFERENCE[job.name]

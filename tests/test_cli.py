@@ -337,6 +337,21 @@ def test_weight_zero_denominator_rejected(tmp_path, capsys, sl2_files, command):
     assert "zero denominator" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command", ["char", "oracle", "compare"])
+def test_weight_infinite_value_rejected(tmp_path, capsys, sl2_files, command, value):
+    # json reads all three as a float infinity, which has no Fraction
+    datum, _ = sl2_files
+    lam = tmp_path / "inf.json"
+    lam.write_text('{"Lambda": {"1": %s}}' % value)
+    code, out, err = run(
+        capsys, [command, "--datum", datum, "--lambda", str(lam), "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "infinite value at index 1" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_must_be_positive(capsys, sl2_files, jobs):
     datum, lam = sl2_files

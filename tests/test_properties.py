@@ -1,12 +1,13 @@
-"""Randomized agreement of the log-derivative solver, the one-pass
-denominator and the character quotient with the naive root-by-root
-product, over small valid data (rank at most 3, height at most 6), of
-the propagated oracle with the all-word Gram rank and the formula on
-small windows, and of the generic (Verma) dimensions with the inverted
-denominator."""
+"""Randomized agreement of the series kernel's product, quotient and
+one-pass denominator with term-by-term references on exponent tuples
+(rank at most 4, height at most 6), of the log-derivative solver and the
+character quotient with the naive root-by-root product over small valid
+data (rank at most 3, height at most 6), of the propagated oracle with
+the all-word Gram rank and the formula on small windows, and of the
+generic (Verma) dimensions with the inverted denominator."""
 from math import lcm
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbsuper.charformula import irreducible_character, numerator_series
@@ -21,7 +22,7 @@ from bbsuper.verma_oracle import (
     weight_window,
 )
 
-from reference import binomial_factor, gram_matrix
+from reference import gram_matrix, root_product, series_product, series_quotient
 
 # Fixed examples keep the suite reproducible and within a few seconds.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -56,29 +57,50 @@ def dominant(datum, levels):
     return lam
 
 
-def naive_product(rank, table, bound):
-    """One truncated product per root, as the denominator used to be built."""
-    acc = CharSeries.one(bound, rank)
-    for beta, entry in table.items_sorted():
-        if entry.parity == 0:
-            factor = binomial_factor(beta, entry.mult, -1, 1, bound, rank)
-        else:
-            factor = binomial_factor(beta, entry.mult, 1, -1, bound, rank)
-        acc = acc.mul(factor)
-    return acc
+@st.composite
+def exponents(draw, rank, bound):
+    """Exponents of height at most bound.  The first coordinate drawn takes
+    all of the bound about once in bound + 1 draws: the carry boundary of
+    the kernel's packed keys."""
+    exp = [0] * rank
+    room = bound
+    for i in draw(st.permutations(range(rank))):
+        exp[i] = draw(st.integers(0, room))
+        room -= exp[i]
+    return tuple(exp)
 
 
 @st.composite
 def root_tables(draw):
     """Arbitrary tables, not necessarily of any datum: rows and parities free."""
-    rank = draw(st.integers(1, 3))
-    bound = draw(st.integers(1, 6))
-    exps = st.tuples(*[st.integers(0, bound)] * rank).filter(
-        lambda e: 0 < sum(e) <= bound
-    )
+    rank = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 6))
+    exps = exponents(rank, bound).filter(any)
     rows = draw(st.dictionaries(exps, st.tuples(st.integers(1, 3), st.integers(0, 1)), max_size=6))
     entries = {e: RootEntry(m, p, False) for e, (m, p) in rows.items()}
     return RootTable(rank, bound, entries)
+
+
+@st.composite
+def series_pairs(draw):
+    """(bound, rank, a, b): two term maps with negative and zero
+    coefficients; b has constant term 1 or -1, so a can be divided by it."""
+    rank = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 6))
+    terms = st.dictionaries(exponents(rank, bound), st.integers(-3, 3), max_size=8)
+    a, b = draw(terms), draw(terms)
+    b[(0,) * rank] = draw(st.sampled_from([1, -1]))
+    return bound, rank, a, b
+
+
+@PROPERTY
+@given(series_pairs())
+@example((3, 2, {(3, 0): 2, (2, 0): -1, (0, 2): 0}, {(0, 0): -1, (1, 0): 3, (0, 3): 1}))
+def test_mul_and_divide_match_tuple_reference(case):
+    bound, rank, a, b = case
+    x, y = CharSeries(bound, rank, a), CharSeries(bound, rank, b)
+    assert x.mul(y).terms == series_product(x.terms, y.terms, bound)
+    assert x.divide(y).terms == series_quotient(x.terms, y.terms, bound, rank)
 
 
 @PROPERTY
@@ -86,7 +108,7 @@ def root_tables(draw):
 def test_solved_table_multiplies_out_to_numerator(datum, bound):
     table = solve_multiplicities(datum, bound)
     numerator = numerator_series(datum, datum.zero_weight(), bound)
-    assert naive_product(datum.rank, table, bound).terms == numerator.terms
+    assert root_product(table, bound) == numerator.terms
 
 
 @PROPERTY
@@ -96,7 +118,7 @@ def test_denominator_matches_naive_product(table):
     n = table.rank
     d = validate_datum([[2 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n)
     bound = table.height_bound
-    assert denominator_R(d, table, bound).terms == naive_product(table.rank, table, bound).terms
+    assert denominator_R(d, table, bound).terms == root_product(table, bound)
 
 
 @PROPERTY
