@@ -2,12 +2,13 @@
 
 The numerator collects, for every orbit element w and every orthogonal
 support s built on imaginary indices annihilated by the highest weight,
-a signed exponential at defect(w) + w(s).  Images of imaginary simple
-roots under real reflection words stay in the positive cone, so every
-collected exponent does too.  By the denominator identity the numerator
-N_0 at highest weight zero is the product over positive roots, so the
-character is the quotient N_lambda / N_0: one layered division, with no
-root table, exact within the height window.
+a signed exponential at defect(w) + w(s); the supports depend on the
+highest weight alone and are enumerated once.  Images of imaginary
+simple roots under real reflection words stay in the positive cone, so
+every collected exponent does too.  By the denominator identity the
+numerator N_0 at highest weight zero is the product over positive
+roots, so the character is the quotient N_lambda / N_0: one layered
+division, with no root table, exact within the height window.
 
 Support signs come in three flavours per index: any level n with sign -1
 at a non-isotropic imaginary index, the inverse-Euler coefficients at an
@@ -25,41 +26,28 @@ from .weyl import act_on_root, orbit_frontier
 
 
 @lru_cache(maxsize=None)
-def _phi_table(bound: int) -> tuple:
-    # prod_{k<=bound} (1 - q^k), dense coefficients through q^bound
+def _euler_table(bound: int, step: int) -> tuple:
+    # prod (1 - q^k) over k = 1, 1 + step, ... <= bound, through q^bound
     coeffs = [0] * (bound + 1)
     coeffs[0] = 1
-    for k in range(1, bound + 1):
+    for k in range(1, bound + 1, step):
         for m in range(bound, k - 1, -1):
             coeffs[m] -= coeffs[m - k]
     return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _odd_iso_table(bound: int) -> tuple:
-    # invert prod_{l<=bound} (1 + q^l) through q^bound
-    dist = [0] * (bound + 1)
-    dist[0] = 1
-    for l in range(1, bound + 1):
-        for m in range(bound, l - 1, -1):
-            dist[m] += dist[m - l]
-    product = CharSeries(bound, 1, {(m,): c for m, c in enumerate(dist)})
-    inv = CharSeries.one(bound, 1).divide(product)
-    return tuple(inv.coefficient((m,)) for m in range(bound + 1))
 
 
 def euler_phi(n: int) -> int:
     """Coefficient of q^n in the Euler product prod (1 - q^k)."""
     if n < 0:
         raise ValueError("negative degree")
-    return _phi_table(n)[n]
+    return _euler_table(n, 1)[n]
 
 
 def odd_iso_coeffs(n: int) -> int:
-    """Coefficient of q^n in the inverse of prod (1 + q^l)."""
+    """Coefficient of q^n in 1 / prod (1 + q^l) = prod over odd l of (1 - q^l)."""
     if n < 0:
         raise ValueError("negative degree")
-    return _odd_iso_table(n)[n]
+    return _euler_table(n, 2)[n]
 
 
 class OrthogonalSupport(namedtuple("OrthogonalSupport", "indices coeffs weight sign")):
@@ -85,16 +73,10 @@ def _index_factor(datum: OddCartanDatum, i: int, n: int) -> int:
     return euler_phi(n)
 
 
-def enumerate_supports(datum, lam, budget, costs=None) -> list:
-    """All supports whose cost-weighted height fits the budget.
-
-    costs maps an eligible index to the height its root contributes per
-    level; the default of one matches the untwisted supports.  The empty
-    support is always first.
-    """
+def enumerate_supports(datum, lam, budget) -> list:
+    """All supports whose total level fits the budget; the empty support
+    is always first."""
     elig = eligible_indices(datum, lam)
-    if costs is None:
-        costs = {i: 1 for i in elig}
     n = datum.rank
     out = []
 
@@ -113,19 +95,14 @@ def enumerate_supports(datum, lam, budget, costs=None) -> list:
                 for j in chosen
             ):
                 continue
-            cost = costs[i]
-            if cost < 1:
-                raise ValueError(f"cost {cost} at index {i} must be positive")
-            level = 1
-            while used + level * cost <= budget:
+            for level in range(1, budget - used + 1):
                 extend(
                     k + 1,
                     chosen + (i,),
                     coeffs + (level,),
-                    used + level * cost,
+                    used + level,
                     sign * _index_factor(datum, i, level),
                 )
-                level += 1
 
     extend(0, (), (), 0, 1)
     return out
@@ -133,21 +110,22 @@ def enumerate_supports(datum, lam, budget, costs=None) -> list:
 
 def _numerator_with_count(datum, lam, height_bound):
     elements = orbit_frontier(datum, lam, height_bound)
+    supports = [s for s in enumerate_supports(datum, lam, height_bound) if s.sign]
     elig = eligible_indices(datum, lam)
     n = datum.rank
     acc = {}
     contributed = 0
     for elt in elements:
-        room = height_bound - height(elt.defect)
         images = {i: act_on_root(datum, elt.word, unit_root(n, i)) for i in elig}
-        costs = {i: height(images[i]) for i in elig}
-        for sup in enumerate_supports(datum, lam, room, costs):
-            if not sup.sign:
-                continue
+        if any(min(image) < 0 for image in images.values()):
+            raise ValueError(f"{elt.word} moves an imaginary simple root out of the cone")
+        for sup in supports:
             exp = list(elt.defect)
             for i, level in zip(sup.indices, sup.coeffs):
                 for j, x in enumerate(images[i]):
                     exp[j] += level * x
+            if height(exp) > height_bound:
+                continue
             key = tuple(exp)
             acc[key] = acc.get(key, 0) + elt.sign * sup.sign
             contributed += 1

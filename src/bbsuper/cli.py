@@ -164,10 +164,11 @@ def _oracle_dims(datum, lam, height):
     from .verma_oracle import caps_from_env, generic_dims, irreducible_dims, weight_window
 
     caps = caps_from_env()
-    offsets = weight_window(datum.rank, height)
     if lam is None:
-        return offsets, generic_dims(datum, height, caps)
-    return offsets, irreducible_dims(datum, lam, height, caps)
+        dims = generic_dims(datum, height, caps)
+    else:
+        dims = irreducible_dims(datum, lam, height, caps)
+    return weight_window(datum.rank, height), dims
 
 
 def _cmd_oracle(args):
@@ -189,8 +190,9 @@ def _cmd_compare(args):
     datum = _load_datum(args.datum)
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)
-    result = irreducible_character(datum, lam, height)
+    # the oracle first: it checks its cap before any work on either side
     offsets, dims = _oracle_dims(datum, lam, height)
+    result = irreducible_character(datum, lam, height)
     differences = []
     for beta, dim in zip(offsets, dims):
         formula = result.series.coefficient(beta)

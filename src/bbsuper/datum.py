@@ -172,6 +172,8 @@ class OddCartanDatum(_Value):
 
     def _validate(self):
         n = len(self.a)
+        if not n:
+            raise ValueError("matrix is empty")
         if any(len(row) != n for row in self.a):
             raise ValueError("matrix is not square")
         if len(self.d) != n:
@@ -370,8 +372,10 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
         raise ValueError("a weight must be an object of Lambda, delta and alpha blocks")
 
     def block(name):
-        entries = obj.get(name) or {}
-        if not isinstance(entries, dict):
+        entries = obj.get(name)
+        if entries is None:
+            entries = {}
+        elif not isinstance(entries, dict):
             raise ValueError(f"weight block {name!r} must be an object")
         out = [Fraction(0)] * n
         for key, value in entries.items():

@@ -64,8 +64,7 @@ def _resolve_caps(caps) -> OracleCaps:
     return caps if caps is not None else caps_from_env()
 
 
-def _check_cell(beta, caps):
-    h = height(beta)
+def _check_height(h, caps):
     if h > caps.max_height:
         raise Unreachable(
             f"height {h} exceeds cap {caps.max_height}; raise {ENV_CAP} to go deeper"
@@ -142,15 +141,15 @@ def _propagate(datum, lam, cells) -> dict:
 
 def _window_dims(datum, lam, height_bound, caps):
     caps = _resolve_caps(caps)
+    # the window is graded, so its first cell over the cap is that deep
+    _check_height(min(height_bound, caps.max_height + 1), caps)
     cells = weight_window(datum.rank, height_bound)
-    for beta in cells:
-        _check_cell(beta, caps)
     dims = _propagate(datum, lam, cells)
     return [dims[beta] for beta in cells]
 
 
 def _box_dim(datum, lam, beta, caps):
-    _check_cell(beta, _resolve_caps(caps))
+    _check_height(height(beta), _resolve_caps(caps))
     box = sorted(product(*(range(b + 1) for b in beta)), key=graded_key)
     return _propagate(datum, lam, box)[beta]
 
@@ -158,7 +157,7 @@ def _box_dim(datum, lam, beta, caps):
 def irreducible_dims(datum: OddCartanDatum, lam: Weight, height_bound: int, caps=None) -> list:
     """dim L(lam) at every cell of weight_window, in window order.
 
-    Every cell is checked against the caps before any work starts.
+    The height bound is checked against the caps before any work starts.
     """
     return _window_dims(datum, lam, height_bound, caps)
 
@@ -177,7 +176,7 @@ def generic_dims(datum: OddCartanDatum, height_bound: int, caps=None) -> list:
     """Verma dimension for generic highest weight at every cell of
     weight_window, in window order.
 
-    Every cell is checked against the caps before any work starts.
+    The height bound is checked against the caps before any work starts.
     """
     return _window_dims(datum, None, height_bound, caps)
 

@@ -4,24 +4,24 @@ Only real indices reflect.  Starting from lam + rho, a reflection at a
 real index i with positive pairing strictly lowers the weight by that
 pairing times alpha_i, so the defect (start minus image, read off the
 root coordinates) grows monotonically in height and the orbit below a
-height bound is finite.  Distinct group elements give distinct images
-because the start is regular dominant, which makes image deduplication a
-faithful enumeration and every recorded word reduced.
+height bound is finite.  Distinct group elements give distinct defects
+because the start is regular dominant, which makes defect deduplication
+a faithful enumeration and every recorded word reduced.
 """
 from __future__ import annotations
 
 from collections import deque, namedtuple
 
-from .datum import OddCartanDatum, Weight, depth_below, graded_key, height
+from .datum import OddCartanDatum, Weight, graded_key, height
 from .errors import NotDominant
 
 
-class OrbitElement(namedtuple("OrbitElement", "word sign image defect")):
-    """One group element: reduced word, sign, image of lam + rho, defect.
+class OrbitElement(namedtuple("OrbitElement", "word sign defect")):
+    """One group element: reduced word, sign and defect.
 
     The word lists reflection indices outermost first, so the rightmost
     letter acts first.  The defect is the nonnegative integer root vector
-    with image = (lam + rho) - defect.
+    with image of lam + rho = (lam + rho) - defect.
     """
 
     __slots__ = ()
@@ -32,28 +32,25 @@ def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> lis
     sorted by defect height then lexicographically by defect."""
     if not datum.is_dominant_integral(lam):
         raise NotDominant("orbit expansion needs a dominant integral weight")
-    start = lam + datum.rho()
-    zero = (0,) * datum.rank
-    first = OrbitElement((), 1, start, zero)
-    seen = {start.root_part: first}
+    # <h_i, lam + rho>, an integer at real i for dominant integral lam
+    shifted = {i: int(datum.pair(i, lam)) + 1 for i in datum.real_indices}
+    first = OrbitElement((), 1, (0,) * datum.rank)
+    seen = {first.defect: first}
     queue = deque([first])
     while queue:
         elt = queue.popleft()
-        for i in datum.real_indices:
-            c = datum.pair(i, elt.image)
+        for i, t in shifted.items():
+            c = t - datum.pair_root(i, elt.defect)
             # descend only; going up would revisit shorter words
             if c <= 0:
                 continue
             if height(elt.defect) + c > height_bound:
                 continue
-            image = datum.reflect(i, elt.image)
-            if image.root_part in seen:
+            defect = elt.defect[:i] + (elt.defect[i] + c,) + elt.defect[i + 1 :]
+            if defect in seen:
                 continue
-            defect = depth_below(start, image)
-            if defect is None:
-                raise ValueError(f"{image} does not lie below {start}")
-            nxt = OrbitElement((i,) + elt.word, -elt.sign, image, defect)
-            seen[image.root_part] = nxt
+            nxt = OrbitElement((i,) + elt.word, -elt.sign, defect)
+            seen[defect] = nxt
             queue.append(nxt)
     return sorted(seen.values(), key=lambda e: graded_key(e.defect))
 

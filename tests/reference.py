@@ -26,7 +26,7 @@ from bbsuper.charformula import enumerate_supports, eligible_indices
 from bbsuper.datum import OddCartanDatum, Weight, depth_below, height, unit_root
 from bbsuper.errors import BadGeneratorIndex
 from bbsuper.series import CharSeries
-from bbsuper.verma_oracle import _check_cell, _resolve_caps
+from bbsuper.verma_oracle import _check_height, _resolve_caps
 
 # ---- words and Gram matrices (verma_oracle) ----
 
@@ -76,7 +76,7 @@ def enumerate_f_monomials(datum: OddCartanDatum, beta, caps=None) -> list:
     beta = tuple(int(b) for b in beta)
     if any(b < 0 for b in beta):
         raise ValueError(f"{beta} is not in the positive cone")
-    _check_cell(beta, caps)
+    _check_height(height(beta), caps)
     rank = datum.rank
     out = []
 

@@ -130,12 +130,6 @@ def test_supports_non_orthogonal_pair_excluded():
     assert all(len(s.indices) <= 1 for s in sups)
 
 
-def test_supports_cost_budget():
-    d = validate_datum([[0]], [1])
-    sups = enumerate_supports(d, d.zero_weight(), 5, costs={0: 2})
-    assert [s.coeffs for s in sups] == [(), (1,), (2,)]
-
-
 def test_s_lambda_series_odd_isotropic():
     d = validate_datum([[0]], [1], odd=[0])
     s = s_lambda_series(d, d.zero_weight(), 5)
@@ -216,6 +210,26 @@ def test_character_trivial_module():
     d = validate_datum([[2, -1], [-1, 2]], [1, 1])
     result = irreducible_character(d, d.zero_weight(), 5)
     assert result.series.terms == {(0, 0): 1}
+
+
+# support_terms counts the numerator terms kept inside the height window;
+# the odd lists are 0-based, R4 is the benchmark's r4
+R4 = ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [2], (0, 1))
+MIXED3 = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 0]], [2], (0,))
+
+
+@pytest.mark.parametrize(
+    "case, height_bound, expected",
+    [(MIXED3, 4, (4, 9, 0)), (MIXED3, 8, (6, 18, 0)), (R4, 4, (3, 15, 0)), (R4, 8, (6, 39, 0))],
+)
+def test_character_diagnostics_pinned(case, height_bound, expected):
+    a, odd, levels = case
+    d = validate_datum(a, [1] * len(a), odd=odd)
+    lam = d.zero_weight()
+    for i in levels:
+        lam = lam + d.fundamental_weight(i)
+    result = irreducible_character(d, lam, height_bound)
+    assert (result.orbit_size, result.support_terms, result.residual_terms) == expected
 
 
 # ---- scalar diagnostics ----

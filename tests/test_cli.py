@@ -177,6 +177,26 @@ def test_oracle_cap_exit(tmp_path, capsys, sl2_files, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("oracle", []), ("oracle", ["--symbolic"]), ("compare", [])]
+)
+def test_cap_checked_before_any_work(capsys, sl2_files, monkeypatch, command, extra):
+    import bbsuper.charformula as charformula
+    import bbsuper.verma_oracle as oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("called over the cap")
+
+    monkeypatch.setattr(oracle, "weight_window", never)
+    monkeypatch.setattr(charformula, "irreducible_character", never)
+    monkeypatch.delenv("BBSUPER_CAP", raising=False)
+    datum, lam = sl2_files
+    argv = [command, "--datum", datum, "--lambda", lam, "--height", "7"] + extra
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "resource cap: height 7 exceeds cap 6; raise BBSUPER_CAP to go deeper\n"
+
+
 def test_oracle_cap_env_override(tmp_path, capsys, sl2_files, monkeypatch):
     monkeypatch.setenv("BBSUPER_CAP", "12")
     datum, lam = sl2_files
@@ -324,6 +344,40 @@ def test_weight_list_rejected(tmp_path, capsys, sl2_files, command):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("block", [[], 0, False, "", [1]])
+def test_weight_block_must_be_an_object(tmp_path, capsys, sl2_files, block):
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "w.json", {"Lambda": block})
+    code, out, err = run(
+        capsys, ["char", "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err.endswith("weight block 'Lambda' must be an object\n")
+    assert err.count("\n") == 1
+
+
+def test_weight_block_null_is_zero(tmp_path, capsys, sl2_files):
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "w.json", {"Lambda": None, "alpha": {}})
+    code, out, _ = run(capsys, ["char", "--datum", datum, "--lambda", lam, "--height", "2"])
+    assert code == 0
+    assert json.loads(out)["character"]["base"]["Lambda"] == {}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [(c, []) for c in ("validate", "roots", "char", "denom-check", "oracle", "compare")]
+    + [("oracle", ["--symbolic"])],
+)
+def test_empty_matrix_rejected(tmp_path, capsys, command, extra):
+    datum = write_json(tmp_path / "d.json", {"A": []})
+    lam = write_json(tmp_path / "w.json", {})
+    argv = [command, "--datum", datum, "--lambda", lam, "--height", "2"] + extra
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("matrix is empty\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["char", "oracle"])

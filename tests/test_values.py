@@ -53,7 +53,7 @@ def test_datum_validates_on_construction():
         (RootEntry(1, 0, True), "mult"),
         (OracleCaps(), "max_height"),
         (OrthogonalSupport((0,), (1,), (1,), -1), "sign"),
-        (OrbitElement((), 1, None, (0,)), "word"),
+        (OrbitElement((), 1, (0,)), "word"),
     ],
 )
 def test_fields_are_read_only(value, field):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bbsuper.datum import height, unit_root, validate_datum
+from bbsuper.datum import depth_below, height, unit_root, validate_datum
 from bbsuper.errors import NotDominant
 from bbsuper.weyl import act_on_root, orbit_frontier
 
@@ -23,13 +23,14 @@ def test_a2_orbit_is_the_full_group():
     assert [height(e.defect) for e in orbit] == [0, 1, 1, 3, 3, 4]
     assert [e.sign for e in orbit] == [1, -1, -1, 1, 1, -1]
     assert sorted(len(e.word) for e in orbit) == [0, 1, 1, 2, 2, 3]
-    assert len({e.image for e in orbit}) == 6
+    assert len({e.defect for e in orbit}) == 6
+    start = d.zero_weight() + d.rho()
     for e in orbit:
         assert e.sign == (-1) ** len(e.word)
-        expect = list((d.zero_weight() + d.rho()).root_part)
-        for i, c in enumerate(e.defect):
-            expect[i] -= c
-        assert e.image.root_part == tuple(expect)
+        image = start
+        for i in reversed(e.word):
+            image = d.reflect(i, image)
+        assert depth_below(start, image) == e.defect
 
 
 def test_b2_orbit_count():
