@@ -52,11 +52,8 @@ _EXPORTS = {
     "roots": ("RootEntry", "RootTable", "roots_to_json", "solve_multiplicities"),
     "series": ("CharSeries", "denominator_R", "series_from_json", "series_to_json"),
     "verma_oracle": (
-        "OracleCaps",
         "caps_from_env",
-        "generic_dim",
         "generic_dims",
-        "irreducible_dim",
         "irreducible_dims",
         "weight_window",
     ),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .datum import datum_from_json, weight_from_json
@@ -159,27 +160,24 @@ def _cmd_denom_check(args):
 
 
 def _oracle_dims(datum, lam, height):
-    """Window offsets and their dimensions, in one in-process pass; lam
-    None gives the generic (Verma) dimensions."""
-    from .verma_oracle import caps_from_env, generic_dims, irreducible_dims, weight_window
+    """{offset: dim} over the window in window order, from one in-process
+    pass under the BBSUPER_CAP height cap; lam None gives the generic
+    (Verma) dimensions."""
+    from .verma_oracle import caps_from_env, generic_dims, irreducible_dims
 
-    caps = caps_from_env()
+    max_height = caps_from_env(os.environ)
     if lam is None:
-        dims = generic_dims(datum, height, caps)
-    else:
-        dims = irreducible_dims(datum, lam, height, caps)
-    return weight_window(datum.rank, height), dims
+        return generic_dims(datum, height, max_height)
+    return irreducible_dims(datum, lam, height, max_height)
 
 
 def _cmd_oracle(args):
     datum = _load_datum(args.datum)
     lam = None if args.symbolic else _load_weight(datum, args.lam)
     height = _need_height(args)
-    offsets, dims = _oracle_dims(datum, lam, height)
-    doc = [
-        {"mu_offset": list(beta), "dim": dim} for beta, dim in zip(offsets, dims)
-    ]
-    rows = ((json.dumps(list(beta)), dim) for beta, dim in zip(offsets, dims))
+    dims = _oracle_dims(datum, lam, height)
+    doc = [{"mu_offset": list(beta), "dim": dim} for beta, dim in dims.items()]
+    rows = ((json.dumps(list(beta)), dim) for beta, dim in dims.items())
     _emit(doc, args.format, (("mu_offset", "dim"), rows))
     return EXIT_OK
 
@@ -191,10 +189,10 @@ def _cmd_compare(args):
     lam = _load_weight(datum, args.lam)
     height = _need_height(args)
     # the oracle first: it checks its cap before any work on either side
-    offsets, dims = _oracle_dims(datum, lam, height)
+    dims = _oracle_dims(datum, lam, height)
     result = irreducible_character(datum, lam, height)
     differences = []
-    for beta, dim in zip(offsets, dims):
+    for beta, dim in dims.items():
         formula = result.series.coefficient(beta)
         if formula != dim:
             differences.append(
@@ -202,7 +200,7 @@ def _cmd_compare(args):
             )
     doc = {
         "height": height,
-        "cells": len(offsets),
+        "cells": len(dims),
         "matches": not differences,
         "differences": differences,
     }

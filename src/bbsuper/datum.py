@@ -54,7 +54,7 @@ def _integer(x, what) -> int:
     instead of truncated."""
     try:
         n = int(x)
-    except OverflowError:  # an infinite float
+    except (OverflowError, ValueError, TypeError):  # inf, nan, text, null
         n = None
     if isinstance(x, bool) or n is None or n != x:
         raise ValueError(f"{what} = {x!r} is not an integer")
@@ -317,17 +317,6 @@ class OddCartanDatum(_Value):
         return True
 
 
-def depth_below(lam: Weight, mu: Weight) -> tuple | None:
-    """The root vector beta with mu = lam - beta, or None when lam - mu is
-    not a nonnegative integer combination of simple roots."""
-    diff = lam - mu
-    if any(diff.fundamental_part) or any(diff.aux_part):
-        return None
-    if any(c.denominator != 1 or c < 0 for c in diff.root_part):
-        return None
-    return tuple(int(c) for c in diff.root_part)
-
-
 def validate_datum(a, d, odd=()) -> OddCartanDatum:
     """Build a datum, raising the specific validation error on failure."""
     return OddCartanDatum(tuple(tuple(row) for row in a), tuple(d), frozenset(odd))
@@ -379,7 +368,12 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
             raise ValueError(f"weight block {name!r} must be an object")
         out = [Fraction(0)] * n
         for key, value in entries.items():
-            i = int(key) - 1
+            try:
+                i = int(key) - 1
+            except ValueError:
+                raise ValueError(
+                    f"index {key!r} is not an integer in weight block {name!r}"
+                ) from None
             if i not in range(n):
                 raise ValueError(f"index {key} out of range in weight block {name!r}")
             try:

@@ -23,31 +23,23 @@ which is what makes the result an independent check.
 """
 from __future__ import annotations
 
-import os
-from collections import namedtuple
-from itertools import islice, product
+from itertools import islice
 
-from .datum import OddCartanDatum, Weight, depth_below, graded_key, height
+from .datum import OddCartanDatum, Weight
 from .errors import Unreachable
 from .exactlinalg import row_basis
 
 ENV_CAP = "BBSUPER_CAP"
+DEFAULT_MAX_HEIGHT = 6
 
 
-class OracleCaps(namedtuple("OracleCaps", "max_height", defaults=(6,))):
-    """Resource ceiling: no oracle cell deeper than max_height."""
-
-    __slots__ = ()
-
-
-def caps_from_env(env=None) -> OracleCaps:
-    """Default caps, overridden by BBSUPER_CAP as one integer, or as two
-    ("a,b", the older length and height form) that cap at their minimum."""
-    if env is None:
-        env = os.environ
+def caps_from_env(env) -> int:
+    """The height cap that BBSUPER_CAP sets in env, DEFAULT_MAX_HEIGHT when
+    it is unset; one integer, or two ("a,b", the older length and height
+    form) that cap at their minimum."""
     raw = env.get(ENV_CAP)
     if raw is None:
-        return OracleCaps()
+        return DEFAULT_MAX_HEIGHT
     parts = [p.strip() for p in raw.split(",")]
     try:
         values = [int(p) for p in parts]
@@ -57,17 +49,13 @@ def caps_from_env(env=None) -> OracleCaps:
         raise ValueError(f"{ENV_CAP} takes one or two integers, got {raw!r}")
     if min(values) < 1:
         raise ValueError(f"{ENV_CAP} takes positive integers, got {raw!r}")
-    return OracleCaps(min(values))
+    return min(values)
 
 
-def _resolve_caps(caps) -> OracleCaps:
-    return caps if caps is not None else caps_from_env()
-
-
-def _check_height(h, caps):
-    if h > caps.max_height:
+def _check_height(h, max_height):
+    if h > max_height:
         raise Unreachable(
-            f"height {h} exceeds cap {caps.max_height}; raise {ENV_CAP} to go deeper"
+            f"height {h} exceeds cap {max_height}; raise {ENV_CAP} to go deeper"
         )
 
 
@@ -139,70 +127,43 @@ def _propagate(datum, lam, cells) -> dict:
     return {beta: len(vecs) for beta, vecs in basis.items()}
 
 
-def _window_dims(datum, lam, height_bound, caps):
-    caps = _resolve_caps(caps)
+def _window_dims(datum, lam, height_bound, max_height):
     # the window is graded, so its first cell over the cap is that deep
-    _check_height(min(height_bound, caps.max_height + 1), caps)
-    cells = weight_window(datum.rank, height_bound)
-    dims = _propagate(datum, lam, cells)
-    return [dims[beta] for beta in cells]
+    _check_height(min(height_bound, max_height + 1), max_height)
+    return _propagate(datum, lam, weight_window(datum.rank, height_bound))
 
 
-def _box_dim(datum, lam, beta, caps):
-    _check_height(height(beta), _resolve_caps(caps))
-    box = sorted(product(*(range(b + 1) for b in beta)), key=graded_key)
-    return _propagate(datum, lam, box)[beta]
+def irreducible_dims(
+    datum: OddCartanDatum, lam: Weight, height_bound: int, max_height=DEFAULT_MAX_HEIGHT
+) -> dict:
+    """{offset: dim L(lam)} over weight_window, in window order.
 
-
-def irreducible_dims(datum: OddCartanDatum, lam: Weight, height_bound: int, caps=None) -> list:
-    """dim L(lam) at every cell of weight_window, in window order.
-
-    The height bound is checked against the caps before any work starts.
+    The height bound is checked against max_height before any work starts.
     """
-    return _window_dims(datum, lam, height_bound, caps)
+    return _window_dims(datum, lam, height_bound, max_height)
 
 
-def irreducible_dim(datum: OddCartanDatum, lam: Weight, mu: Weight, caps=None) -> int:
-    """dim of the irreducible quotient at weight mu, by propagation over
-    the box of cells below lam - mu.
-
-    Weights outside the cone under lam have dimension zero.
-    """
-    beta = depth_below(lam, mu)
-    return 0 if beta is None else _box_dim(datum, lam, beta, caps)
-
-
-def generic_dims(datum: OddCartanDatum, height_bound: int, caps=None) -> list:
-    """Verma dimension for generic highest weight at every cell of
+def generic_dims(
+    datum: OddCartanDatum, height_bound: int, max_height=DEFAULT_MAX_HEIGHT
+) -> dict:
+    """{offset: Verma dimension} for generic highest weight over
     weight_window, in window order.
 
-    The height bound is checked against the caps before any work starts.
+    The height bound is checked against max_height before any work starts.
     """
-    return _window_dims(datum, None, height_bound, caps)
+    return _window_dims(datum, None, height_bound, max_height)
 
 
-def generic_dim(datum: OddCartanDatum, beta, caps=None) -> int:
-    """Verma dimension at depth beta for generic highest weight, by
-    propagation over the box of cells below beta."""
-    beta = tuple(int(b) for b in beta)
-    if any(b < 0 for b in beta):
-        raise ValueError(f"{beta} is not in the positive cone")
-    return _box_dim(datum, None, beta, caps)
+def _compositions(h, parts):
+    """The compositions of h into `parts` nonnegative summands, in lex order."""
+    if parts == 1:
+        yield (h,)
+        return
+    for first in range(h + 1):
+        for rest in _compositions(h - first, parts - 1):
+            yield (first,) + rest
 
 
 def weight_window(rank: int, height_bound: int):
     """All cone offsets up to the height bound in graded lex order."""
-    out = []
-    for h in range(height_bound + 1):
-        layer = []
-
-        def collect(prefix, left):
-            if len(prefix) == rank - 1:
-                layer.append(tuple(prefix) + (left,))
-                return
-            for c in range(left + 1):
-                collect(prefix + [c], left - c)
-
-        collect([], h)
-        out.extend(sorted(layer))
-    return out
+    return [beta for h in range(height_bound + 1) for beta in _compositions(h, rank)]

@@ -12,8 +12,9 @@ compiles only what its subcommands use.
   and series_product, series_quotient and root_product, the truncated
   product, quotient and denominator product on exponent tuples, one term
   at a time, without the package's packed layers.
-- casimir_shift, is_primitive_candidate and s_lambda_series, the
-  ingredients of the character formula taken one at a time.
+- casimir_shift, depth_below, is_primitive_candidate and
+  s_lambda_series, the ingredients of the character formula taken one at
+  a time.
 """
 from __future__ import annotations
 
@@ -23,10 +24,10 @@ from itertools import product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices
-from bbsuper.datum import OddCartanDatum, Weight, depth_below, height, unit_root
+from bbsuper.datum import OddCartanDatum, Weight, height, unit_root
 from bbsuper.errors import BadGeneratorIndex
 from bbsuper.series import CharSeries
-from bbsuper.verma_oracle import _check_height, _resolve_caps
+from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT, _check_height
 
 # ---- words and Gram matrices (verma_oracle) ----
 
@@ -65,18 +66,17 @@ def _word_parity(datum, factors):
     return p
 
 
-def enumerate_f_monomials(datum: OddCartanDatum, beta, caps=None) -> list:
+def enumerate_f_monomials(datum: OddCartanDatum, beta, max_height=DEFAULT_MAX_HEIGHT) -> list:
     """Every ordered word of generators whose degrees sum to beta.
 
     Order matters and no relations are imposed, so the list spans the
     weight space with repetition of dependent vectors.  Deterministic:
     words are generated with the leading letter ascending.
     """
-    caps = _resolve_caps(caps)
     beta = tuple(int(b) for b in beta)
     if any(b < 0 for b in beta):
         raise ValueError(f"{beta} is not in the positive cone")
-    _check_height(height(beta), caps)
+    _check_height(height(beta), max_height)
     rank = datum.rank
     out = []
 
@@ -169,7 +169,7 @@ def _pair_against(datum, letters, state, pairing):
     return state.get((), 0)
 
 
-def gram_matrix(datum: OddCartanDatum, lam, beta, caps=None) -> GramCell:
+def gram_matrix(datum: OddCartanDatum, lam, beta, max_height=DEFAULT_MAX_HEIGHT) -> GramCell:
     """Pairings of all spanning words at depth beta.
 
     Entry [a][b] pairs word a against word b by raising with a's letters
@@ -177,7 +177,7 @@ def gram_matrix(datum: OddCartanDatum, lam, beta, caps=None) -> GramCell:
     anti-involution acting on b.
     """
     pairing = _pairing_fn(datum, lam)
-    monomials = enumerate_f_monomials(datum, beta, caps)
+    monomials = enumerate_f_monomials(datum, beta, max_height)
     rows = []
     for ma in monomials:
         row = []
@@ -188,12 +188,12 @@ def gram_matrix(datum: OddCartanDatum, lam, beta, caps=None) -> GramCell:
     return GramCell(lam, tuple(beta), tuple(monomials), tuple(rows))
 
 
-def pair_with_cell(datum, lam, beta, combo, caps=None) -> list:
+def pair_with_cell(datum, lam, beta, combo, max_height=DEFAULT_MAX_HEIGHT) -> list:
     """Pairing of each spanning word at depth beta against a fixed
     combination of words, given as a mapping from factor tuples (or
     FMonomials) to coefficients."""
     pairing = _pairing_fn(datum, lam)
-    monomials = enumerate_f_monomials(datum, beta, caps)
+    monomials = enumerate_f_monomials(datum, beta, max_height)
     state0 = {}
     for w, c in combo.items():
         factors = w.factors if isinstance(w, FMonomial) else tuple(w)
@@ -352,6 +352,17 @@ def casimir_shift(datum, i: int, l: int) -> int:
     if datum.is_real(i) and l != 1:
         raise BadGeneratorIndex(f"real index {i} admits only level 1")
     return (l * l - l) * datum.d[i] * datum.a[i][i]
+
+
+def depth_below(lam: Weight, mu: Weight) -> tuple | None:
+    """The root vector beta with mu = lam - beta, or None when lam - mu is
+    not a nonnegative integer combination of simple roots."""
+    diff = lam - mu
+    if any(diff.fundamental_part) or any(diff.aux_part):
+        return None
+    if any(c.denominator != 1 or c < 0 for c in diff.root_part):
+        return None
+    return tuple(int(c) for c in diff.root_part)
 
 
 def is_primitive_candidate(datum, lam, mu) -> bool:

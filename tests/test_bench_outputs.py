@@ -18,7 +18,6 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["jobs"]
 
 @pytest.mark.parametrize("job", WORKLOADS["formula"], ids=lambda job: job.name)
 def test_formula_job_matches_reference_digest(job, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BBSUPER_CAP", raising=False)
     for key, value in job.env:
         monkeypatch.setenv(key, value)
     datum_doc, lam_doc = relabel_inputs(job.datum, permutation(0, job.datum))

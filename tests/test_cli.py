@@ -1,12 +1,17 @@
 """Command-line surface: parsing, exit codes, canonical output."""
 import json
+from fractions import Fraction
 
 import pytest
 
 from bbsuper.charformula import irreducible_character
 from bbsuper.cli import main
 from bbsuper.datum import validate_datum, weight_to_json
+from bbsuper.exactlinalg import rank_gauss
 from bbsuper.series import CharSeries
+from bbsuper.verma_oracle import irreducible_dims
+
+from reference import gram_matrix
 
 
 def write_json(path, doc):
@@ -66,6 +71,9 @@ def test_validate_rejects_bad_datum(tmp_path, capsys):
         {"A": [[2]], "odd": [True]},
         {"A": [["2"]]},
         {"A": [[float("inf")]]},
+        {"A": [[float("nan")]]},
+        {"A": [[2]], "D": [float("nan")]},
+        {"A": [[None]]},
     ],
 )
 def test_validate_rejects_non_integral_entries(tmp_path, capsys, doc):
@@ -167,8 +175,7 @@ def test_oracle_symbolic(tmp_path, capsys):
     assert [cell["dim"] for cell in json.loads(out)] == [1, 1, 2, 4]
 
 
-def test_oracle_cap_exit(tmp_path, capsys, sl2_files, monkeypatch):
-    monkeypatch.delenv("BBSUPER_CAP", raising=False)
+def test_oracle_cap_exit(tmp_path, capsys, sl2_files):
     datum, lam = sl2_files
     code, _, err = run(
         capsys, ["oracle", "--datum", datum, "--lambda", lam, "--height", "7"]
@@ -189,7 +196,6 @@ def test_cap_checked_before_any_work(capsys, sl2_files, monkeypatch, command, ex
 
     monkeypatch.setattr(oracle, "weight_window", never)
     monkeypatch.setattr(charformula, "irreducible_character", never)
-    monkeypatch.delenv("BBSUPER_CAP", raising=False)
     datum, lam = sl2_files
     argv = [command, "--datum", datum, "--lambda", lam, "--height", "7"] + extra
     code, out, err = run(capsys, argv)
@@ -210,7 +216,6 @@ def test_oracle_cap_env_override(tmp_path, capsys, sl2_files, monkeypatch):
 def test_oracle_symbolic_caps(tmp_path, capsys, monkeypatch):
     datum = write_json(tmp_path / "d.json", {"A": [[-2]], "D": [1]})
     argv = ["oracle", "--datum", datum, "--height", "7", "--symbolic"]
-    monkeypatch.delenv("BBSUPER_CAP", raising=False)
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert "cap" in err
@@ -241,6 +246,33 @@ def test_oracle_cap_env_nonpositive(capsys, sl2_files, monkeypatch, cap):
     assert "positive" in err
 
 
+def test_cap_is_read_only_by_the_cli(capsys, sl2_files, monkeypatch):
+    monkeypatch.setenv("BBSUPER_CAP", "1")
+    d = validate_datum([[2]], [1])
+    lam = 2 * d.fundamental_weight(0)
+    assert irreducible_dims(d, lam, 3) == {(0,): 1, (1,): 1, (2,): 1, (3,): 0}
+    datum, lam_path = sl2_files
+    code, out, err = run(
+        capsys, ["oracle", "--datum", datum, "--lambda", lam_path, "--height", "3"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "resource cap: height 2 exceeds cap 1; raise BBSUPER_CAP to go deeper\n"
+
+
+def test_only_the_formula_side_needs_dominance(tmp_path, capsys):
+    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    lambda1, lambda2 = d.fundamental_weight(0), d.fundamental_weight(1)
+    for lam in (-lambda1, Fraction(-1, 2) * lambda2, Fraction(1, 2) * lambda1 - 3 * lambda2):
+        dims = irreducible_dims(d, lam, 4)
+        assert len(dims) == 15
+        assert dims == {beta: rank_gauss(gram_matrix(d, lam, beta).gram) for beta in dims}
+    datum = write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
+    lam = write_json(tmp_path / "lam.json", weight_to_json(-lambda1))
+    for command, expected in (("oracle", 0), ("char", 1), ("compare", 1)):
+        argv = [command, "--datum", datum, "--lambda", lam, "--height", "4"]
+        assert run(capsys, argv)[0] == expected, command
+
+
 def test_compare_match(tmp_path, capsys, sl2_files):
     datum, lam = sl2_files
     code, out, _ = run(
@@ -256,8 +288,8 @@ def test_compare_match(tmp_path, capsys, sl2_files):
 def test_compare_mismatch_exit(tmp_path, capsys, sl2_files, monkeypatch):
     import bbsuper.verma_oracle as oracle
 
-    def zeros(datum, lam, height, caps=None):
-        return [0] * len(oracle.weight_window(datum.rank, height))
+    def zeros(datum, lam, height, max_height):
+        return dict.fromkeys(oracle.weight_window(datum.rank, height), 0)
 
     monkeypatch.setattr(oracle, "irreducible_dims", zeros)
     datum, lam = sl2_files
@@ -389,6 +421,17 @@ def test_weight_zero_denominator_rejected(tmp_path, capsys, sl2_files, command):
     )
     assert (code, out) == (1, "")
     assert "zero denominator" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["char", "oracle"])
+def test_weight_key_must_be_an_integer(tmp_path, capsys, sl2_files, command):
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "key.json", {"Lambda": {"x": "1"}})
+    code, out, err = run(
+        capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {lam}: index 'x' is not an integer in weight block 'Lambda'\n"
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400"])

@@ -15,12 +15,7 @@ from bbsuper.datum import validate_datum
 from bbsuper.exactlinalg import rank_gauss
 from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R
-from bbsuper.verma_oracle import (
-    generic_dim,
-    generic_dims,
-    irreducible_dims,
-    weight_window,
-)
+from bbsuper.verma_oracle import generic_dims, irreducible_dims
 
 from reference import gram_matrix, root_product, series_product, series_quotient
 
@@ -152,7 +147,7 @@ def test_oracle_matches_gram_rank_and_formula(datum, levels):
     bound = ORACLE_HEIGHT[datum.rank]
     dims = irreducible_dims(datum, lam, bound)
     character = irreducible_character(datum, lam, bound).series
-    for beta, dim in zip(weight_window(datum.rank, bound), dims):
+    for beta, dim in dims.items():
         assert dim == rank_gauss(gram_matrix(datum, lam, beta).gram), beta
         assert dim == character.coefficient(beta), beta
 
@@ -163,8 +158,8 @@ def test_generic_dims_match_inverted_denominator(datum):
     # the oracle reads no table; the reference here is the formula side
     bound = ORACLE_HEIGHT[datum.rank]
     verma = denominator_R(datum, solve_multiplicities(datum, bound), bound).invert()
-    window = weight_window(datum.rank, bound)
-    assert generic_dims(datum, bound) == [verma.coefficient(beta) for beta in window]
+    dims = generic_dims(datum, bound)
+    assert dims == {beta: verma.coefficient(beta) for beta in dims}
 
 
 @PROPERTY
@@ -173,13 +168,6 @@ def test_generic_dims_bound_irreducible_dims(datum, levels):
     bound = ORACLE_HEIGHT[datum.rank]
     generic = generic_dims(datum, bound)
     irreducible = irreducible_dims(datum, dominant(datum, levels), bound)
-    for beta, g, d in zip(weight_window(datum.rank, bound), generic, irreducible):
-        assert g >= d, beta
+    for beta, d in irreducible.items():
+        assert generic[beta] >= d, beta
 
-
-@PROPERTY
-@given(datums())
-def test_generic_dim_box_matches_window(datum):
-    bound = ORACLE_HEIGHT[datum.rank]
-    window = weight_window(datum.rank, bound)
-    assert [generic_dim(datum, beta) for beta in window] == generic_dims(datum, bound)

@@ -104,8 +104,8 @@ def test_public_names_resolve():
         assert name in names
     with pytest.raises(AttributeError):
         bbsuper.no_such_name
-    from bbsuper import CharSeries, OracleCaps, Weight
+    from bbsuper import CharSeries, Weight, irreducible_dims
 
     assert CharSeries is bbsuper.series.CharSeries
-    assert OracleCaps is bbsuper.verma_oracle.OracleCaps
+    assert irreducible_dims is bbsuper.verma_oracle.irreducible_dims
     assert Weight is bbsuper.datum.Weight

@@ -11,7 +11,6 @@ from bbsuper.datum import OddCartanDatum, Weight, validate_datum
 from bbsuper.errors import BadDiagonal
 from bbsuper.roots import RootEntry
 from bbsuper.series import CharSeries
-from bbsuper.verma_oracle import OracleCaps
 from bbsuper.weyl import OrbitElement
 
 
@@ -51,7 +50,7 @@ def test_datum_validates_on_construction():
         (Weight((1,), (0,), (0,)), "root_part"),
         (validate_datum([[2]], [1]), "a"),
         (RootEntry(1, 0, True), "mult"),
-        (OracleCaps(), "max_height"),
+        (CharacterResult(CharSeries.one(1, 1), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
         (OrthogonalSupport((0,), (1,), (1,), -1), "sign"),
         (OrbitElement((), 1, (0,)), "word"),
     ],
@@ -84,8 +83,3 @@ def test_records_compare_by_field():
         series=series, highest_weight=lam, orbit_size=1, support_terms=1, residual_terms=0
     )
 
-
-def test_oracle_caps_default():
-    assert OracleCaps().max_height == 6
-    assert OracleCaps(9).max_height == 9
-    assert OracleCaps() == OracleCaps(6)

@@ -1,25 +1,19 @@
 """Gram oracle: spanning words, raising action, ranks, relation kernels."""
 import ast
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from bbsuper import exactlinalg, verma_oracle
 from bbsuper.charformula import irreducible_character
-from bbsuper.datum import validate_datum
+from bbsuper.datum import graded_key, validate_datum
 from bbsuper.errors import BadGeneratorIndex, Unreachable
+from bbsuper.exactlinalg import rank_gauss
 from bbsuper.roots import solve_multiplicities
 from bbsuper.series import denominator_R
-from bbsuper.verma_oracle import (
-    OracleCaps,
-    caps_from_env,
-    generic_dim,
-    generic_dims,
-    irreducible_dim,
-    irreducible_dims,
-    weight_window,
-)
+from bbsuper.verma_oracle import caps_from_env, generic_dims, irreducible_dims, weight_window
 
 from reference import (
     FMonomial,
@@ -31,7 +25,7 @@ from reference import (
     serre_vector,
 )
 
-WIDE = OracleCaps(12)
+WIDE = 12
 
 
 # ---- reference counts ----
@@ -118,17 +112,17 @@ def test_enumerate_caps():
         enumerate_f_monomials(sl2(), (7,))
     assert len(enumerate_f_monomials(sl2(), (7,), WIDE)) == 1
     with pytest.raises(Unreachable):
-        enumerate_f_monomials(sl2(), (7,), OracleCaps(6))
+        enumerate_f_monomials(sl2(), (7,), 6)
     with pytest.raises(ValueError):
         enumerate_f_monomials(sl2(), (-1,))
 
 
 def test_caps_from_env():
-    assert caps_from_env({}) == OracleCaps(6)
-    assert caps_from_env({"BBSUPER_CAP": "12"}) == OracleCaps(12)
+    assert caps_from_env({}) == 6
+    assert caps_from_env({"BBSUPER_CAP": "12"}) == 12
     # the two-integer form caps at its minimum
-    assert caps_from_env({"BBSUPER_CAP": "10, 6"}) == OracleCaps(6)
-    assert caps_from_env({"BBSUPER_CAP": "5,9"}) == OracleCaps(5)
+    assert caps_from_env({"BBSUPER_CAP": "10, 6"}) == 6
+    assert caps_from_env({"BBSUPER_CAP": "5,9"}) == 5
     with pytest.raises(ValueError):
         caps_from_env({"BBSUPER_CAP": "4,0"})
     with pytest.raises(ValueError):
@@ -216,61 +210,65 @@ def test_gram_even_symmetric():
 # ---- dimensions ----
 
 
+def values(dims):
+    return list(dims.values())
+
+
 def test_irreducible_dims_rank_one_families():
     d = sl2()
     lam = d.fundamental_weight(0) + d.fundamental_weight(0)
-    dims = [irreducible_dim(d, lam, lam - k * (d.alpha(0))) for k in range(5)]
-    assert dims == [1, 1, 1, 0, 0]
+    assert values(irreducible_dims(d, lam, 4)) == [1, 1, 1, 0, 0]
     o = osp12()
     lam = o.fundamental_weight(0) + o.fundamental_weight(0)
-    dims = [irreducible_dim(o, lam, lam - k * o.alpha(0)) for k in range(4)]
-    assert dims == [1, 1, 1, 0]
+    assert values(irreducible_dims(o, lam, 3)) == [1, 1, 1, 0]
 
 
 def test_irreducible_dim_degenerate_offsets():
+    # the height-0 window is the highest weight alone; the trivial module
+    # is zero below it
     d = sl2()
-    lam = d.fundamental_weight(0)
-    assert irreducible_dim(d, lam, lam) == 1
-    assert irreducible_dim(d, lam, lam + d.alpha(0)) == 0
-    assert irreducible_dim(d, lam, d.zero_weight()) == 0
+    assert irreducible_dims(d, d.fundamental_weight(0), 0) == {(0,): 1}
+    assert irreducible_dims(d, d.zero_weight(), 3) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
+
+
+def test_dims_are_keyed_by_offset_in_window_order():
+    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    assert list(irreducible_dims(d, d.fundamental_weight(0), 4)) == weight_window(2, 4)
+    assert list(generic_dims(d, 4)) == weight_window(2, 4)
 
 
 def test_even_iso_dims_are_partitions():
     d = even_iso()
-    lam = d.fundamental_weight(0)
-    for n in range(7):
-        assert irreducible_dim(d, lam, lam - n * d.alpha(0)) == count_partitions(n)
+    dims = irreducible_dims(d, d.fundamental_weight(0), 6)
+    assert values(dims) == [count_partitions(n) for n in range(7)]
 
 
 def test_odd_iso_dims():
     d = odd_iso()
-    zero = d.zero_weight()
-    for n in range(1, 7):
-        assert irreducible_dim(d, zero, zero - n * d.alpha(0)) == 0
-    lam = d.fundamental_weight(0)
-    for n in range(7):
-        assert irreducible_dim(d, lam, lam - n * d.alpha(0)) == count_distinct_partitions(n)
+    assert values(irreducible_dims(d, d.zero_weight(), 6)) == [1] + [0] * 6
+    dims = irreducible_dims(d, d.fundamental_weight(0), 6)
+    assert values(dims) == [count_distinct_partitions(n) for n in range(7)]
 
 
 def test_irreducible_dims_deep_windows():
     # deep enough that the all-word Gram matrices would hold thousands of words
     d = even_iso()
     lam = d.fundamental_weight(0)
-    assert irreducible_dims(d, lam, 12, WIDE) == [count_partitions(n) for n in range(13)]
+    assert values(irreducible_dims(d, lam, 12, WIDE)) == [count_partitions(n) for n in range(13)]
     o = odd_iso()
     lam = o.fundamental_weight(0)
-    assert irreducible_dims(o, lam, 12, WIDE) == [
+    assert values(irreducible_dims(o, lam, 12, WIDE)) == [
         count_distinct_partitions(n) for n in range(13)
     ]
 
 
 def test_irreducible_dims_agree_with_single_cells():
+    # each cell against the rank of its own all-word Gram matrix
     d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     lam = d.fundamental_weight(0) + d.fundamental_weight(1)
-    window = weight_window(d.rank, 4)
-    assert irreducible_dims(d, lam, 4) == [
-        irreducible_dim(d, lam, lam - d.weight_from_roots(beta)) for beta in window
-    ]
+    assert irreducible_dims(d, lam, 4) == {
+        beta: rank_gauss(gram_matrix(d, lam, beta).gram) for beta in weight_window(d.rank, 4)
+    }
 
 
 def test_irreducible_dims_match_formula_rank3_deep():
@@ -281,9 +279,7 @@ def test_irreducible_dims_match_formula_rank3_deep():
     window = weight_window(d.rank, 7)
     assert len(window) == 120
     character = irreducible_character(d, lam, 7).series
-    assert irreducible_dims(d, lam, 7, OracleCaps(7)) == [
-        character.coefficient(beta) for beta in window
-    ]
+    assert irreducible_dims(d, lam, 7, 7) == {beta: character.coefficient(beta) for beta in window}
 
 
 def test_irreducible_dims_caps():
@@ -292,26 +288,22 @@ def test_irreducible_dims_caps():
     with pytest.raises(Unreachable):
         irreducible_dims(d, lam, 7)
     with pytest.raises(Unreachable):
-        irreducible_dims(d, lam, 7, OracleCaps(6))
-    assert irreducible_dims(d, lam, 7, WIDE) == [1, 1] + [0] * 6
+        irreducible_dims(d, lam, 7, 6)
+    assert values(irreducible_dims(d, lam, 7, WIDE)) == [1, 1] + [0] * 6
 
 
 def test_generic_dims_free_case():
     d = free_imag()
-    assert [generic_dim(d, (n,)) for n in range(6)] == [1, 1, 2, 4, 8, 16]
-    assert generic_dims(d, 9, WIDE) == [1] + [2 ** (n - 1) for n in range(1, 10)]
+    assert values(generic_dims(d, 5)) == [1, 1, 2, 4, 8, 16]
+    assert values(generic_dims(d, 9, WIDE)) == [1] + [2 ** (n - 1) for n in range(1, 10)]
 
 
 def test_generic_dims_caps():
     d = free_imag()
     with pytest.raises(Unreachable):
-        generic_dims(d, 7, OracleCaps())
+        generic_dims(d, 7)
     with pytest.raises(Unreachable):
-        generic_dims(d, 7, OracleCaps(6))
-    with pytest.raises(Unreachable):
-        generic_dim(d, (7,), OracleCaps())
-    with pytest.raises(ValueError):
-        generic_dim(d, (-1,))
+        generic_dims(d, 7, 6)
 
 
 def test_generic_matches_pbw_series():
@@ -325,8 +317,8 @@ def test_generic_matches_pbw_series():
         d = validate_datum(a, dd, odd=odd)
         table = solve_multiplicities(d, 4)
         verma = denominator_R(d, table, 4).invert()
-        for beta in weight_window(d.rank, 4):
-            assert generic_dim(d, beta) == verma.coefficient(beta), (a, odd, beta)
+        for beta, dim in generic_dims(d, 4).items():
+            assert dim == verma.coefficient(beta), (a, odd, beta)
 
 
 # ---- relation vectors in the kernel ----
@@ -428,3 +420,7 @@ def test_weight_window_order():
         (2, 0),
     ]
     assert weight_window(1, 3) == [(0,), (1,), (2,), (3,)]
+    for rank in (3, 4):
+        for bound in range(6):
+            cone = (b for b in product(range(bound + 1), repeat=rank) if sum(b) <= bound)
+            assert weight_window(rank, bound) == sorted(cone, key=graded_key)

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from bbsuper.datum import depth_below, height, unit_root, validate_datum
+from bbsuper.datum import height, unit_root, validate_datum
 from bbsuper.errors import NotDominant
 from bbsuper.weyl import act_on_root, orbit_frontier
+
+from reference import depth_below
 
 
 def test_sl2_orbit_of_shifted_weight():
