@@ -24,10 +24,8 @@ _EXPORTS = {
     ),
     "datum": (
         "OddCartanDatum",
-        "RootVector",
         "Weight",
         "datum_from_json",
-        "datum_to_json",
         "height",
         "validate_datum",
         "weight_from_json",
@@ -36,7 +34,6 @@ _EXPORTS = {
     "errors": (
         "BBSuperError",
         "BadDiagonal",
-        "BadGeneratorIndex",
         "HeightMismatch",
         "ImaginaryIndexReflection",
         "IncompleteRootTable",
@@ -50,7 +47,7 @@ _EXPORTS = {
         "Unreachable",
     ),
     "roots": ("RootEntry", "RootTable", "roots_to_json", "solve_multiplicities"),
-    "series": ("CharSeries", "denominator_R", "series_from_json", "series_to_json"),
+    "series": ("CharSeries", "denominator_R", "series_to_json"),
     "verma_oracle": (
         "caps_from_env",
         "generic_dims",

@@ -3,11 +3,13 @@
 The matrix side is an integer matrix A whose diagonal entries are 2 (real
 indices) or nonpositive even integers (imaginary indices), with nonpositive
 off-diagonal entries and a positive integer symmetrizer D.  A subset of
-indices is marked odd; an odd real index must have an even row.  Weights
-live in the span of the fundamental weights plus one formal complement
-symbol per index, realising the simple roots as
-alpha_j = sum_i a_ij Lambda_i + delta_j, so a reflection never touches the
-Lambda or delta coordinates and defects can be read off the root part.
+indices is marked odd; an odd real index must have an even row.
+
+A weight is a plain input and output record in three coordinate blocks:
+over the fundamental weights Lambda_i, over one formal complement symbol
+delta_i per index, and over the simple roots, kept unexpanded.  The
+engines read a weight only through its pairings <h_i, lam>; reflections
+act on integer root coordinates.
 
 Indices count from zero everywhere in this module; the JSON forms count
 from one.
@@ -15,6 +17,7 @@ from one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isinf
 
 from .errors import (
     BadDiagonal,
@@ -23,13 +26,6 @@ from .errors import (
     OddReParity,
     PositiveOffDiagonal,
 )
-
-# Nonnegative integer coordinates over the simple roots.  Kept as plain
-# tuples so they can key dictionaries and feed series exponents directly.
-RootVector = tuple
-
-_ZERO = Fraction(0)
-
 
 def height(beta) -> int:
     """Total of the simple-root coordinates."""
@@ -41,7 +37,7 @@ def graded_key(beta) -> tuple:
     return (sum(beta), beta)
 
 
-def unit_root(n: int, i: int) -> RootVector:
+def unit_root(n: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
@@ -101,7 +97,8 @@ class Weight(_Value):
     fundamental_part and aux_part are coordinates over the Lambda_i and the
     complement symbols delta_i; root_part holds coordinates over the simple
     roots without expanding them.  Two weights are equal only when all
-    three blocks agree, which is what keeps orbit defects recoverable.
+    three blocks agree.  A plain record with no arithmetic: the engines
+    read it through OddCartanDatum.pair.
     """
 
     __slots__ = ("fundamental_part", "aux_part", "root_part")
@@ -115,39 +112,6 @@ class Weight(_Value):
         object.__setattr__(self, "fundamental_part", fundamental_part)
         object.__setattr__(self, "aux_part", aux_part)
         object.__setattr__(self, "root_part", root_part)
-
-    @property
-    def rank(self) -> int:
-        return len(self.fundamental_part)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(a + b for a, b in zip(self.fundamental_part, other.fundamental_part)),
-            tuple(a + b for a, b in zip(self.aux_part, other.aux_part)),
-            tuple(a + b for a, b in zip(self.root_part, other.root_part)),
-        )
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(a - b for a, b in zip(self.fundamental_part, other.fundamental_part)),
-            tuple(a - b for a, b in zip(self.aux_part, other.aux_part)),
-            tuple(a - b for a, b in zip(self.root_part, other.root_part)),
-        )
-
-    def __neg__(self) -> "Weight":
-        zero = (_ZERO,) * self.rank
-        return Weight(zero, zero, zero) - self
-
-    def __mul__(self, scalar) -> "Weight":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return Weight(
-            tuple(scalar * a for a in self.fundamental_part),
-            tuple(scalar * a for a in self.aux_part),
-            tuple(scalar * a for a in self.root_part),
-        )
-
-    __rmul__ = __mul__
 
 
 class OddCartanDatum(_Value):
@@ -243,20 +207,6 @@ class OddCartanDatum(_Value):
         zero = (0,) * self.rank
         return Weight(unit_root(self.rank, i), zero, zero)
 
-    def alpha(self, i: int) -> Weight:
-        """The simple root alpha_i, stored on the root coordinates."""
-        zero = (0,) * self.rank
-        return Weight(zero, zero, unit_root(self.rank, i))
-
-    def weight_from_roots(self, beta) -> Weight:
-        zero = (0,) * self.rank
-        return Weight(zero, zero, tuple(beta))
-
-    def rho(self) -> Weight:
-        """The canonical Weyl vector, a_ii / 2 on each fundamental weight."""
-        zero = (0,) * self.rank
-        return Weight(tuple(Fraction(self.a[i][i], 2) for i in range(self.rank)), zero, zero)
-
     # ---- pairings ----
 
     def pair(self, i: int, w: Weight) -> Fraction:
@@ -270,10 +220,6 @@ class OddCartanDatum(_Value):
         """Evaluate h_i on a root-lattice vector."""
         return sum(self.a[i][j] * beta[j] for j in range(self.rank))
 
-    def bilinear(self, beta, w: Weight) -> Fraction:
-        """Symmetric form of a root-lattice vector against a weight."""
-        return sum((beta[i] * self.d[i] * self.pair(i, w) for i in range(self.rank)), _ZERO)
-
     def root_bilinear(self, beta, gamma) -> int:
         """Symmetric form between two root-lattice vectors."""
         acc = 0
@@ -283,15 +229,6 @@ class OddCartanDatum(_Value):
         return acc
 
     # ---- reflections and dominance ----
-
-    def reflect(self, i: int, w: Weight) -> Weight:
-        """Simple reflection at a real index."""
-        if not self.is_real(i):
-            raise ImaginaryIndexReflection(f"index {i} is imaginary")
-        c = self.pair(i, w)
-        root = list(w.root_part)
-        root[i] -= c
-        return Weight(w.fundamental_part, w.aux_part, tuple(root))
 
     def reflect_root(self, i: int, beta) -> tuple:
         """Simple reflection on root-lattice coordinates."""
@@ -325,14 +262,6 @@ def validate_datum(a, d, odd=()) -> OddCartanDatum:
 # ---- JSON forms, indices one-based ----
 
 
-def datum_to_json(datum: OddCartanDatum) -> dict:
-    return {
-        "A": [list(row) for row in datum.a],
-        "D": list(datum.d),
-        "odd": sorted(i + 1 for i in datum.odd),
-    }
-
-
 def datum_from_json(obj) -> OddCartanDatum:
     if not isinstance(obj, dict) or "A" not in obj:
         raise ValueError("datum JSON needs at least the matrix under 'A'")
@@ -353,6 +282,21 @@ def weight_to_json(w: Weight) -> dict:
         "delta": block(w.aux_part),
         "alpha": block(w.root_part),
     }
+
+
+def _rational(x, where) -> Fraction:
+    """A weight entry as a Fraction.  A float is read through its decimal
+    string, so 0.1 is 1/10; a bool, NaN or an infinite value is refused."""
+    if isinstance(x, bool) or x != x:
+        raise ValueError(f"non-numeric value {x!r} {where}")
+    if isinstance(x, float):
+        if isinf(x):
+            raise ValueError(f"infinite value {where}")
+        x = repr(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator {where}") from None
 
 
 def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
@@ -376,16 +320,7 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
                 ) from None
             if i not in range(n):
                 raise ValueError(f"index {key} out of range in weight block {name!r}")
-            try:
-                out[i] = Fraction(value)
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"zero denominator at index {key} in weight block {name!r}"
-                ) from None
-            except OverflowError:
-                raise ValueError(
-                    f"infinite value at index {key} in weight block {name!r}"
-                ) from None
+            out[i] = _rational(value, f"at index {key} in weight block {name!r}")
         return tuple(out)
 
     return Weight(block("Lambda"), block("delta"), block("alpha"))

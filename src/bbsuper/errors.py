@@ -49,9 +49,5 @@ class NonIntegralMultiplicity(BBSuperError):
     """The multiplicity recursion produced a value that is not an integer."""
 
 
-class BadGeneratorIndex(BBSuperError):
-    """Generator label (i, l) lies outside the admissible index set."""
-
-
 class Unreachable(BBSuperError):
     """An oracle cell lies deeper than the configured height cap."""

@@ -4,7 +4,7 @@ One elimination routine: `row_basis` eliminates sparse rows, mappings
 from column to a Fraction (or int) entry, keeps the first linearly
 independent rows and expresses every row in them, which is what the
 weight-space propagation of the oracle needs, for a numeric and for a
-generic highest weight alike.  `rank_gauss` is its length on dense rows.
+generic highest weight alike; the number of rows it keeps is the rank.
 No floating point enters.
 """
 from __future__ import annotations
@@ -58,9 +58,3 @@ def row_basis(rows):
         coords.append({len(pivot_rows): 1})
         pivot_rows.append(row)
     return pivot_rows, coords
-
-
-def rank_gauss(rows):
-    """Rank over the rationals of dense rows (sequences of entries): the
-    number of pivot rows of row_basis."""
-    return len(row_basis([dict(enumerate(r)) for r in rows])[0])

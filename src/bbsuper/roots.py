@@ -40,25 +40,8 @@ class RootTable:
         self.height_bound = height_bound
         self.entries = dict(entries)
 
-    def multiplicity(self, beta) -> int:
-        entry = self.entries.get(tuple(beta))
-        return entry.mult if entry else 0
-
     def items_sorted(self):
         return sorted(self.entries.items(), key=lambda kv: graded_key(kv[0]))
-
-    def truncate(self, height_bound) -> "RootTable":
-        kept = {b: e for b, e in self.entries.items() if sum(b) <= height_bound}
-        return RootTable(self.rank, min(self.height_bound, height_bound), kept)
-
-    def __eq__(self, other):
-        if not isinstance(other, RootTable):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.height_bound == other.height_bound
-            and self.entries == other.entries
-        )
 
     def __repr__(self):
         return f"RootTable(H={self.height_bound}, {len(self.entries)} roots)"

@@ -52,14 +52,6 @@ class CharSeries:
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda item: graded_key(item[0]))
 
-    def truncate(self, height_bound) -> "CharSeries":
-        if height_bound > self.height_bound:
-            raise HeightMismatch(
-                f"cannot widen a series truncated at {self.height_bound} to {height_bound}"
-            )
-        kept = {e: c for e, c in self.terms.items() if sum(e) <= height_bound}
-        return CharSeries(height_bound, self.rank, kept)
-
     def _check_compatible(self, other):
         if self.height_bound != other.height_bound:
             raise HeightMismatch(f"{self.height_bound} vs {other.height_bound}")
@@ -75,21 +67,11 @@ class CharSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.height_bound, self.rank, tuple(self.items_sorted())))
-
     def __repr__(self):
         parts = [f"{c}*q^{e}" for e, c in self.items_sorted()[:6]]
         if len(self.terms) > 6:
             parts.append("...")
         return f"CharSeries(H={self.height_bound}, {' + '.join(parts) or '0'})"
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return CharSeries(self.height_bound, self.rank, merged)
 
     def __sub__(self, other):
         self._check_compatible(other)
@@ -130,10 +112,6 @@ class CharSeries:
                 rest[e] -= c
             q[h] = {e: -c0 * v for e, v in rest.items() if v}
         return _unpack_layers(q, self.height_bound, self.rank)
-
-    def invert(self) -> "CharSeries":
-        """Inverse as a truncated series; constant term must be 1 or -1."""
-        return CharSeries.one(self.height_bound, self.rank).divide(self)
 
 
 def _pack(exp, base) -> int:
@@ -242,18 +220,3 @@ def series_to_json(series: CharSeries) -> dict:
             {"exp": list(e), "coef": str(c)} for e, c in series.items_sorted()
         ],
     }
-
-
-def series_from_json(obj, datum=None) -> CharSeries:
-    """Read a series; the rank comes from the datum when given, else from
-    the first exponent."""
-    rank = datum.rank if datum is not None else None
-    terms = {}
-    for row in obj["terms"]:
-        exp = tuple(int(x) for x in row["exp"])
-        if rank is None:
-            rank = len(exp)
-        terms[exp] = int(row["coef"])
-    if rank is None:
-        raise ValueError("cannot infer the rank of an empty series without a datum")
-    return CharSeries(int(obj["height_bound"]), rank, terms)

@@ -15,6 +15,9 @@ compiles only what its subcommands use.
 - casimir_shift, depth_below, is_primitive_candidate and
   s_lambda_series, the ingredients of the character formula taken one at
   a time.
+- rank_gauss, the rank of dense rows such as a Gram matrix.
+- weight_difference, rho and reflect: weight arithmetic that the package
+  leaves out, since its engines read a weight only through its pairings.
 """
 from __future__ import annotations
 
@@ -25,9 +28,14 @@ from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices
 from bbsuper.datum import OddCartanDatum, Weight, height, unit_root
-from bbsuper.errors import BadGeneratorIndex
+from bbsuper.exactlinalg import row_basis
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT, _check_height
+
+
+class BadGeneratorIndex(ValueError):
+    """A generator label (i, l) outside the admissible index set."""
+
 
 # ---- words and Gram matrices (verma_oracle) ----
 
@@ -354,10 +362,41 @@ def casimir_shift(datum, i: int, l: int) -> int:
     return (l * l - l) * datum.d[i] * datum.a[i][i]
 
 
+def rank_gauss(rows) -> int:
+    """Rank over the rationals of dense rows (sequences of entries): the
+    number of rows that row_basis keeps."""
+    return len(row_basis([dict(enumerate(r)) for r in rows])[0])
+
+
+# ---- weight arithmetic (datum) ----
+
+
+def weight_difference(lam: Weight, mu: Weight) -> Weight:
+    """lam - mu, block by block."""
+    blocks = zip(
+        (lam.fundamental_part, lam.aux_part, lam.root_part),
+        (mu.fundamental_part, mu.aux_part, mu.root_part),
+    )
+    return Weight(*(tuple(a - b for a, b in zip(x, y)) for x, y in blocks))
+
+
+def rho(datum) -> Weight:
+    """The canonical Weyl vector, a_ii / 2 on each fundamental weight."""
+    zero = (0,) * datum.rank
+    return Weight(tuple(Fraction(datum.a[i][i], 2) for i in range(datum.rank)), zero, zero)
+
+
+def reflect(datum, i: int, w: Weight) -> Weight:
+    """The simple reflection at a real index i: w - <h_i, w> alpha_i."""
+    root = list(w.root_part)
+    root[i] -= datum.pair(i, w)
+    return Weight(w.fundamental_part, w.aux_part, tuple(root))
+
+
 def depth_below(lam: Weight, mu: Weight) -> tuple | None:
     """The root vector beta with mu = lam - beta, or None when lam - mu is
     not a nonnegative integer combination of simple roots."""
-    diff = lam - mu
+    diff = weight_difference(lam, mu)
     if any(diff.fundamental_part) or any(diff.aux_part):
         return None
     if any(c.denominator != 1 or c < 0 for c in diff.root_part):

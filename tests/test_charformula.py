@@ -9,10 +9,9 @@ from bbsuper.charformula import (
     numerator_series,
     odd_iso_coeffs,
 )
-from bbsuper.datum import validate_datum
-from bbsuper.errors import BadGeneratorIndex
+from bbsuper.datum import Weight, validate_datum
 
-from reference import casimir_shift, is_primitive_candidate, s_lambda_series
+from reference import BadGeneratorIndex, casimir_shift, is_primitive_candidate, s_lambda_series
 
 
 # ---- independent oracles ----
@@ -142,7 +141,7 @@ def test_s_lambda_series_odd_isotropic():
 def test_numerator_sl2():
     d = validate_datum([[2]], [1])
     assert numerator_series(d, d.zero_weight(), 6).terms == {(0,): 1, (1,): -1}
-    lam = d.fundamental_weight(0) + d.fundamental_weight(0)
+    lam = Weight((2,), (0,), (0,))
     assert numerator_series(d, lam, 6).terms == {(0,): 1, (3,): -1}
 
 
@@ -178,9 +177,7 @@ def test_numerator_mixed_rank2():
 def test_character_sl2_family():
     d = validate_datum([[2]], [1])
     for m in range(4):
-        lam = d.zero_weight()
-        for _ in range(m):
-            lam = lam + d.fundamental_weight(0)
+        lam = Weight((m,), (0,), (0,))
         result = irreducible_character(d, lam, 8)
         dims = [result.series.coefficient((k,)) for k in range(9)]
         assert dims == [1 if k <= m else 0 for k in range(9)]
@@ -190,7 +187,7 @@ def test_character_sl2_family():
 
 def test_character_a2_adjoint():
     d = validate_datum([[2, -1], [-1, 2]], [1, 1])
-    lam = d.fundamental_weight(0) + d.fundamental_weight(1)
+    lam = Weight((1, 1), (0, 0), (0, 0))
     result = irreducible_character(d, lam, 4)
     expected = {
         (0, 0): 1,
@@ -225,9 +222,8 @@ MIXED3 = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 0]], [2], (0,))
 def test_character_diagnostics_pinned(case, height_bound, expected):
     a, odd, levels = case
     d = validate_datum(a, [1] * len(a), odd=odd)
-    lam = d.zero_weight()
-    for i in levels:
-        lam = lam + d.fundamental_weight(i)
+    zero = (0,) * d.rank
+    lam = Weight(tuple(int(i in levels) for i in range(d.rank)), zero, zero)
     result = irreducible_character(d, lam, height_bound)
     assert (result.orbit_size, result.support_terms, result.residual_terms) == expected
 
@@ -258,12 +254,16 @@ def test_casimir_shift_guards():
 def test_primitive_candidate():
     d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     lam = d.fundamental_weight(0)
+
+    def at(root):  # lam + root_0 alpha_0 + root_1 alpha_1
+        return Weight(lam.fundamental_part, lam.aux_part, root)
+
     assert is_primitive_candidate(d, lam, lam)
-    assert is_primitive_candidate(d, lam, lam - d.alpha(1))
-    assert is_primitive_candidate(d, lam, lam - d.alpha(1) - d.alpha(1))
-    assert not is_primitive_candidate(d, lam, lam - d.alpha(0))
-    assert not is_primitive_candidate(d, lam, lam - d.alpha(0) - d.alpha(1))
-    assert not is_primitive_candidate(d, lam, lam + d.alpha(1))
+    assert is_primitive_candidate(d, lam, at((0, -1)))
+    assert is_primitive_candidate(d, lam, at((0, -2)))
+    assert not is_primitive_candidate(d, lam, at((-1, 0)))
+    assert not is_primitive_candidate(d, lam, at((-1, -1)))
+    assert not is_primitive_candidate(d, lam, at((0, 1)))
     # an eligible index stops being one when lam moves
     mu = d.fundamental_weight(1)
-    assert not is_primitive_candidate(d, mu, mu - d.alpha(1))
+    assert not is_primitive_candidate(d, mu, Weight(mu.fundamental_part, mu.aux_part, (0, -1)))

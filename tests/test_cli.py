@@ -6,12 +6,11 @@ import pytest
 
 from bbsuper.charformula import irreducible_character
 from bbsuper.cli import main
-from bbsuper.datum import validate_datum, weight_to_json
-from bbsuper.exactlinalg import rank_gauss
+from bbsuper.datum import Weight, validate_datum, weight_to_json
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
 
-from reference import gram_matrix
+from reference import gram_matrix, rank_gauss
 
 
 def write_json(path, doc):
@@ -22,10 +21,7 @@ def write_json(path, doc):
 @pytest.fixture
 def sl2_files(tmp_path):
     datum = write_json(tmp_path / "datum.json", {"A": [[2]], "D": [1]})
-    d = validate_datum([[2]], [1])
-    lam = write_json(
-        tmp_path / "lam.json", weight_to_json(2 * d.fundamental_weight(0))
-    )
+    lam = write_json(tmp_path / "lam.json", weight_to_json(Weight((2,), (0,), (0,))))
     return datum, lam
 
 
@@ -127,11 +123,11 @@ def test_residual_sees_a_wrong_quotient(capsys, sl2_files, monkeypatch):
 
     def off_by_one_term(self, other):
         q = divide(self, other)
-        return q + CharSeries(q.height_bound, q.rank, {(q.height_bound,) + (0,) * (q.rank - 1): 1})
+        return q - CharSeries(q.height_bound, q.rank, {(q.height_bound,) + (0,) * (q.rank - 1): 1})
 
     monkeypatch.setattr(CharSeries, "divide", off_by_one_term)
     d = validate_datum([[2]], [1])
-    assert irreducible_character(d, 2 * d.fundamental_weight(0), 4).residual_terms > 0
+    assert irreducible_character(d, Weight((2,), (0,), (0,)), 4).residual_terms > 0
     datum, lam = sl2_files
     code, out, _ = run(
         capsys, ["char", "--datum", datum, "--lambda", lam, "--height", "4"]
@@ -249,7 +245,7 @@ def test_oracle_cap_env_nonpositive(capsys, sl2_files, monkeypatch, cap):
 def test_cap_is_read_only_by_the_cli(capsys, sl2_files, monkeypatch):
     monkeypatch.setenv("BBSUPER_CAP", "1")
     d = validate_datum([[2]], [1])
-    lam = 2 * d.fundamental_weight(0)
+    lam = Weight((2,), (0,), (0,))
     assert irreducible_dims(d, lam, 3) == {(0,): 1, (1,): 1, (2,): 1, (3,): 0}
     datum, lam_path = sl2_files
     code, out, err = run(
@@ -261,13 +257,18 @@ def test_cap_is_read_only_by_the_cli(capsys, sl2_files, monkeypatch):
 
 def test_only_the_formula_side_needs_dominance(tmp_path, capsys):
     d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
-    lambda1, lambda2 = d.fundamental_weight(0), d.fundamental_weight(1)
-    for lam in (-lambda1, Fraction(-1, 2) * lambda2, Fraction(1, 2) * lambda1 - 3 * lambda2):
+    zero = (0, 0)
+    minus_lambda1 = Weight((-1, 0), zero, zero)
+    for lam in (
+        minus_lambda1,
+        Weight((0, Fraction(-1, 2)), zero, zero),
+        Weight((Fraction(1, 2), -3), zero, zero),
+    ):
         dims = irreducible_dims(d, lam, 4)
         assert len(dims) == 15
         assert dims == {beta: rank_gauss(gram_matrix(d, lam, beta).gram) for beta in dims}
     datum = write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
-    lam = write_json(tmp_path / "lam.json", weight_to_json(-lambda1))
+    lam = write_json(tmp_path / "lam.json", weight_to_json(minus_lambda1))
     for command, expected in (("oracle", 0), ("char", 1), ("compare", 1)):
         argv = [command, "--datum", datum, "--lambda", lam, "--height", "4"]
         assert run(capsys, argv)[0] == expected, command
@@ -447,6 +448,36 @@ def test_weight_infinite_value_rejected(tmp_path, capsys, sl2_files, command, va
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "infinite value at index 1" in err
+
+
+@pytest.mark.parametrize("value", ["true", "false", "NaN"])
+@pytest.mark.parametrize("command", ["char", "oracle", "compare"])
+def test_weight_non_numeric_value_rejected(tmp_path, capsys, sl2_files, command, value):
+    # Fraction would read true as 1 and false as 0, and fails on NaN
+    # without naming the entry
+    datum, _ = sl2_files
+    lam = tmp_path / "bad.json"
+    lam.write_text('{"Lambda": {"1": %s}}' % value)
+    code, out, err = run(
+        capsys, [command, "--datum", datum, "--lambda", str(lam), "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at index 1 in weight block 'Lambda'" in err
+
+
+def test_weight_float_reads_as_its_decimal(tmp_path, capsys):
+    # an imaginary index takes any nonnegative pairing, and char echoes the
+    # weight it read as the base of the character
+    datum = write_json(tmp_path / "iso.json", {"A": [[0]]})
+    lam = tmp_path / "lam.json"
+    for value, read in (("0.1", "1/10"), ("1e-07", "1/10000000"), ("2.0", "2")):
+        lam.write_text('{"Lambda": {"1": %s}}' % value)
+        code, out, _ = run(
+            capsys, ["char", "--datum", datum, "--lambda", str(lam), "--height", "2"]
+        )
+        assert code == 0
+        assert json.loads(out)["character"]["base"]["Lambda"] == {"1": read}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from bbsuper.exactlinalg import rank_gauss, row_basis
+from bbsuper.exactlinalg import row_basis
+
+from reference import rank_gauss
 
 
 def brute_rank(rows):

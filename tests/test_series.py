@@ -1,16 +1,11 @@
-"""Series kernel: exact truncated products, inverses and factors."""
+"""Series kernel: exact truncated products, quotients and factors."""
 import random
 
 import pytest
 
 from bbsuper.datum import validate_datum
 from bbsuper.errors import HeightMismatch, IncompleteRootTable, NonUnitConstantTerm
-from bbsuper.series import (
-    CharSeries,
-    denominator_R,
-    series_from_json,
-    series_to_json,
-)
+from bbsuper.series import CharSeries, denominator_R, series_to_json
 
 from reference import binomial_factor, series_product
 
@@ -55,12 +50,12 @@ def test_mul_commutes_and_distributes():
         b = random_series(rng, 4, 2, 5)
         c = random_series(rng, 4, 2, 5)
         assert a.mul(b) == b.mul(a)
-        assert a.mul(b + c) == a.mul(b) + a.mul(c)
+        assert a.mul(b - c) == a.mul(b) - a.mul(c)
 
 
 def test_invert_geometric():
     s = CharSeries(8, 1, {(0,): 1, (1,): -1})
-    inv = s.invert()
+    inv = CharSeries.one(8, 1).divide(s)
     assert all(inv.coefficient((k,)) == 1 for k in range(9))
 
 
@@ -69,7 +64,7 @@ def test_invert_round_trip():
     one = CharSeries.one(5, 2)
     for _ in range(25):
         a = random_series(rng, 5, 2, 5, unit=True)
-        assert a.mul(a.invert()) == one
+        assert a.mul(one.divide(a)) == one
         b = random_series(rng, 5, 2, 5, unit=True)
         assert a.divide(b).mul(b) == a
         assert a.mul(b).divide(b) == a
@@ -80,10 +75,11 @@ def test_invert_round_trip():
 
 
 def test_invert_requires_unit():
+    one = CharSeries.one(3, 1)
     with pytest.raises(NonUnitConstantTerm):
-        CharSeries(3, 1, {(1,): 1}).invert()
+        one.divide(CharSeries(3, 1, {(1,): 1}))
     with pytest.raises(NonUnitConstantTerm):
-        CharSeries(3, 1, {(0,): 2}).invert()
+        one.divide(CharSeries(3, 1, {(0,): 2}))
 
 
 def test_height_and_rank_guards():
@@ -92,18 +88,15 @@ def test_height_and_rank_guards():
     with pytest.raises(HeightMismatch):
         a.mul(b)
     with pytest.raises(HeightMismatch):
-        a + b
+        a - b
     with pytest.raises(ValueError):
         a.mul(CharSeries.one(3, 2))
     with pytest.raises(ValueError):
         CharSeries(3, 1, {(-1,): 1})
-    with pytest.raises(HeightMismatch):
-        a.truncate(5)
 
 
 def test_truncate_drops_high_terms():
-    s = CharSeries(6, 1, {(k,): k + 1 for k in range(7)})
-    t = s.truncate(3)
+    t = CharSeries(3, 1, {(k,): k + 1 for k in range(7)})
     assert t.height_bound == 3
     assert t.terms == {(0,): 1, (1,): 2, (2,): 3, (3,): 4}
 
@@ -118,7 +111,7 @@ def test_binomial_factor_negative_power_matches_inverse():
     square = plus.mul(plus)
     direct = binomial_factor((1,), 2, 1, -1, 7, 1)
     assert square.mul(direct) == CharSeries.one(7, 1)
-    assert direct == square.invert()
+    assert direct == CharSeries.one(7, 1).divide(square)
 
 
 def test_binomial_factor_vector_exponent():
@@ -134,7 +127,7 @@ def test_partition_counts_from_euler_product():
     prod = CharSeries.one(bound, 1)
     for l in range(1, bound + 1):
         prod = prod.mul(binomial_factor((l,), 1, -1, 1, bound, 1))
-    inv = prod.invert()
+    inv = CharSeries.one(bound, 1).divide(prod)
     for n in range(bound + 1):
         assert inv.coefficient((n,)) == count_partitions(n)
 
@@ -162,7 +155,7 @@ def test_denominator_even_single_root():
     table = _Table(6, {(1,): _Entry(1, 0)})
     r = denominator_R(d, table, 6)
     assert r.terms == {(0,): 1, (1,): -1}
-    ch = denominator_R(d, table, 6).invert()
+    ch = CharSeries.one(6, 1).divide(r)
     assert all(ch.coefficient((k,)) == 1 for k in range(7))
 
 
@@ -182,7 +175,6 @@ def test_denominator_needs_full_table():
 
 
 def test_series_json_round_trip():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     s = CharSeries(4, 2, {(0, 0): 1, (1, 2): -3, (2, 0): 5})
     blob = series_to_json(s)
     assert blob["terms"] == [
@@ -190,6 +182,5 @@ def test_series_json_round_trip():
         {"exp": [2, 0], "coef": "5"},
         {"exp": [1, 2], "coef": "-3"},
     ]
-    assert series_from_json(blob, d) == s
-    bare = CharSeries(3, 1, {(2,): 7})
-    assert series_from_json(series_to_json(bare)) == bare
+    terms = {tuple(t["exp"]): int(t["coef"]) for t in blob["terms"]}
+    assert CharSeries(blob["height_bound"], 2, terms) == s

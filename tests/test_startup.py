@@ -1,12 +1,15 @@
-"""Import footprint of the CLI: each subcommand loads only its engine.
+"""Import footprint of the CLI: each subcommand loads only its engine,
+and the package defines nothing that it does not use itself.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
 """
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,45 @@ def test_public_names_resolve():
     assert CharSeries is bbsuper.series.CharSeries
     assert irreducible_dims is bbsuper.verma_oracle.irreducible_dims
     assert Weight is bbsuper.datum.Weight
+
+
+# Names a caller outside the package uses by design: the console-script
+# entry point, and the fixture constructors the tests build weights and
+# series from.
+USED_FROM_OUTSIDE = {"main", "OddCartanDatum.fundamental_weight", "CharSeries.one"}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            yield name, child
+            yield from _definitions(child, name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _references(node) -> Counter:
+    """Identifiers read under node, as names or as attributes; strings,
+    such as the names in __init__._EXPORTS, do not count."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_is_used_in_the_package():
+    trees = [ast.parse(path.read_text()) for path in Path(bbsuper.__file__).parent.glob("*.py")]
+    total = sum((_references(tree) for tree in trees), Counter())
+    unused = [
+        name
+        for tree in trees
+        for name, node in _definitions(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and name not in USED_FROM_OUTSIDE
+        # a recursive call inside the definition does not count
+        and total[node.name] == _references(node)[node.name]
+    ]
+    assert unused == []
