@@ -5,17 +5,25 @@ one engine entry point and prints a single canonical document, so runs
 are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input, 2 comparison mismatch, 3 resource cap hit.
 
-Each handler imports its engine itself, so a run loads and compiles only
-the modules its subcommand needs: validate stops at the datum, the
+The subcommand comes first; each option is `--opt value` or
+`--opt=value`, in full, and the last one wins.  `-h` or `--help`
+anywhere prints the help text.  A malformed command line exits 1 with
+one `error: ...` line, like any other bad input.
+
+Each call is one short process, so start-up counts: options are read
+from a table (argparse loads gettext and locale too), _render writes the
+JSON (json.dumps with an indent runs the pure-Python encoder), and each
+handler imports its engine itself, so validate stops at the datum, the
 formula side never loads the oracle, and the oracle never loads the
 formula side.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .datum import datum_from_json, weight_from_json
 from .errors import BBSuperError, Unreachable
@@ -68,11 +76,40 @@ def _need_height(args):
     return args.height
 
 
+def _render(obj, indent=""):
+    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts,
+    lists, tuples, str, int, bool and None; TypeError on any other type."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_render(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(doc, fmt, table_rows):
     """Print doc as JSON, or table_rows, (headers, rows), as a table; rows
     may be a generator, and only a table consumes it."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_render(doc))
         return
     headers, rows = table_rows
     widths = [len(h) for h in headers]
@@ -222,42 +259,69 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bbsuper",
-        description="Characters, root multiplicities and Gram-rank checks "
-        "for highest-weight modules over generalized Cartan data.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--datum", help="path to datum JSON")
-        p.add_argument("--lambda", dest="lam", help="path to highest-weight JSON")
-        p.add_argument("--height", type=int, default=None, help="window depth")
-        p.add_argument(
-            "--format", choices=("json", "table"), default="json", help="output style"
-        )
-        p.add_argument(
-            "--symbolic",
-            action="store_true",
-            help="generic-weight mode (oracle only)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="accepted for compatibility; every subcommand runs in one "
-            "process and the value changes nothing",
-        )
-    return parser
+_HELP = """\
+usage: bbsuper SUBCOMMAND [options]
+
+Characters, root multiplicities and Gram-rank checks for highest-weight
+modules over generalized Cartan data.
+
+subcommands: validate, roots, char, denom-check, oracle, compare
+
+options, each as --opt value or --opt=value:
+  --datum PATH           path to datum JSON
+  --lambda PATH          path to highest-weight JSON
+  --height N             window depth
+  --format {json,table}  output style (default json)
+  --symbolic             generic-weight mode (oracle only)
+  --jobs N               accepted for compatibility; every subcommand runs
+                         in one process and the value changes nothing
+  -h, --help             print this text and exit"""
+
+# option -> (attribute, conversion of its value)
+_OPTIONS = {
+    "--datum": ("datum", str),
+    "--lambda": ("lam", str),
+    "--height": ("height", int),
+    "--format": ("format", str),
+    "--jobs": ("jobs", int),
+}
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The subcommand and options of argv; _CliError when it is malformed."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise _CliError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
+    args = SimpleNamespace(subcommand=argv[0], datum=None, lam=None, height=None,
+                           format="json", symbolic=False, jobs=1)
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--symbolic":
+            args.symbolic = True
+            continue
+        option, eq, value = arg.partition("=")
+        if option not in _OPTIONS:
+            raise _CliError(f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise _CliError(f"{option} needs a value")
+        name, convert = _OPTIONS[option]
+        try:
+            setattr(args, name, convert(value))
+        except ValueError:
+            raise _CliError(f"{option} needs an integer, got {value!r}") from None
+    if args.format not in ("json", "table"):
+        raise _CliError(f"--format must be json or table, got {args.format!r}")
+    return args
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_HELP)
+        return EXIT_OK
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
-    try:
+        args = _parse_args(argv)
         if args.jobs < 1:
             raise _CliError(f"--jobs must be positive, got {args.jobs}")
         return _COMMANDS[args.subcommand](args)

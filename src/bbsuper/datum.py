@@ -16,7 +16,6 @@ from one.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isinf
 
 from .errors import (
@@ -42,6 +41,9 @@ def unit_root(n: int, i: int) -> tuple:
 
 
 def _fractions(values) -> tuple:
+    # imported here, so that validate never loads fractions and decimal
+    from fractions import Fraction
+
     return tuple(Fraction(v) for v in values)
 
 
@@ -209,8 +211,8 @@ class OddCartanDatum(_Value):
 
     # ---- pairings ----
 
-    def pair(self, i: int, w: Weight) -> Fraction:
-        """Evaluate the coroot h_i on a weight."""
+    def pair(self, i: int, w: Weight):
+        """Evaluate the coroot h_i on a weight, as a Fraction."""
         acc = w.fundamental_part[i]
         for j in range(self.rank):
             acc += self.a[i][j] * w.root_part[j]
@@ -284,9 +286,11 @@ def weight_to_json(w: Weight) -> dict:
     }
 
 
-def _rational(x, where) -> Fraction:
+def _rational(x, where):
     """A weight entry as a Fraction.  A float is read through its decimal
     string, so 0.1 is 1/10; a bool, NaN or an infinite value is refused."""
+    from fractions import Fraction
+
     if isinstance(x, bool) or x != x:
         raise ValueError(f"non-numeric value {x!r} {where}")
     if isinstance(x, float):
@@ -310,7 +314,7 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
             entries = {}
         elif not isinstance(entries, dict):
             raise ValueError(f"weight block {name!r} must be an object")
-        out = [Fraction(0)] * n
+        out = [0] * n
         for key, value in entries.items():
             try:
                 i = int(key) - 1

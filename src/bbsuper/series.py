@@ -31,7 +31,7 @@ class CharSeries:
         self.rank = rank
         self.terms = {}
         if terms:
-            for exp, coef in terms.items() if isinstance(terms, dict) else terms:
+            for exp, coef in terms.items():
                 if coef and sum(exp) <= height_bound:
                     exp = tuple(exp)
                     if len(exp) != rank:

@@ -3,9 +3,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbsuper.charformula import irreducible_character
-from bbsuper.cli import main
+from bbsuper.cli import _render, main
 from bbsuper.datum import Weight, validate_datum, weight_to_json
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
@@ -498,3 +500,82 @@ def test_argparse_surface(capsys):
     capsys.readouterr()
     assert main(["roots", "--bogus"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate", "--datum", "{datum}"],
+        ["--datum", "{datum}", "validate"],
+        ["validate", "--datum", "{datum}", "--bogus"],
+        ["validate", "--dat", "{datum}"],
+        ["validate", "-d", "{datum}"],
+        ["roots", "--datum", "{datum}", "--height"],
+        ["roots", "--datum", "--height", "3"],
+        ["oracle", "--datum", "{datum}", "--height", "2", "--symbolic=yes"],
+        ["roots", "--datum", "{datum}", "--height", "three"],
+        ["roots", "--datum", "{datum}", "--height=2.5"],
+        ["oracle", "--datum", "{datum}", "--lambda", "{lam}", "--height", "2", "--jobs", "x"],
+        ["roots", "--datum", "{datum}", "--height", "2", "--format", "xml"],
+        ["validate", "--datum", "{datum}", "extra"],
+    ],
+    ids=[
+        "no-subcommand", "unknown-subcommand", "option-first", "unknown-option",
+        "abbreviation", "short-option", "missing-value", "option-as-value",
+        "symbolic-with-value", "height-not-int", "height-not-int-equals", "jobs-not-int",
+        "unknown-format", "stray-positional",
+    ],
+)
+def test_malformed_argv_is_one_line_error(capsys, sl2_files, argv):
+    datum, lam = sl2_files
+    code, out, err = run(capsys, [a.format(datum=datum, lam=lam) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_equals_form_and_last_occurrence(capsys, sl2_files):
+    datum, lam = sl2_files
+    separate = ["char", "--datum", datum, "--lambda", lam, "--height", "3", "--format", "table"]
+    joined = ["char", f"--datum={datum}", f"--lambda={lam}", "--height=3", "--format=table"]
+    assert run(capsys, joined) == run(capsys, separate)
+    assert run(capsys, separate)[0] == 0
+    once = ["oracle", "--datum", datum, "--lambda", lam, "--height", "2"]
+    assert run(capsys, once + ["--height=4", "--height", "2"]) == run(capsys, once)
+    assert run(capsys, once + ["--height=4"]) != run(capsys, once)
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["roots", "-h"], ["char", "--datum", "x.json", "--help"]]
+)
+def test_help_text(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: bbsuper SUBCOMMAND")
+    for word in ("validate", "roots", "char", "denom-check", "oracle", "compare",
+                 "--datum", "--lambda", "--height", "--format", "--symbolic", "--jobs"):
+        assert word in out
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(JSON_DOCS)
+@example([])
+@example({"a": [], "b": {}, "c": [[], [{}], {"d": []}]})
+@example({'quote " backslash \\ controls \x00\x1f\t\n\x7f': "\"\\\x01\u2028"})
+@example(["non-BMP \U0001F600", -(2**70), 2**64 + 1])
+@example(("a", 1, (True, [None, 3])))
+def test_render_equals_json_dumps(doc):
+    assert _render(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, [0.0], {"x": float("nan")}, Fraction(1, 2), {1: "a"}])
+def test_render_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        _render(doc)

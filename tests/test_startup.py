@@ -41,21 +41,27 @@ def files(tmp_path_factory):
     return root, str(datum), str(lam)
 
 
+def package_env():
+    """os.environ with the directory this package came from first on
+    PYTHONPATH."""
+    src = str(Path(bbsuper.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def loaded(files, *argv):
     """Modules a fresh interpreter loads to run one subcommand."""
     root, datum, lam = files
     out = root / "modules.txt"
-    src = str(Path(bbsuper.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     argv = [a.format(datum=datum, lam=lam) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(out), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=package_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     modules = set(out.read_text().split())
-    assert "dataclasses" not in modules
+    # argparse brings gettext and locale with it
+    assert not modules & {"dataclasses", "argparse", "gettext", "locale"}
     return modules
 
 
@@ -64,6 +70,17 @@ def test_validate_loads_no_engine(files):
     assert {m for m in modules if m.startswith("bbsuper")} == {
         "bbsuper", "bbsuper.cli", "bbsuper.datum", "bbsuper.errors",
     }
+    assert not modules & {"fractions", "decimal"}
+
+
+def test_module_entry_point_reads_sys_argv(files):
+    _, datum, _ = files
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbsuper.cli", "validate", "--datum", datum],
+        env=package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["odd"] == [2]
 
 
 @pytest.mark.parametrize(
