@@ -6,9 +6,11 @@ are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input, 2 comparison mismatch, 3 resource cap hit.
 
 The subcommand comes first; each option is `--opt value` or
-`--opt=value`, in full, and the last one wins.  `-h` or `--help`
-anywhere prints the help text.  A malformed command line exits 1 with
-one `error: ...` line, like any other bad input.
+`--opt=value`, in full, and the last one wins.  _COMMANDS says which
+options each subcommand reads; any other option, like any malformed
+command line, exits 1 with one `error: ...` line before a file is read.
+`-h` or `--help` anywhere prints the help text.  main loads the inputs
+and prints what the handler returns.
 
 Each call is one short process, so start-up counts: options are read
 from a table (argparse loads gettext and locale too), _render writes the
@@ -38,42 +40,22 @@ class _CliError(Exception):
     """Input problem that should become exit code 1 with a message."""
 
 
-def _load_json(path):
+def _load(path, parse, *context):
+    """parse(*context, the JSON document at path), or _CliError naming path
+    when the file cannot be read or the document is not valid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror or exc}") from None
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-
-
-def _load_datum(path):
-    if path is None:
-        raise _CliError("--datum is required")
     try:
-        return datum_from_json(_load_json(path))
+        return parse(*context, obj)
     except (BBSuperError, ValueError, KeyError, TypeError) as exc:
         raise _CliError(f"{path}: {exc}") from None
-
-
-def _load_weight(datum, path):
-    if path is None:
-        raise _CliError("--lambda is required for this subcommand")
-    try:
-        return weight_from_json(datum, _load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _CliError(f"{path}: {exc}") from None
-
-
-def _need_height(args):
-    if args.height is None:
-        raise _CliError("--height is required for this subcommand")
-    if args.height < 0:
-        raise _CliError(f"--height must be nonnegative, got {args.height}")
-    return args.height
 
 
 def _render(obj, indent=""):
@@ -105,18 +87,18 @@ def _render(obj, indent=""):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(doc, fmt, table_rows):
-    """Print doc as JSON, or table_rows, (headers, rows), as a table; rows
-    may be a generator, and only a table consumes it."""
+def _emit(doc, fmt, columns, rows):
+    """Print doc as JSON, or as a table of the given columns over rows, the
+    dicts that doc holds: a str cell prints as it is, any other as json.dumps."""
     if fmt == "json":
         print(_render(doc))
         return
-    headers, rows = table_rows
-    widths = [len(h) for h in headers]
-    rendered = [[str(c) for c in row] for row in rows]
+    rendered = [[row[k] if isinstance(row[k], str) else json.dumps(row[k]) for k in columns]
+                for row in rows]
+    widths = [len(h) for h in columns]
     for row in rendered:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+    line = "  ".join(h.ljust(w) for h, w in zip(columns, widths))
     print(line.rstrip())
     print("  ".join("-" * w for w in widths))
     for row in rendered:
@@ -127,8 +109,7 @@ def _one_based(indices):
     return [i + 1 for i in indices]
 
 
-def _cmd_validate(args):
-    datum = _load_datum(args.datum)
+def _cmd_validate(datum, lam, height):
     doc = {
         "valid": True,
         "rank": datum.rank,
@@ -138,49 +119,31 @@ def _cmd_validate(args):
         "isotropic": _one_based(datum.isotropic_indices),
         "odd": _one_based(sorted(datum.odd)),
     }
-    rows = ((k, json.dumps(doc[k])) for k in sorted(doc))
-    _emit(doc, args.format, (("field", "value"), rows))
-    return EXIT_OK
+    return doc, ("field", "value"), [{"field": k, "value": doc[k]} for k in sorted(doc)]
 
 
-def _roots_rows(rows_json):
-    return (
-        ("root", "mult", "parity", "class"),
-        ((json.dumps(r["root"]), r["mult"], r["parity"], r["class"]) for r in rows_json),
-    )
+_ROOT_COLUMNS = ("root", "mult", "parity", "class")
 
 
-def _cmd_roots(args):
+def _cmd_roots(datum, lam, height):
     from .roots import roots_to_json, solve_multiplicities
 
-    datum = _load_datum(args.datum)
-    height = _need_height(args)
-    table = solve_multiplicities(datum, height)
-    doc = roots_to_json(table)
-    _emit(doc, args.format, _roots_rows(doc))
-    return EXIT_OK
+    doc = roots_to_json(solve_multiplicities(datum, height))
+    return doc, _ROOT_COLUMNS, doc
 
 
-def _cmd_char(args):
+def _cmd_char(datum, lam, height):
     from .charformula import character_result_to_json, irreducible_character
 
-    datum = _load_datum(args.datum)
-    lam = _load_weight(datum, args.lam)
-    height = _need_height(args)
-    result = irreducible_character(datum, lam, height)
-    doc = character_result_to_json(result)
-    rows = ((json.dumps(t["exp"]), t["coef"]) for t in doc["character"]["terms"])
-    _emit(doc, args.format, (("exp", "coef"), rows))
-    return EXIT_OK
+    doc = character_result_to_json(irreducible_character(datum, lam, height))
+    return doc, ("exp", "coef"), doc["character"]["terms"]
 
 
-def _cmd_denom_check(args):
+def _cmd_denom_check(datum, lam, height):
     from .charformula import numerator_series
     from .roots import roots_to_json, solve_multiplicities
     from .series import denominator_R
 
-    datum = _load_datum(args.datum)
-    height = _need_height(args)
     table = solve_multiplicities(datum, height)
     residual = denominator_R(datum, table, height) - numerator_series(
         datum, datum.zero_weight(), height
@@ -191,9 +154,7 @@ def _cmd_denom_check(args):
         "ok": not residual.terms,
         "roots": roots_to_json(table),
     }
-    rows = _roots_rows(doc["roots"])
-    _emit(doc, args.format, rows)
-    return EXIT_OK
+    return doc, _ROOT_COLUMNS, doc["roots"]
 
 
 def _oracle_dims(datum, lam, height):
@@ -208,23 +169,15 @@ def _oracle_dims(datum, lam, height):
     return irreducible_dims(datum, lam, height, max_height)
 
 
-def _cmd_oracle(args):
-    datum = _load_datum(args.datum)
-    lam = None if args.symbolic else _load_weight(datum, args.lam)
-    height = _need_height(args)
+def _cmd_oracle(datum, lam, height):
     dims = _oracle_dims(datum, lam, height)
     doc = [{"mu_offset": list(beta), "dim": dim} for beta, dim in dims.items()]
-    rows = ((json.dumps(list(beta)), dim) for beta, dim in dims.items())
-    _emit(doc, args.format, (("mu_offset", "dim"), rows))
-    return EXIT_OK
+    return doc, ("mu_offset", "dim"), doc
 
 
-def _cmd_compare(args):
+def _cmd_compare(datum, lam, height):
     from .charformula import irreducible_character
 
-    datum = _load_datum(args.datum)
-    lam = _load_weight(datum, args.lam)
-    height = _need_height(args)
     # the oracle first: it checks its cap before any work on either side
     dims = _oracle_dims(datum, lam, height)
     result = irreducible_character(datum, lam, height)
@@ -241,21 +194,20 @@ def _cmd_compare(args):
         "matches": not differences,
         "differences": differences,
     }
-    rows = (
-        ("mu_offset", "formula", "oracle"),
-        ((json.dumps(d["mu_offset"]), d["formula"], d["oracle"]) for d in differences),
-    )
-    _emit(doc, args.format, rows)
-    return EXIT_OK if not differences else EXIT_MISMATCH
+    return doc, ("mu_offset", "formula", "oracle"), differences
 
 
+# subcommand -> (handler, the options it reads besides --datum and --format),
+# as README's table of what each subcommand needs says.  A handler takes
+# (datum, weight or None, height or None) and returns (doc, table columns,
+# table rows), the rows being dicts that doc holds.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "roots": _cmd_roots,
-    "char": _cmd_char,
-    "denom-check": _cmd_denom_check,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
+    "validate": (_cmd_validate, ()),
+    "roots": (_cmd_roots, ("--height",)),
+    "char": (_cmd_char, ("--lambda", "--height")),
+    "denom-check": (_cmd_denom_check, ("--height",)),
+    "oracle": (_cmd_oracle, ("--lambda", "--height", "--symbolic", "--jobs")),
+    "compare": (_cmd_compare, ("--lambda", "--height", "--jobs")),
 }
 
 
@@ -267,14 +219,15 @@ modules over generalized Cartan data.
 
 subcommands: validate, roots, char, denom-check, oracle, compare
 
-options, each as --opt value or --opt=value:
-  --datum PATH           path to datum JSON
-  --lambda PATH          path to highest-weight JSON
-  --height N             window depth
-  --format {json,table}  output style (default json)
-  --symbolic             generic-weight mode (oracle only)
-  --jobs N               accepted for compatibility; every subcommand runs
-                         in one process and the value changes nothing
+options, each as --opt value or --opt=value; an option that the
+subcommand does not read is an error:
+  --datum PATH           path to datum JSON (every subcommand)
+  --lambda PATH          path to highest-weight JSON (char, oracle, compare)
+  --height N             window depth (every subcommand but validate)
+  --format {json,table}  output style, default json (every subcommand)
+  --symbolic             generic weight instead of --lambda (oracle)
+  --jobs N               accepted for compatibility by oracle and compare;
+                         each runs in one process and the value changes nothing
   -h, --help             print this text and exit"""
 
 # option -> (attribute, conversion of its value)
@@ -288,19 +241,24 @@ _OPTIONS = {
 
 
 def _parse_args(argv) -> SimpleNamespace:
-    """The subcommand and options of argv; _CliError when it is malformed."""
+    """The subcommand and options of argv, with every option the subcommand
+    needs present and in range; _CliError when argv is malformed."""
     if not argv or argv[0] not in _COMMANDS:
         raise _CliError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
-    args = SimpleNamespace(subcommand=argv[0], datum=None, lam=None, height=None,
+    command = argv[0]
+    reads = ("--datum", "--format") + _COMMANDS[command][1]
+    args = SimpleNamespace(subcommand=command, datum=None, lam=None, height=None,
                            format="json", symbolic=False, jobs=1)
     rest = iter(argv[1:])
     for arg in rest:
+        option, eq, value = arg.partition("=")
+        if arg != "--symbolic" and option not in _OPTIONS:
+            raise _CliError(f"unrecognized argument {arg!r}")
+        if option not in reads:
+            raise _CliError(f"{command} takes no {option}")
         if arg == "--symbolic":
             args.symbolic = True
             continue
-        option, eq, value = arg.partition("=")
-        if option not in _OPTIONS:
-            raise _CliError(f"unrecognized argument {arg!r}")
         if not eq:
             value = next(rest, None)
             if value is None or value.startswith("--"):
@@ -312,6 +270,18 @@ def _parse_args(argv) -> SimpleNamespace:
             raise _CliError(f"{option} needs an integer, got {value!r}") from None
     if args.format not in ("json", "table"):
         raise _CliError(f"--format must be json or table, got {args.format!r}")
+    if args.jobs < 1:
+        raise _CliError(f"--jobs must be positive, got {args.jobs}")
+    if args.symbolic and args.lam is not None:
+        raise _CliError(f"{command} --symbolic takes no --lambda")
+    if args.datum is None:
+        raise _CliError("--datum is required")
+    if "--lambda" in reads and args.lam is None and not args.symbolic:
+        raise _CliError("--lambda is required for this subcommand")
+    if "--height" in reads and args.height is None:
+        raise _CliError("--height is required for this subcommand")
+    if "--height" in reads and args.height < 0:
+        raise _CliError(f"--height must be nonnegative, got {args.height}")
     return args
 
 
@@ -322,9 +292,13 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         args = _parse_args(argv)
-        if args.jobs < 1:
-            raise _CliError(f"--jobs must be positive, got {args.jobs}")
-        return _COMMANDS[args.subcommand](args)
+        datum = _load(args.datum, datum_from_json)
+        lam = None if args.lam is None else _load(args.lam, weight_from_json, datum)
+        doc, columns, rows = _COMMANDS[args.subcommand][0](datum, lam, args.height)
+        _emit(doc, args.format, columns, rows)
+        if args.subcommand == "compare" and not doc["matches"]:
+            return EXIT_MISMATCH
+        return EXIT_OK
     except Unreachable as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAPPED

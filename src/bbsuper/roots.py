@@ -33,10 +33,9 @@ class RootEntry(namedtuple("RootEntry", "mult parity is_real")):
 class RootTable:
     """Multiplicities of the positive roots up to a height bound."""
 
-    __slots__ = ("rank", "height_bound", "entries")
+    __slots__ = ("height_bound", "entries")
 
-    def __init__(self, rank, height_bound, entries):
-        self.rank = rank
+    def __init__(self, height_bound, entries):
         self.height_bound = height_bound
         self.entries = dict(entries)
 
@@ -93,7 +92,7 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int) -> RootTable:
             # a multiple of a root can be a root even where L vanishes
             for k in range(2, height_bound // h + 1):
                 candidates[k * h].add(tuple(k * x for x in gamma))
-    return RootTable(rank, height_bound, entries)
+    return RootTable(height_bound, entries)
 
 
 def roots_to_json(table: RootTable) -> list:

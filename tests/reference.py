@@ -327,13 +327,13 @@ def series_quotient(a, b, bound, rank) -> dict:
     return {e: c for e, c in q.items() if c}
 
 
-def root_product(table, bound) -> dict:
+def root_product(table, rank, bound) -> dict:
     """Product over the table of (1 - e^{-beta})^m for even roots and
     (1 + e^{-beta})^{-m} for odd ones, one factor at a time."""
-    acc = {(0,) * table.rank: 1}
+    acc = {(0,) * rank: 1}
     for beta, entry in table.items_sorted():
         sign = 1 if entry.parity else -1
-        factor = binomial_factor(beta, entry.mult, sign, -sign, bound, table.rank)
+        factor = binomial_factor(beta, entry.mult, sign, -sign, bound, rank)
         acc = series_product(acc, factor.terms, bound)
     return acc
 

@@ -195,7 +195,7 @@ def test_cap_checked_before_any_work(capsys, sl2_files, monkeypatch, command, ex
     monkeypatch.setattr(oracle, "weight_window", never)
     monkeypatch.setattr(charformula, "irreducible_character", never)
     datum, lam = sl2_files
-    argv = [command, "--datum", datum, "--lambda", lam, "--height", "7"] + extra
+    argv = [command, "--datum", datum, "--height", "7"] + (extra or ["--lambda", lam])
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert err == "resource cap: height 7 exceeds cap 6; raise BBSUPER_CAP to go deeper\n"
@@ -360,6 +360,126 @@ def test_flag_validation(tmp_path, capsys, sl2_files):
     assert code == 1
 
 
+R2 = {"A": [[2, -1], [-1, 0]], "odd": [2]}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["validate"], """\
+field      value
+---------  ------
+D          [1, 1]
+imaginary  [2]
+isotropic  [2]
+odd        [2]
+rank       2
+real       [1]
+valid      true
+"""),
+        (["roots", "--height", "2"], """\
+root    mult  parity  class
+------  ----  ------  ---------
+[0, 1]  1     odd     imaginary
+[1, 0]  1     even    real
+[0, 2]  1     even    imaginary
+[1, 1]  1     odd     imaginary
+"""),
+        (["denom-check", "--height", "1"], """\
+root    mult  parity  class
+------  ----  ------  ---------
+[0, 1]  1     odd     imaginary
+[1, 0]  1     even    real
+"""),
+        (["char", "--lambda", "{lam}", "--height", "2"], """\
+exp     coef
+------  ----
+[0, 0]  1
+[1, 0]  1
+[1, 1]  1
+"""),
+        (["oracle", "--lambda", "{lam}", "--height", "1"], """\
+mu_offset  dim
+---------  ---
+[0, 0]     1
+[0, 1]     0
+[1, 0]     1
+"""),
+        (["oracle", "--symbolic", "--height", "1"], """\
+mu_offset  dim
+---------  ---
+[0, 0]     1
+[0, 1]     1
+[1, 0]     1
+"""),
+        (["compare", "--lambda", "{lam}", "--height", "1"], """\
+mu_offset  formula  oracle
+---------  -------  ------
+"""),
+    ],
+    ids=["validate", "roots", "denom-check", "char", "oracle", "oracle-symbolic", "compare"],
+)
+def test_table_text(tmp_path, capsys, argv, expected):
+    # a str cell prints as it is (char's coefficients are strings), any
+    # other as compact JSON (true, lists, integers)
+    datum = write_json(tmp_path / "r2.json", R2)
+    lam = write_json(tmp_path / "lam.json", {"Lambda": {"1": "1"}})
+    argv = [argv[0], "--datum", datum, "--format", "table"] + argv[1:]
+    code, out, err = run(capsys, [a.format(lam=lam) for a in argv])
+    assert (code, out, err) == (0, expected, "")
+
+
+# every option a subcommand does not read, each last on an otherwise good line
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--lambda", "{nope}"], "validate takes no --lambda"),
+        (["validate", "--height", "2"], "validate takes no --height"),
+        (["validate", "--symbolic"], "validate takes no --symbolic"),
+        (["validate", "--jobs", "2"], "validate takes no --jobs"),
+        (["roots", "--height", "2", "--lambda", "{nope}"], "roots takes no --lambda"),
+        (["roots", "--height", "2", "--symbolic"], "roots takes no --symbolic"),
+        (["roots", "--height", "2", "--jobs", "2"], "roots takes no --jobs"),
+        (["denom-check", "--height", "2", "--lambda={nope}"], "denom-check takes no --lambda"),
+        (["denom-check", "--height", "2", "--symbolic"], "denom-check takes no --symbolic"),
+        (["denom-check", "--height", "2", "--jobs=2"], "denom-check takes no --jobs"),
+        (["char", "--lambda", "{lam}", "--height", "2", "--symbolic"], "char takes no --symbolic"),
+        (["char", "--lambda", "{lam}", "--height", "2", "--jobs", "2"], "char takes no --jobs"),
+        (["compare", "--lambda", "{lam}", "--height", "2", "--symbolic"],
+         "compare takes no --symbolic"),
+        (["oracle", "--symbolic", "--height", "2", "--lambda", "{nope}"],
+         "oracle --symbolic takes no --lambda"),
+    ],
+)
+def test_unread_option_refused(tmp_path, capsys, sl2_files, argv, message):
+    # a weight path that does not exist: the message shows it was never opened
+    datum, lam = sl2_files
+    nope = str(tmp_path / "nope.json")
+    argv = [argv[0], "--datum", datum] + [a.format(lam=lam, nope=nope) for a in argv[1:]]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["roots", "--datum", "{nope}"], "--height"),
+        (["denom-check", "--datum", "{nope}"], "--height"),
+        (["char", "--datum", "{nope}", "--lambda", "{nope}"], "--height"),
+        (["char", "--datum", "{nope}", "--height", "2"], "--lambda"),
+        (["oracle", "--datum", "{nope}", "--height", "2"], "--lambda"),
+        (["oracle", "--datum", "{nope}", "--symbolic"], "--height"),
+        (["compare", "--datum", "{nope}", "--height", "2"], "--lambda"),
+        (["compare", "--lambda", "{nope}", "--height", "2"], "--datum"),
+        (["validate"], "--datum"),
+    ],
+)
+def test_missing_option_named_before_any_file(tmp_path, capsys, argv, option):
+    nope = str(tmp_path / "nope.json")
+    code, out, err = run(capsys, [a.format(nope=nope) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {option} is required") and err.count("\n") == 1
+
+
 def test_weight_rank_guard(tmp_path, capsys, sl2_files):
     datum, _ = sl2_files
     lam = write_json(tmp_path / "wide.json", {"Lambda": {"2": "1"}})
@@ -403,13 +523,20 @@ def test_weight_block_null_is_zero(tmp_path, capsys, sl2_files):
 
 @pytest.mark.parametrize(
     "command, extra",
-    [(c, []) for c in ("validate", "roots", "char", "denom-check", "oracle", "compare")]
-    + [("oracle", ["--symbolic"])],
+    [
+        ("validate", []),
+        ("roots", ["--height", "2"]),
+        ("char", ["--lambda", "{lam}", "--height", "2"]),
+        ("denom-check", ["--height", "2"]),
+        ("oracle", ["--lambda", "{lam}", "--height", "2"]),
+        ("compare", ["--lambda", "{lam}", "--height", "2"]),
+        ("oracle", ["--height", "2", "--symbolic"]),
+    ],
 )
 def test_empty_matrix_rejected(tmp_path, capsys, command, extra):
     datum = write_json(tmp_path / "d.json", {"A": []})
     lam = write_json(tmp_path / "w.json", {})
-    argv = [command, "--datum", datum, "--lambda", lam, "--height", "2"] + extra
+    argv = [command, "--datum", datum] + [a.format(lam=lam) for a in extra]
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err.endswith("matrix is empty\n") and err.count("\n") == 1

@@ -66,13 +66,14 @@ def exponents(draw, rank, bound):
 
 @st.composite
 def root_tables(draw):
-    """Arbitrary tables, not necessarily of any datum: rows and parities free."""
+    """(rank, table): arbitrary tables, not necessarily of any datum, with
+    rows and parities free."""
     rank = draw(st.integers(1, 4))
     bound = draw(st.integers(0, 6))
     exps = exponents(rank, bound).filter(any)
     rows = draw(st.dictionaries(exps, st.tuples(st.integers(1, 3), st.integers(0, 1)), max_size=6))
     entries = {e: RootEntry(m, p, False) for e, (m, p) in rows.items()}
-    return RootTable(rank, bound, entries)
+    return rank, RootTable(bound, entries)
 
 
 @st.composite
@@ -102,17 +103,17 @@ def test_mul_and_divide_match_tuple_reference(case):
 def test_solved_table_multiplies_out_to_numerator(datum, bound):
     table = solve_multiplicities(datum, bound)
     numerator = numerator_series(datum, datum.zero_weight(), bound)
-    assert root_product(table, bound) == numerator.terms
+    assert root_product(table, datum.rank, bound) == numerator.terms
 
 
 @PROPERTY
 @given(root_tables())
-def test_denominator_matches_naive_product(table):
+def test_denominator_matches_naive_product(rank_and_table):
     # the datum only supplies the rank and the zero weight
-    n = table.rank
+    n, table = rank_and_table
     d = validate_datum([[2 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n)
     bound = table.height_bound
-    assert denominator_R(d, table, bound).terms == root_product(table, bound)
+    assert denominator_R(d, table, bound).terms == root_product(table, n, bound)
 
 
 @PROPERTY

@@ -173,7 +173,7 @@ def test_solver_visits_multiples_where_log_vanishes(monkeypatch):
     # 1 at 2 beta cancel in L at 2 beta; the solver must still find 2 beta
     d = validate_datum([[0, -1], [-1, 0]], [1, 1], odd=[0])
     rows = {(1, 1): RootEntry(2, 1, False), (2, 2): RootEntry(1, 0, False)}
-    product = denominator_R(d, RootTable(2, 6, rows), 6)
+    product = denominator_R(d, RootTable(6, rows), 6)
     monkeypatch.setattr(roots_module, "numerator_series", lambda *args: product)
     table = solve_multiplicities(d, 6)
     assert {b: e.mult for b, e in table.entries.items()} == {(1, 1): 2, (2, 2): 1}
