@@ -40,11 +40,17 @@ def unit_root(n: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _fractions(values) -> tuple:
-    # imported here, so that validate never loads fractions and decimal
+def _exact(values) -> tuple:
+    """values as exact numbers: an integral entry as an int, any other as
+    a Fraction, so that integral input never loads fractions and decimal."""
+    return tuple(v if type(v) is int else _fraction(v) for v in values)
+
+
+def _fraction(v):
     from fractions import Fraction
 
-    return tuple(Fraction(v) for v in values)
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def _integer(x, what) -> int:
@@ -106,9 +112,9 @@ class Weight(_Value):
     __slots__ = ("fundamental_part", "aux_part", "root_part")
 
     def __init__(self, fundamental_part, aux_part, root_part):
-        fundamental_part = _fractions(fundamental_part)
-        aux_part = _fractions(aux_part)
-        root_part = _fractions(root_part)
+        fundamental_part = _exact(fundamental_part)
+        aux_part = _exact(aux_part)
+        root_part = _exact(root_part)
         if not len(fundamental_part) == len(aux_part) == len(root_part):
             raise ValueError("coordinate blocks disagree in length")
         object.__setattr__(self, "fundamental_part", fundamental_part)
@@ -212,7 +218,7 @@ class OddCartanDatum(_Value):
     # ---- pairings ----
 
     def pair(self, i: int, w: Weight):
-        """Evaluate the coroot h_i on a weight, as a Fraction."""
+        """Evaluate the coroot h_i on a weight, as an int or a Fraction."""
         acc = w.fundamental_part[i]
         for j in range(self.rank):
             acc += self.a[i][j] * w.root_part[j]
@@ -287,10 +293,17 @@ def weight_to_json(w: Weight) -> dict:
 
 
 def _rational(x, where):
-    """A weight entry as a Fraction.  A float is read through its decimal
-    string, so 0.1 is 1/10; a bool, NaN or an infinite value is refused."""
-    from fractions import Fraction
-
+    """A weight entry as Weight keeps it.  A string is read as Fraction
+    reads it, through int() when it has no underscore (Fraction refuses
+    those before Python 3.11); a float through its decimal string, so 0.1
+    is 1/10; a bool, NaN or an infinite value is refused."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and "_" not in x:
+        try:
+            return int(x)
+        except ValueError:
+            pass
     if isinstance(x, bool) or x != x:
         raise ValueError(f"non-numeric value {x!r} {where}")
     if isinstance(x, float):
@@ -298,7 +311,7 @@ def _rational(x, where):
             raise ValueError(f"infinite value {where}")
         x = repr(x)
     try:
-        return Fraction(x)
+        return _fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator {where}") from None
 

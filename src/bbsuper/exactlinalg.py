@@ -1,60 +1,71 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integer arithmetic.
 
 One elimination routine: `row_basis` eliminates sparse rows, mappings
-from column to a Fraction (or int) entry, keeps the first linearly
+from column to an int (or Fraction) entry, keeps the first linearly
 independent rows and expresses every row in them, which is what the
 weight-space propagation of the oracle needs, for a numeric and for a
 generic highest weight alike; the number of rows it keeps is the rank.
-No floating point enters.
+It is fraction-free, integer-preserving elimination after Bareiss (Math.
+Comp. 22, 1968): no Fraction is built and no floating point enters.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+
+
+def _combine(u, vec, c, unit):
+    """u * vec - c * unit, with zero entries dropped."""
+    out = {k: u * x for k, x in vec.items()}
+    for k, y in unit.items():
+        x = out.get(k, 0) - c * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out
 
 
 def row_basis(rows):
     """The first linearly independent rows, in order, and the coordinates
     of every row in them.
 
-    Each row maps columns (any mutually comparable keys) to entries;
-    missing columns and zero entries both read as zero.  Returns
-    (pivot_rows, coords): pivot_rows are input rows, unchanged, and
-    coords[r] maps pivot indices k to nonzero coefficients with row r equal
-    to the sum of coords[r][k] * pivot_rows[k] exactly.  Each new pivot is
-    taken at its smallest nonzero column.  Entries must allow exact field
-    arithmetic; ints and Fractions both work.
+    Each row maps columns (any mutually comparable keys) to int or
+    Fraction entries; missing columns and zero entries both read as zero.
+    Returns (pivot_rows, coords): pivot_rows are input rows, unchanged,
+    and coords[r] is (num, den) in lowest terms, num mapping pivot indices
+    k to nonzero ints and den a positive int, with den * row r equal to
+    the sum of num[k] * pivot_rows[k] exactly.  Each new pivot is taken at
+    its smallest nonzero column.
     """
     pivot_rows = []
-    # (column, vector that is 1 there and 0 at earlier pivot columns,
-    #  that vector as a combination of the pivot rows)
+    # (column, integer vector positive there and 0 at earlier pivot columns,
+    #  minus that vector as a combination of the pivot rows)
     echelon = []
     coords = []
     for row in rows:
+        # vec == den * row - sum(combo[k] * pivot_rows[k]), all in integers
         vec = {col: x for col, x in row.items() if x}
+        den = lcm(*(x.denominator for x in vec.values()))
+        vec = {col: x.numerator * (den // x.denominator) for col, x in vec.items()}
         combo = {}
         for col, unit, unit_combo in echelon:
             c = vec.get(col)
             if c:
-                for k, u in unit.items():
-                    x = vec.get(k, 0) - c * u
-                    if x:
-                        vec[k] = x
-                    else:
-                        del vec[k]
-                for k, u in unit_combo.items():
-                    x = combo.get(k, 0) + c * u
-                    if x:
-                        combo[k] = x
-                    else:
-                        del combo[k]
+                g = gcd(unit[col], c)
+                u, c = unit[col] // g, c // g
+                vec, combo = _combine(u, vec, c, unit), _combine(u, combo, c, unit_combo)
+                g = gcd(den * u, *vec.values(), *combo.values())
+                den = den * u // g
+                if g != 1:
+                    vec = {k: x // g for k, x in vec.items()}
+                    combo = {k: x // g for k, x in combo.items()}
         if not vec:
-            coords.append(combo)
+            coords.append((combo, den))
             continue
-        lead = min(vec)
-        inv = 1 / Fraction(vec[lead])
-        unit_combo = {k: -c * inv for k, c in combo.items()}
-        unit_combo[len(pivot_rows)] = inv
-        echelon.append((lead, {k: x * inv for k, x in vec.items()}, unit_combo))
-        coords.append({len(pivot_rows): 1})
+        sign = 1 if vec[min(vec)] > 0 else -1
+        unit_combo = {k: sign * x for k, x in combo.items()}
+        unit_combo[len(pivot_rows)] = -sign * den
+        echelon.append((min(vec), {k: sign * x for k, x in vec.items()}, unit_combo))
+        coords.append(({len(pivot_rows): 1}, 1))
         pivot_rows.append(row)
     return pivot_rows, coords

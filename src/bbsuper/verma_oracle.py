@@ -16,7 +16,7 @@ in that basis become the new f matrices.
 
 The generic (Verma) dimension runs the same pass with the highest weight
 left symbolic: each pairing <h_i, lam - gamma> = t_i - <h_i, gamma> is
-kept as two rationals, its t_i-coefficient and its constant, so every
+kept as two integers, its t_i-coefficient and its constant, so every
 e-image is t_j A + B with A and B rational and no polynomial ring is
 needed.  No multiplicity table and no formula output enters either path,
 which is what makes the result an independent check.
@@ -24,6 +24,7 @@ which is what makes the result an independent check.
 from __future__ import annotations
 
 from itertools import islice
+from math import lcm
 
 from .datum import OddCartanDatum, Weight
 from .errors import Unreachable
@@ -72,28 +73,32 @@ def _minus(beta, i, l):
     return beta[:i] + (beta[i] - l,) + beta[i + 1 :]
 
 
-def _h_parts(datum, lam, i, gamma):
-    """<h_i, lam - gamma> as its parts: one number for a numeric lam; for
-    lam None (generic), its t_i-coefficient and its constant."""
+def _h_parts(datum, pairings, i, gamma):
+    """<h_i, lam - gamma> as (integer parts, denominator): one part for a
+    numeric lam, given by its pairings; for pairings None (generic lam),
+    its t_i-coefficient and its constant."""
     shift = datum.pair_root(i, gamma)
-    if lam is None:
-        return (1, -shift)
-    return (datum.pair(i, lam) - shift,)
+    if pairings is None:
+        return (1, -shift), 1
+    p = pairings[i]
+    return (p.numerator - shift * p.denominator,), p.denominator
 
 
 def _propagate(datum, lam, cells) -> dict:
     """dim L(lam) at every cell, or the generic (Verma) dimension for lam
     None; cells must be closed under lowering and listed in graded order.
 
-    basis[beta] lists the first independent candidates f_{il} b, each
-    stored as its row of e-images: key (j, k, part, c) holds the
-    coefficient of basis vector c at beta - k alpha_j in part `part` of
-    e_{jk} applied to it.  A numeric lam has one part; for lam None the
-    image is t_j A + B, stored as part 0 (A) and part 1 (B), all over the
-    rationals.  f_mat[gamma, (i, l)] holds, for each basis vector at
-    gamma, the coordinates {index: coefficient} of its f_{il}-image in
-    the basis at gamma + l alpha_i.
+    basis[beta] lists the first independent candidates, integer multiples
+    of f_{il} b, each stored as its row of e-images: key (j, k, part, c)
+    holds the coefficient of basis vector c at beta - k alpha_j in part
+    `part` of e_{jk} applied to it.  A numeric lam has one part; for lam
+    None the image is t_j A + B, stored as part 0 (A) and part 1 (B).
+    f_mat[gamma, (i, l)] holds, for each basis vector at gamma, the
+    coordinates (num, den) of its f_{il}-image in the basis at
+    gamma + l alpha_i, as row_basis gives them.  Everything is an integer:
+    a candidate row is scaled by the lcm of the denominators it reads.
     """
+    pairings = None if lam is None else [datum.pair(i, lam) for i in range(datum.rank)]
     basis = {}
     f_mat = {}
     for beta in cells:
@@ -102,28 +107,36 @@ def _propagate(datum, lam, cells) -> dict:
             continue
         gens = _generators(datum, beta)
         rows = []
+        scales = []
         for i, l in gens:
             gamma = _minus(beta, i, l)
             odd_i = datum.is_odd(i)
-            h_parts = _h_parts(datum, lam, i, gamma)
+            h_parts, h_den = _h_parts(datum, pairings, i, gamma)
             for b, vec in enumerate(basis[gamma]):
-                row = {}
                 # s f_{il} e_{jk} b, through the cell below gamma
-                for (j, k, part, c), x in vec.items():
-                    if odd_i and datum.is_odd(j):
-                        x = -x
-                    for t, y in f_mat[_minus(gamma, j, k), (i, l)][c].items():
+                reads = [
+                    (j, k, part, -x if odd_i and datum.is_odd(j) else x,
+                     f_mat[_minus(gamma, j, k), (i, l)][c])
+                    for (j, k, part, c), x in vec.items()
+                ]
+                scale = lcm(h_den, *(den for *_, (_, den) in reads))
+                row = {}
+                for j, k, part, x, (num, den) in reads:
+                    x *= scale // den
+                    for t, y in num.items():
                         key = (j, k, part, t)
                         row[key] = row.get(key, 0) + x * y
                 for part, h in enumerate(h_parts):
                     key = (i, l, part, b)
-                    row[key] = row.get(key, 0) + l * h
+                    row[key] = row.get(key, 0) + l * h * (scale // h_den)
                 rows.append(row)
+                scales.append(scale)
         basis[beta], coords = row_basis(rows)
-        coords = iter(coords)
+        coords = iter(zip(coords, scales))
         for i, l in gens:
             gamma = _minus(beta, i, l)
-            f_mat[gamma, (i, l)] = list(islice(coords, len(basis[gamma])))
+            block = islice(coords, len(basis[gamma]))
+            f_mat[gamma, (i, l)] = [(num, den * scale) for (num, den), scale in block]
     return {beta: len(vecs) for beta, vecs in basis.items()}
 
 

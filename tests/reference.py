@@ -15,7 +15,9 @@ compiles only what its subcommands use.
 - casimir_shift, depth_below, is_primitive_candidate and
   s_lambda_series, the ingredients of the character formula taken one at
   a time.
-- rank_gauss, the rank of dense rows such as a Gram matrix.
+- row_basis_fraction, the elimination that the package's fraction-free
+  row_basis replaced, over Fraction, and rank_gauss, the rank of dense
+  rows such as a Gram matrix by that elimination.
 - weight_difference, rho and reflect: weight arithmetic that the package
   leaves out, since its engines read a weight only through its pairings.
 """
@@ -28,7 +30,6 @@ from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices
 from bbsuper.datum import OddCartanDatum, Weight, height, unit_root
-from bbsuper.exactlinalg import row_basis
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT, _check_height
 
@@ -362,10 +363,51 @@ def casimir_shift(datum, i: int, l: int) -> int:
     return (l * l - l) * datum.d[i] * datum.a[i][i]
 
 
+def row_basis_fraction(rows):
+    """The first linearly independent rows and the coordinates of every
+    row in them, as exactlinalg.row_basis, but by Gauss-Jordan elimination
+    over Fraction: coords[r] maps pivot indices to nonzero Fractions whose
+    combination of the pivot rows is row r itself."""
+    pivot_rows = []
+    # (column, vector that is 1 there and 0 at earlier pivot columns,
+    #  that vector as a combination of the pivot rows)
+    echelon = []
+    coords = []
+    for row in rows:
+        vec = {col: x for col, x in row.items() if x}
+        combo = {}
+        for col, unit, unit_combo in echelon:
+            c = vec.get(col)
+            if c:
+                for k, u in unit.items():
+                    x = vec.get(k, 0) - c * u
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+                for k, u in unit_combo.items():
+                    x = combo.get(k, 0) + c * u
+                    if x:
+                        combo[k] = x
+                    else:
+                        del combo[k]
+        if not vec:
+            coords.append(combo)
+            continue
+        lead = min(vec)
+        inv = 1 / Fraction(vec[lead])
+        unit_combo = {k: -c * inv for k, c in combo.items()}
+        unit_combo[len(pivot_rows)] = inv
+        echelon.append((lead, {k: x * inv for k, x in vec.items()}, unit_combo))
+        coords.append({len(pivot_rows): 1})
+        pivot_rows.append(row)
+    return pivot_rows, coords
+
+
 def rank_gauss(rows) -> int:
     """Rank over the rationals of dense rows (sequences of entries): the
-    number of rows that row_basis keeps."""
-    return len(row_basis([dict(enumerate(r)) for r in rows])[0])
+    number of rows that row_basis_fraction keeps."""
+    return len(row_basis_fraction([dict(enumerate(r)) for r in rows])[0])
 
 
 # ---- weight arithmetic (datum) ----

@@ -1,8 +1,11 @@
 """Datum validation, pairings, root reflections and the JSON forms."""
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbsuper import datum as dt
 from bbsuper.errors import (
@@ -200,6 +203,62 @@ def test_weight_json_round_trip():
         assert dt.weight_from_json(d, dt.weight_to_json(w)) == w
     lam = dt.weight_from_json(d, {"Lambda": {"1": "3/2"}})
     assert lam.fundamental_part == (Fraction(3, 2), 0)
+
+
+def entry(value):
+    """The Lambda_1 entry that weight_from_json reads from value."""
+    return dt.weight_from_json(sl2(), {"Lambda": {"1": value}}).fundamental_part[0]
+
+
+def assert_reads_as_fraction(text):
+    """weight_from_json accepts text exactly when Fraction does, with the
+    same value, kept as an int when it is integral."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            entry(text)
+        return
+    got = entry(text)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "7", " 7 ", "\t-3\n", "+4", "-0", "007", "\u30002\u3000", "- 1", "+-1", "", " ", "+",
+        "1_0", " 1_000 ", "1__0", "_1", "1_", "1_0/2", "\u0663", "\u0661\u0662", "\uff17", "\u00b2",
+        "2/1", "-6/3", "3/2", "1/0", "1 / 2", "1.0", "1.5", ".5", "5.", "1e3", "1E-1", "1e",
+        "0x10", "nan", "NaN", "inf", "-Infinity", "1 0", "true",
+    ],
+)
+def test_weight_entry_strings_read_as_fraction_does(text):
+    assert_reads_as_fraction(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="0123456789 \t\u3000\u0663\u00b2+-_/.eE", max_size=6))
+def test_weight_entry_text_reads_as_fraction_does(text):
+    assert_reads_as_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "doc, want",
+    [
+        ("7", 7), ("-3", -3), ("1.0", 1), ("-2.0", -2), ("0.5", Fraction(1, 2)),
+        ("0.1", Fraction(1, 10)), ("true", None), ("false", None), ("NaN", None),
+        ("Infinity", None), ("-Infinity", None), ("null", None), ("[1]", None),
+    ],
+)
+def test_weight_entry_json_numbers(doc, want):
+    value = json.loads(doc)
+    if want is None:
+        with pytest.raises((ValueError, TypeError)):
+            entry(value)
+    else:
+        got = entry(value)
+        assert got == want and type(got) is type(want)
 
 
 def test_root_vector_helpers():

@@ -4,7 +4,9 @@ one-pass denominator with term-by-term references on exponent tuples
 character quotient with the naive root-by-root product over small valid
 data (rank at most 3, height at most 6), of the propagated oracle with
 the all-word Gram rank and the formula on small windows, and of the
-generic (Verma) dimensions with the inverted denominator."""
+generic (Verma) dimensions with the inverted denominator, and of the
+root table, the character and both oracle modes with themselves under a
+relabelling of the simple indices."""
 from math import lcm
 
 from hypothesis import example, given, settings
@@ -172,3 +174,45 @@ def test_generic_dims_bound_irreducible_dims(datum, levels):
     for beta, d in irreducible.items():
         assert generic[beta] >= d, beta
 
+
+
+def relabel(datum, lam, perm):
+    """The datum and highest weight with position k holding original index
+    perm[k], as the benchmark relabels its inputs."""
+    a = [[datum.a[i][j] for j in perm] for i in perm]
+    d = [datum.d[i] for i in perm]
+    odd = [k for k, i in enumerate(perm) if i in datum.odd]
+    zero = (0,) * datum.rank
+    return validate_datum(a, d, odd=odd), Weight([lam.fundamental_part[i] for i in perm], zero, zero)
+
+
+def unrelabel(perm, keyed):
+    """A mapping keyed by relabelled root vectors, keyed by the original ones."""
+    out = {}
+    for beta, value in keyed.items():
+        back = [0] * len(perm)
+        for k, x in enumerate(beta):
+            back[perm[k]] = x
+        out[tuple(back)] = value
+    return out
+
+
+@PROPERTY
+@given(datums(), st.data())
+def test_relabelling_maps_back(datum, data):
+    # the orbit walk, the solver and the oracle's pivot order all run in
+    # index order, which the fixed examples never permute
+    perm = data.draw(st.permutations(range(datum.rank)))
+    lam = dominant(datum, data.draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+    bound = ORACLE_HEIGHT[datum.rank] + 1
+    other, other_lam = relabel(datum, lam, perm)
+    assert unrelabel(perm, solve_multiplicities(other, bound).entries) == (
+        solve_multiplicities(datum, bound).entries
+    )
+    assert unrelabel(perm, irreducible_character(other, other_lam, bound).series.terms) == (
+        irreducible_character(datum, lam, bound).series.terms
+    )
+    assert unrelabel(perm, irreducible_dims(other, other_lam, bound)) == (
+        irreducible_dims(datum, lam, bound)
+    )
+    assert unrelabel(perm, generic_dims(other, bound)) == generic_dims(datum, bound)

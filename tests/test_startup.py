@@ -1,5 +1,6 @@
 """Import footprint of the CLI: each subcommand loads only its engine,
-and the package defines nothing that it does not use itself.
+integral input loads no fractions, and the package defines nothing that
+it does not use itself.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
@@ -30,15 +31,20 @@ sys.exit(code)
 
 FORMULA_SIDE = {"bbsuper.charformula", "bbsuper.roots", "bbsuper.series", "bbsuper.weyl"}
 ORACLE_SIDE = {"bbsuper.verma_oracle", "bbsuper.exactlinalg"}
+# weights with integral entries are held as ints and the oracle eliminates
+# in integers, so integral input loads neither of these
+FRACTIONS = {"fractions", "decimal"}
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("startup")
-    datum, lam = root / "datum.json", root / "lam.json"
+    datum, lam, half = root / "datum.json", root / "lam.json", root / "half.json"
     datum.write_text(json.dumps({"A": [[2, -1], [-1, 0]], "odd": [2]}))
     lam.write_text(json.dumps({"Lambda": {"1": "1"}}))
-    return root, str(datum), str(lam)
+    # a fractional pairing at the isotropic index keeps lam dominant
+    half.write_text(json.dumps({"Lambda": {"1": "1", "2": "1/2"}}))
+    return root, str(datum), str(lam), str(half)
 
 
 def package_env():
@@ -51,9 +57,9 @@ def package_env():
 
 def loaded(files, *argv):
     """Modules a fresh interpreter loads to run one subcommand."""
-    root, datum, lam = files
+    root, datum, lam, half = files
     out = root / "modules.txt"
-    argv = [a.format(datum=datum, lam=lam) for a in argv]
+    argv = [a.format(datum=datum, lam=lam, half=half) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(out), *argv],
         env=package_env(), capture_output=True, text=True, timeout=60,
@@ -70,11 +76,11 @@ def test_validate_loads_no_engine(files):
     assert {m for m in modules if m.startswith("bbsuper")} == {
         "bbsuper", "bbsuper.cli", "bbsuper.datum", "bbsuper.errors",
     }
-    assert not modules & {"fractions", "decimal"}
+    assert not modules & FRACTIONS
 
 
 def test_module_entry_point_reads_sys_argv(files):
-    _, datum, _ = files
+    _, datum, _, _ = files
     proc = subprocess.run(
         [sys.executable, "-m", "bbsuper.cli", "validate", "--datum", datum],
         env=package_env(), capture_output=True, text=True, timeout=60,
@@ -95,7 +101,7 @@ def test_module_entry_point_reads_sys_argv(files):
 def test_formula_commands_load_no_oracle(files, argv):
     modules = loaded(files, *argv)
     assert "bbsuper.charformula" in modules
-    assert not modules & ORACLE_SIDE
+    assert not modules & (ORACLE_SIDE | FRACTIONS)
 
 
 @pytest.mark.parametrize(
@@ -109,12 +115,19 @@ def test_formula_commands_load_no_oracle(files, argv):
 def test_oracle_loads_no_formula_side(files, argv):
     modules = loaded(files, *argv)
     assert "bbsuper.verma_oracle" in modules
-    assert not modules & FORMULA_SIDE
+    assert not modules & (FORMULA_SIDE | FRACTIONS)
 
 
 def test_compare_loads_both_sides(files):
     modules = loaded(files, "compare", "--datum", "{datum}", "--lambda", "{lam}", "--height", "3")
     assert {"bbsuper.charformula", "bbsuper.verma_oracle"} <= modules
+    assert not modules & FRACTIONS
+
+
+@pytest.mark.parametrize("command", ["char", "oracle"])
+def test_fractional_weight_entry_still_runs(files, command):
+    modules = loaded(files, command, "--datum", "{datum}", "--lambda", "{half}", "--height", "3")
+    assert "fractions" in modules
 
 
 def test_public_names_resolve():

@@ -22,9 +22,13 @@ def test_weight_is_a_value():
     assert w != Weight((1, 0), (0, 0), (2, 0))
     assert w != (w.fundamental_part, w.aux_part, w.root_part)
     assert w.fundamental_part == (Fraction(1), Fraction(0))
+    # an integral entry is kept as an int, whatever type it came in
+    assert [type(x) for x in same.fundamental_part + same.root_part] == [int] * 4
     assert repr(Weight((1,), (0,), (0,))) == (
-        "Weight(fundamental_part=(Fraction(1, 1),), aux_part=(Fraction(0, 1),), "
-        "root_part=(Fraction(0, 1),))"
+        "Weight(fundamental_part=(1,), aux_part=(0,), root_part=(0,))"
+    )
+    assert repr(Weight((Fraction(1, 2),), ("2/1",), (Fraction(-6, 3),))) == (
+        "Weight(fundamental_part=(Fraction(1, 2),), aux_part=(2,), root_part=(-2,))"
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from bbsuper import exactlinalg, verma_oracle
 from bbsuper.charformula import irreducible_character
-from bbsuper.datum import Weight, graded_key, validate_datum
+from bbsuper.datum import Weight, graded_key, validate_datum, weight_from_json
 from bbsuper.errors import Unreachable
 from bbsuper.roots import solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R
@@ -271,6 +271,29 @@ def test_irreducible_dims_agree_with_single_cells():
     assert irreducible_dims(d, lam, 4) == {
         beta: rank_gauss(gram_matrix(d, lam, beta).gram) for beta in weight_window(d.rank, 4)
     }
+
+
+R2 = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+R3 = validate_datum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
+
+
+@pytest.mark.parametrize("datum, height", [(R2, 5), (R3, 3)], ids=["r2", "r3"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"Lambda": {"1": "1", "2": "1/2"}},
+        {"Lambda": {"1": "2", "2": "-1/3"}, "alpha": {"1": "1/2"}},
+        # not dominant: a negative pairing at the real index
+        {"Lambda": {"1": "-1", "2": "-1/3"}},
+    ],
+    ids=["half", "minus-third", "non-dominant"],
+)
+def test_rational_weights_match_gram_rank(datum, height, doc):
+    # fractional pairings <h_i, lam> enter the integer rows through their
+    # denominators, which no integral weight exercises
+    lam = weight_from_json(datum, doc)
+    dims = irreducible_dims(datum, lam, height)
+    assert dims == {beta: rank_gauss(gram_matrix(datum, lam, beta).gram) for beta in dims}
 
 
 def test_irreducible_dims_match_formula_rank3_deep():
