@@ -50,11 +50,11 @@ def odd_iso_coeffs(n: int) -> int:
     return _euler_table(n, 2)[n]
 
 
-class OrthogonalSupport(namedtuple("OrthogonalSupport", "indices coeffs weight sign")):
+class OrthogonalSupport(namedtuple("OrthogonalSupport", "indices coeffs sign")):
     """Distinct pairwise-orthogonal imaginary indices with level totals.
 
-    weight is sum coeffs[k] * alpha_{indices[k]} on root coordinates and
-    sign the product of the per-index factors, possibly zero.
+    The support's weight is sum coeffs[k] * alpha_{indices[k]}; sign is the
+    product of the per-index factors, possibly zero.
     """
 
     __slots__ = ()
@@ -77,23 +77,14 @@ def enumerate_supports(datum, lam, budget) -> list:
     """All supports whose total level fits the budget; the empty support
     is always first."""
     elig = eligible_indices(datum, lam)
-    n = datum.rank
     out = []
 
-    def emit(chosen, coeffs, sign):
-        weight = [0] * n
-        for i, c in zip(chosen, coeffs):
-            weight[i] += c
-        out.append(OrthogonalSupport(tuple(chosen), tuple(coeffs), tuple(weight), sign))
-
     def extend(pos, chosen, coeffs, used, sign):
-        emit(chosen, coeffs, sign)
+        out.append(OrthogonalSupport(chosen, coeffs, sign))
         for k in range(pos, len(elig)):
             i = elig[k]
-            if any(
-                datum.root_bilinear(unit_root(n, i), unit_root(n, j)) != 0
-                for j in chosen
-            ):
+            # (alpha_i, alpha_j) = d_i a_ij with d_i > 0
+            if any(datum.a[i][j] != 0 for j in chosen):
                 continue
             for level in range(1, budget - used + 1):
                 extend(

@@ -40,10 +40,8 @@ def unit_root(n: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _exact(values) -> tuple:
-    """values as exact numbers: an integral entry as an int, any other as
-    a Fraction, so that integral input never loads fractions and decimal."""
-    return tuple(v if type(v) is int else _fraction(v) for v in values)
+# the JSON names of Weight's blocks, in field order
+_BLOCKS = ("Lambda", "delta", "alpha")
 
 
 def _fraction(v):
@@ -51,6 +49,32 @@ def _fraction(v):
 
     v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
+
+
+def _rational(x, block, k):
+    """Entry k (counted from one) of weight block `block` as Weight keeps
+    it.  A string is read as Fraction reads it, through int() when it has
+    no underscore (Fraction refuses those before Python 3.11); a float
+    through its decimal string, so 0.1 is 1/10; a bool, NaN or an infinite
+    value is refused with a message that names the entry."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and "_" not in x:
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    where = f"at index {k} in weight block {block!r}"
+    if isinstance(x, bool) or x != x:
+        raise ValueError(f"non-numeric value {x!r} {where}")
+    if isinstance(x, float):
+        if isinf(x):
+            raise ValueError(f"infinite value {where}")
+        x = repr(x)
+    try:
+        return _fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator {where}") from None
 
 
 def _integer(x, what) -> int:
@@ -89,6 +113,8 @@ class _Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__name__}({fields})"
 
+    # copy and pickle rebuild through this; their default sets each field,
+    # which __setattr__ refuses
     def __reduce__(self):
         return self.__class__, self._fields()
 
@@ -106,20 +132,20 @@ class Weight(_Value):
     complement symbols delta_i; root_part holds coordinates over the simple
     roots without expanding them.  Two weights are equal only when all
     three blocks agree.  A plain record with no arithmetic: the engines
-    read it through OddCartanDatum.pair.
+    read it through OddCartanDatum.pair.  Every entry is read as --lambda
+    reads it (_rational), under the block names of the JSON form.
     """
 
     __slots__ = ("fundamental_part", "aux_part", "root_part")
 
     def __init__(self, fundamental_part, aux_part, root_part):
-        fundamental_part = _exact(fundamental_part)
-        aux_part = _exact(aux_part)
-        root_part = _exact(root_part)
-        if not len(fundamental_part) == len(aux_part) == len(root_part):
+        blocks = (fundamental_part, aux_part, root_part)
+        parts = [tuple(_rational(x, name, k) for k, x in enumerate(values, 1))
+                 for name, values in zip(_BLOCKS, blocks)]
+        if len(set(map(len, parts))) != 1:
             raise ValueError("coordinate blocks disagree in length")
-        object.__setattr__(self, "fundamental_part", fundamental_part)
-        object.__setattr__(self, "aux_part", aux_part)
-        object.__setattr__(self, "root_part", root_part)
+        for field, values in zip(self.__slots__, parts):
+            object.__setattr__(self, field, values)
 
 
 class OddCartanDatum(_Value):
@@ -285,35 +311,7 @@ def weight_to_json(w: Weight) -> dict:
     def block(values):
         return {str(i + 1): str(v) for i, v in enumerate(values) if v != 0}
 
-    return {
-        "Lambda": block(w.fundamental_part),
-        "delta": block(w.aux_part),
-        "alpha": block(w.root_part),
-    }
-
-
-def _rational(x, where):
-    """A weight entry as Weight keeps it.  A string is read as Fraction
-    reads it, through int() when it has no underscore (Fraction refuses
-    those before Python 3.11); a float through its decimal string, so 0.1
-    is 1/10; a bool, NaN or an infinite value is refused."""
-    if type(x) is int:
-        return x
-    if isinstance(x, str) and "_" not in x:
-        try:
-            return int(x)
-        except ValueError:
-            pass
-    if isinstance(x, bool) or x != x:
-        raise ValueError(f"non-numeric value {x!r} {where}")
-    if isinstance(x, float):
-        if isinf(x):
-            raise ValueError(f"infinite value {where}")
-        x = repr(x)
-    try:
-        return _fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator {where}") from None
+    return {name: block(values) for name, values in zip(_BLOCKS, w._fields())}
 
 
 def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
@@ -337,7 +335,7 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
                 ) from None
             if i not in range(n):
                 raise ValueError(f"index {key} out of range in weight block {name!r}")
-            out[i] = _rational(value, f"at index {key} in weight block {name!r}")
-        return tuple(out)
+            out[i] = value
+        return out
 
-    return Weight(block("Lambda"), block("delta"), block("alpha"))
+    return Weight(*map(block, _BLOCKS))

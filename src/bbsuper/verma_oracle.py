@@ -35,22 +35,18 @@ DEFAULT_MAX_HEIGHT = 6
 
 
 def caps_from_env(env) -> int:
-    """The height cap that BBSUPER_CAP sets in env, DEFAULT_MAX_HEIGHT when
-    it is unset; one integer, or two ("a,b", the older length and height
-    form) that cap at their minimum."""
+    """The height cap that BBSUPER_CAP sets in env, one positive integer,
+    or DEFAULT_MAX_HEIGHT when it is unset."""
     raw = env.get(ENV_CAP)
     if raw is None:
         return DEFAULT_MAX_HEIGHT
-    parts = [p.strip() for p in raw.split(",")]
     try:
-        values = [int(p) for p in parts]
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"cannot parse {ENV_CAP}={raw!r}") from None
-    if len(values) not in (1, 2):
-        raise ValueError(f"{ENV_CAP} takes one or two integers, got {raw!r}")
-    if min(values) < 1:
+    if cap < 1:
         raise ValueError(f"{ENV_CAP} takes positive integers, got {raw!r}")
-    return min(values)
+    return cap
 
 
 def _check_height(h, max_height):

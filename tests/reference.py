@@ -12,9 +12,11 @@ compiles only what its subcommands use.
   and series_product, series_quotient and root_product, the truncated
   product, quotient and denominator product on exponent tuples, one term
   at a time, without the package's packed layers.
-- casimir_shift, depth_below, is_primitive_candidate and
-  s_lambda_series, the ingredients of the character formula taken one at
-  a time.
+- casimir_shift, depth_below, is_primitive_candidate,
+  s_lambda_series and support_weight, the ingredients of the character
+  formula taken one at a time.
+- character_structure_faults, W-invariance and the Verma bounds of a
+  character series, necessary conditions that reach past the oracle.
 - row_basis_fraction, the elimination that the package's fraction-free
   row_basis replaced, over Fraction, and rank_gauss, the rank of dense
   rows such as a Gram matrix by that elimination.
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from bbsuper.charformula import enumerate_supports, eligible_indices
+from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
 from bbsuper.datum import OddCartanDatum, Weight, height, unit_root
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT, _check_height
@@ -347,8 +349,50 @@ def s_lambda_series(datum, lam, height_bound) -> CharSeries:
     acc = {}
     for sup in enumerate_supports(datum, lam, height_bound):
         if sup.sign:
-            acc[sup.weight] = acc.get(sup.weight, 0) + sup.sign
+            weight = support_weight(datum.rank, sup)
+            acc[weight] = acc.get(weight, 0) + sup.sign
     return CharSeries(height_bound, datum.rank, acc)
+
+
+def support_weight(rank, support) -> tuple:
+    """sum coeffs[k] * alpha_{indices[k]} of an OrthogonalSupport, on root
+    coordinates."""
+    weight = [0] * rank
+    for i, c in zip(support.indices, support.coeffs):
+        weight[i] += c
+    return tuple(weight)
+
+
+def character_structure_faults(datum, lam, series) -> tuple:
+    """(W-pairs compared, faults) of series as the character of L(lam),
+    lam dominant integral, under two necessary conditions that cost one
+    pass over its terms at any height:
+
+    - W-invariance: at each real index i the coefficient at beta equals
+      the one at beta + <h_i, lam - beta> alpha_i, the offset of
+      s_i(lam - beta), whenever both lie in the window;
+    - bounds: 0 <= coefficient <= the Verma coefficient, that of 1 / N_0.
+
+    Each fault is a line naming its exponent; a character has none."""
+    bound, rank = series.height_bound, series.rank
+    faults = []
+    pairs = 0
+    for i in datum.real_indices:
+        level = datum.pair(i, lam)
+        for beta, coef in series.terms.items():
+            shift = level - datum.pair_root(i, beta)
+            mirror = beta[:i] + (beta[i] + shift,) + beta[i + 1 :]
+            if shift == 0 or mirror[i] < 0 or sum(mirror) > bound:
+                continue
+            pairs += 1
+            if series.coefficient(mirror) != coef:
+                faults.append(f"W: {coef} at {beta}, {series.coefficient(mirror)} at {mirror}")
+    n0 = numerator_series(datum, datum.zero_weight(), bound)
+    verma = CharSeries.one(bound, rank).divide(n0)
+    for beta, coef in series.terms.items():
+        if not 0 <= coef <= verma.coefficient(beta):
+            faults.append(f"bounds: {coef} at {beta}, Verma {verma.coefficient(beta)}")
+    return pairs, faults
 
 
 def casimir_shift(datum, i: int, l: int) -> int:

@@ -10,7 +10,13 @@ from bbsuper.roots import roots_to_json, solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R, series_to_json
 from bbsuper.verma_oracle import generic_dims, irreducible_dims
 
-from reference import casimir_shift, pair_with_cell, s_lambda_series, serre_vector
+from reference import (
+    casimir_shift,
+    character_structure_faults,
+    pair_with_cell,
+    s_lambda_series,
+    serre_vector,
+)
 
 DEEP = 12
 
@@ -222,29 +228,10 @@ def test_criterion_7_property_suite():
         lam = random_dominant(datum, rng)
         series = irreducible_character(datum, lam, height).series
         check(problems, series.coefficient((0,) * datum.rank) == 1, f"seed {seed}: head")
-        for exp, coef in series.terms.items():
-            check(problems, coef >= 0, f"seed {seed}: negative coef at {exp}")
-
-        for i in datum.real_indices:
-            for exp in series.terms:
-                c = datum.pair(i, lam) - datum.pair_root(i, exp)
-                mirror = list(exp)
-                mirror[i] += c
-                mirror = tuple(mirror)
-                if min(mirror) >= 0 and sum(mirror) <= height:
-                    check(
-                        problems,
-                        series.coefficient(mirror) == series.coefficient(exp),
-                        f"seed {seed}: reflection at {exp} index {i}",
-                    )
-
-        verma = CharSeries.one(height, datum.rank).divide(denominator_R(datum, table, height))
-        for exp, coef in series.terms.items():
-            check(
-                problems,
-                coef <= verma.coefficient(exp),
-                f"seed {seed}: irreducible above Verma at {exp}",
-            )
+        # W-invariance and 0 <= coefficient <= Verma, whose 1 / N_0 is
+        # 1 / R since the residual above is empty
+        _, faults = character_structure_faults(datum, lam, series)
+        problems += [f"seed {seed}: {fault}" for fault in faults]
 
         for i in datum.real_indices:
             for j in range(datum.rank):
@@ -323,3 +310,22 @@ def test_criterion_8_truncation_coherence():
                 f"{a} odd={odd} lam={coeffs}: series serialization",
             )
     report(8, "truncation coherence", problems)
+
+
+def test_criterion_9_character_structure_past_the_oracle():
+    # r4 far beyond the oracle's reach (height 6 by default): the character
+    # is W-invariant and lies between 0 and the Verma character, and the
+    # Verma character in its place breaks W-invariance
+    datum = validate_datum(
+        [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1] * 4, odd=[2]
+    )
+    lam = Weight((1, 1, 0, 0), (0,) * 4, (0,) * 4)
+    problems = []
+    height = 24
+    series = irreducible_character(datum, lam, height).series
+    pairs, faults = character_structure_faults(datum, lam, series)
+    problems += faults
+    check(problems, pairs > 5000, f"only {pairs} W-pairs compared at height {height}")
+    verma = CharSeries.one(12, 4).divide(numerator_series(datum, datum.zero_weight(), 12))
+    check(problems, character_structure_faults(datum, lam, verma)[1], "Verma character passes")
+    report(9, "character structure past the oracle", problems)

@@ -11,7 +11,13 @@ from bbsuper.charformula import (
 )
 from bbsuper.datum import Weight, validate_datum
 
-from reference import BadGeneratorIndex, casimir_shift, is_primitive_candidate, s_lambda_series
+from reference import (
+    BadGeneratorIndex,
+    casimir_shift,
+    is_primitive_candidate,
+    s_lambda_series,
+    support_weight,
+)
 
 
 # ---- independent oracles ----
@@ -81,7 +87,7 @@ def test_odd_iso_coeffs_match_odd_part_product():
 def test_supports_even_isotropic_levels():
     d = validate_datum([[0]], [1])
     sups = enumerate_supports(d, d.zero_weight(), 4)
-    assert [(s.indices, s.coeffs, s.weight, s.sign) for s in sups] == [
+    assert [(s.indices, s.coeffs, support_weight(1, s), s.sign) for s in sups] == [
         ((), (), (0,), 1),
         ((0,), (1,), (1,), -1),
         ((0,), (2,), (2,), -1),
@@ -100,7 +106,7 @@ def test_supports_non_isotropic_levels_all_minus_one():
     d = validate_datum([[-2]], [1])
     sups = enumerate_supports(d, d.zero_weight(), 5)
     assert [s.sign for s in sups] == [1, -1, -1, -1, -1, -1]
-    assert [s.weight for s in sups] == [(0,), (1,), (2,), (3,), (4,), (5,)]
+    assert [support_weight(1, s) for s in sups] == [(0,), (1,), (2,), (3,), (4,), (5,)]
 
 
 def test_supports_respect_eligibility():
@@ -115,7 +121,7 @@ def test_supports_orthogonal_pair_combines():
     sups = enumerate_supports(d, d.zero_weight(), 3)
     assert len(sups) == 10
     both = [s for s in sups if s.indices == (0, 1)]
-    assert [(s.coeffs, s.weight) for s in both] == [
+    assert [(s.coeffs, support_weight(2, s)) for s in both] == [
         ((1, 1), (1, 1)),
         ((1, 2), (1, 2)),
         ((2, 1), (2, 1)),

@@ -9,7 +9,7 @@ root table, the character and both oracle modes with themselves under a
 relabelling of the simple indices."""
 from math import lcm
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbsuper.charformula import irreducible_character, numerator_series
@@ -18,16 +18,23 @@ from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R
 from bbsuper.verma_oracle import generic_dims, irreducible_dims
 
-from reference import gram_matrix, rank_gauss, root_product, series_product, series_quotient
+from reference import (
+    character_structure_faults,
+    gram_matrix,
+    rank_gauss,
+    root_product,
+    series_product,
+    series_quotient,
+)
 
 # Fixed examples keep the suite reproducible and within a few seconds.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def datums(draw):
+def datums(draw, max_rank=3):
     """Symmetrizable data with valid diagonals and odd real rows even."""
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, max_rank))
     diag = [draw(st.sampled_from([2, 0, -2, -4])) for _ in range(rank)]
     d = [draw(st.sampled_from([1, 2])) for _ in range(rank)]
     odd = [i for i in range(rank) if draw(st.booleans())]
@@ -140,18 +147,39 @@ def test_solve_truncation_coherent(datum, bound):
 # Window height by rank: the all-word Gram reference grows fast with it,
 # and the generic properties below use the same windows.
 ORACLE_HEIGHT = {1: 5, 2: 4, 3: 3}
+# The deeper windows where the oracle meets the formula alone; rank 4 at
+# height 5 takes up to about 0.15 s an example, most of it the oracle.
+FORMULA_HEIGHT = {1: 8, 2: 6, 3: 5, 4: 5}
 
 
 @PROPERTY
-@given(datums(), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+@given(datums(max_rank=4), st.lists(st.integers(0, 2), min_size=4, max_size=4))
 def test_oracle_matches_gram_rank_and_formula(datum, levels):
     lam = dominant(datum, levels)
-    bound = ORACLE_HEIGHT[datum.rank]
-    dims = irreducible_dims(datum, lam, bound)
+    bound = FORMULA_HEIGHT[datum.rank]
+    dims = irreducible_dims(datum, lam, bound, max_height=bound)
     character = irreducible_character(datum, lam, bound).series
     for beta, dim in dims.items():
-        assert dim == rank_gauss(gram_matrix(datum, lam, beta).gram), beta
         assert dim == character.coefficient(beta), beta
+        # rank 4 has no Gram window
+        if sum(beta) <= ORACLE_HEIGHT.get(datum.rank, -1):
+            assert dim == rank_gauss(gram_matrix(datum, lam, beta).gram), beta
+
+
+@settings(PROPERTY, max_examples=25)
+@given(
+    datums(max_rank=4),
+    st.integers(10, 16),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+def test_character_structure_past_the_oracle(datum, bound, levels):
+    # heights the oracle does not reach; lam moves at a real index, so
+    # some W-pair is compared
+    lam = dominant(datum, levels)
+    assume(any(datum.pair(i, lam) for i in datum.real_indices))
+    series = irreducible_character(datum, lam, bound).series
+    pairs, faults = character_structure_faults(datum, lam, series)
+    assert pairs and not faults, faults[:5]
 
 
 @PROPERTY

@@ -30,6 +30,15 @@ def test_weight_is_a_value():
     assert repr(Weight((Fraction(1, 2),), ("2/1",), (Fraction(-6, 3),))) == (
         "Weight(fundamental_part=(Fraction(1, 2),), aux_part=(2,), root_part=(-2,))"
     )
+    # entries are read as weight_from_json reads them: a float through its
+    # decimal string, and a refusal names the entry
+    assert Weight((0.1,), (0,), (0,)).fundamental_part == (Fraction(1, 10),)
+    assert [type(x) for x in Weight((0,), (2.0,), (0,)).aux_part] == [int]
+    for bad in (True, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=r"at index 2 in weight block 'alpha'$"):
+            Weight((0, 0), (0, 0), (0, bad))
+    with pytest.raises(ValueError, match=r"^zero denominator at index 1 in weight block 'delta'$"):
+        Weight((0,), ("1/0",), (0,))
 
 
 def test_datum_is_a_value():
@@ -55,7 +64,7 @@ def test_datum_validates_on_construction():
         (validate_datum([[2]], [1]), "a"),
         (RootEntry(1, 0, True), "mult"),
         (CharacterResult(CharSeries.one(1, 1), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
-        (OrthogonalSupport((0,), (1,), (1,), -1), "sign"),
+        (OrthogonalSupport((0,), (1,), -1), "sign"),
         (OrbitElement((), 1, (0,)), "word"),
     ],
 )
@@ -70,6 +79,7 @@ def test_fields_are_read_only(value, field):
     "value", [Weight((Fraction(1, 2),), (0,), (1,)), validate_datum([[2]], [1], odd=[0])]
 )
 def test_copy_and_pickle_keep_the_value(value):
+    assert copy.copy(value) == value
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
 

@@ -122,11 +122,16 @@ def test_enumerate_caps():
 def test_caps_from_env():
     assert caps_from_env({}) == 6
     assert caps_from_env({"BBSUPER_CAP": "12"}) == 12
-    # the two-integer form caps at its minimum
-    assert caps_from_env({"BBSUPER_CAP": "10, 6"}) == 6
-    assert caps_from_env({"BBSUPER_CAP": "5,9"}) == 5
-    with pytest.raises(ValueError):
+    assert caps_from_env({"BBSUPER_CAP": " 8 "}) == 8
+    # one integer only: the two-integer form of a deleted length cap is refused
+    with pytest.raises(ValueError, match="cannot parse"):
+        caps_from_env({"BBSUPER_CAP": "10, 6"})
+    with pytest.raises(ValueError, match="cannot parse"):
+        caps_from_env({"BBSUPER_CAP": "5,9"})
+    with pytest.raises(ValueError, match="cannot parse"):
         caps_from_env({"BBSUPER_CAP": "4,0"})
+    with pytest.raises(ValueError, match="positive"):
+        caps_from_env({"BBSUPER_CAP": "0"})
     with pytest.raises(ValueError):
         caps_from_env({"BBSUPER_CAP": "a"})
     with pytest.raises(ValueError):
