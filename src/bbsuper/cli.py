@@ -3,7 +3,8 @@
 Every subcommand reads a datum (and usually a weight) from JSON, runs
 one engine entry point and prints a single canonical document, so runs
 are reproducible byte for byte.  Exit codes:
-0 success, 1 bad input, 2 comparison mismatch, 3 resource cap hit.
+0 success, 1 bad input or stdout closed early, 2 comparison mismatch,
+3 resource cap hit.
 
 The subcommand comes first; each option is `--opt value` or
 `--opt=value`, in full, and the last one wins.  _COMMANDS says which
@@ -287,18 +288,24 @@ def _parse_args(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(_HELP)
-        return EXIT_OK
     try:
+        if "-h" in argv or "--help" in argv:
+            print(_HELP, flush=True)
+            return EXIT_OK
         args = _parse_args(argv)
         datum = _load(args.datum, datum_from_json)
         lam = None if args.lam is None else _load(args.lam, weight_from_json, datum)
         doc, columns, rows = _COMMANDS[args.subcommand][0](datum, lam, args.height)
         _emit(doc, args.format, columns, rows)
+        sys.stdout.flush()
         if args.subcommand == "compare" and not doc["matches"]:
             return EXIT_MISMATCH
         return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`): point it at devnull so that
+        # the flush at exit does not raise again, and exit 1 in silence
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BAD_INPUT
     except Unreachable as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAPPED

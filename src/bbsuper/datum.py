@@ -55,8 +55,9 @@ def _rational(x, block, k):
     """Entry k (counted from one) of weight block `block` as Weight keeps
     it.  A string is read as Fraction reads it, through int() when it has
     no underscore (Fraction refuses those before Python 3.11); a float
-    through its decimal string, so 0.1 is 1/10; a bool, NaN or an infinite
-    value is refused with a message that names the entry."""
+    through its decimal string, so 0.1 is 1/10; a bool, NaN, an infinite
+    value or anything else Fraction cannot read is refused with a message
+    that names the entry."""
     if type(x) is int:
         return x
     if isinstance(x, str) and "_" not in x:
@@ -75,6 +76,8 @@ def _rational(x, block, k):
         return _fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator {where}") from None
+    except (TypeError, ValueError):  # null, a list or an object, text
+        raise ValueError(f"non-numeric value {x!r} {where}") from None
 
 
 def _integer(x, what) -> int:
@@ -325,7 +328,7 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
             entries = {}
         elif not isinstance(entries, dict):
             raise ValueError(f"weight block {name!r} must be an object")
-        out = [0] * n
+        given = {}
         for key, value in entries.items():
             try:
                 i = int(key) - 1
@@ -335,7 +338,9 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
                 ) from None
             if i not in range(n):
                 raise ValueError(f"index {key} out of range in weight block {name!r}")
-            out[i] = value
-        return out
+            if i in given:  # "1" and "01"
+                raise ValueError(f"index {i + 1} given twice in weight block {name!r}")
+            given[i] = value
+        return [given.get(i, 0) for i in range(n)]
 
     return Weight(*map(block, _BLOCKS))

@@ -1,16 +1,18 @@
 """Exact linear algebra over the rationals, in integer arithmetic.
 
 One elimination routine: `row_basis` eliminates sparse rows, mappings
-from column to an int (or Fraction) entry, keeps the first linearly
-independent rows and expresses every row in them, which is what the
-weight-space propagation of the oracle needs, for a numeric and for a
-generic highest weight alike; the number of rows it keeps is the rank.
-It is fraction-free, integer-preserving elimination after Bareiss (Math.
-Comp. 22, 1968): no Fraction is built and no floating point enters.
+from column to an int entry, keeps the first linearly independent rows
+and expresses every row in them, which is what the weight-space
+propagation of the oracle needs, for a numeric and for a generic highest
+weight alike; the number of rows it keeps is the rank.  A rational row
+is passed scaled to integers, as the oracle builds each row over the lcm
+of the denominators it reads.  It is fraction-free, integer-preserving
+elimination after Bareiss (Math. Comp. 22, 1968): no Fraction is built
+and no floating point enters.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 
 def _combine(u, vec, c, unit):
@@ -29,8 +31,8 @@ def row_basis(rows):
     """The first linearly independent rows, in order, and the coordinates
     of every row in them.
 
-    Each row maps columns (any mutually comparable keys) to int or
-    Fraction entries; missing columns and zero entries both read as zero.
+    Each row maps columns (any mutually comparable keys) to int entries;
+    missing columns and zero entries both read as zero.
     Returns (pivot_rows, coords): pivot_rows are input rows, unchanged,
     and coords[r] is (num, den) in lowest terms, num mapping pivot indices
     k to nonzero ints and den a positive int, with den * row r equal to
@@ -45,8 +47,7 @@ def row_basis(rows):
     for row in rows:
         # vec == den * row - sum(combo[k] * pivot_rows[k]), all in integers
         vec = {col: x for col, x in row.items() if x}
-        den = lcm(*(x.denominator for x in vec.values()))
-        vec = {col: x.numerator * (den // x.denominator) for col, x in vec.items()}
+        den = 1
         combo = {}
         for col, unit, unit_combo in echelon:
             c = vec.get(col)

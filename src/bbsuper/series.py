@@ -38,9 +38,7 @@ class CharSeries:
                         raise ValueError("exponent length does not match the rank")
                     if min(exp, default=0) < 0:
                         raise ValueError(f"exponent {exp} leaves the cone")
-                    self.terms[exp] = self.terms.get(exp, 0) + coef
-            for exp in [e for e, c in self.terms.items() if c == 0]:
-                del self.terms[exp]
+                    self.terms[exp] = coef
 
     @classmethod
     def one(cls, height_bound, rank):

@@ -556,15 +556,25 @@ def test_weight_zero_denominator_rejected(tmp_path, capsys, sl2_files, command):
     assert "zero denominator" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"Lambda": {"x": "1"}}, "index 'x' is not an integer in weight block 'Lambda'"),
+        # two keys naming one index are refused, whatever their values
+        ({"Lambda": {"1": float("nan"), "01": 2}}, "index 1 given twice in weight block 'Lambda'"),
+        ({"delta": {"1": 1, "01": 2}}, "index 1 given twice in weight block 'delta'"),
+    ],
+    ids=["not-an-integer", "twice-nan", "twice-delta"],
+)
 @pytest.mark.parametrize("command", ["char", "oracle"])
-def test_weight_key_must_be_an_integer(tmp_path, capsys, sl2_files, command):
+def test_weight_key_must_be_an_integer(tmp_path, capsys, sl2_files, command, doc, message):
     datum, _ = sl2_files
-    lam = write_json(tmp_path / "key.json", {"Lambda": {"x": "1"}})
+    lam = write_json(tmp_path / "key.json", doc)
     code, out, err = run(
         capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"]
     )
     assert (code, out) == (1, "")
-    assert err == f"error: {lam}: index 'x' is not an integer in weight block 'Lambda'\n"
+    assert err == f"error: {lam}: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400"])
@@ -582,10 +592,12 @@ def test_weight_infinite_value_rejected(tmp_path, capsys, sl2_files, command, va
     assert "infinite value at index 1" in err
 
 
-@pytest.mark.parametrize("value", ["true", "false", "NaN"])
+@pytest.mark.parametrize(
+    "value", ["true", "false", "NaN", "null", "[1]", "{}", '"x"', '"0x10"']
+)
 @pytest.mark.parametrize("command", ["char", "oracle", "compare"])
 def test_weight_non_numeric_value_rejected(tmp_path, capsys, sl2_files, command, value):
-    # Fraction would read true as 1 and false as 0, and fails on NaN
+    # Fraction would read true as 1 and false as 0, and fails on the others
     # without naming the entry
     datum, _ = sl2_files
     lam = tmp_path / "bad.json"
@@ -595,7 +607,7 @@ def test_weight_non_numeric_value_rejected(tmp_path, capsys, sl2_files, command,
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "at index 1 in weight block 'Lambda'" in err
+    assert "non-numeric value " in err and err.endswith(" at index 1 in weight block 'Lambda'\n")
 
 
 def test_weight_float_reads_as_its_decimal(tmp_path, capsys):
