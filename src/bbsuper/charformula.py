@@ -15,7 +15,6 @@ at a non-isotropic imaginary index, the inverse-Euler coefficients at an
 even isotropic one, and the coefficients of the inverse distinct-parts
 product at an odd isotropic one.
 """
-from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache

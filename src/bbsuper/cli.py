@@ -20,7 +20,6 @@ handler imports its engine itself, so validate stops at the datum, the
 formula side never loads the oracle, and the oracle never loads the
 formula side.
 """
-from __future__ import annotations
 
 import json
 import os
@@ -61,18 +60,21 @@ def _load(path, parse, *context):
 
 def _render(obj, indent=""):
     """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts,
-    lists, tuples, str, int, bool and None; TypeError on any other type."""
+    lists, tuples, str, int, bool and None; TypeError on any other type.
+    Types are matched exactly (bool is not int here), which is quicker
+    than isinstance and refuses subclasses."""
+    kind = type(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, int):
+    if kind is int:
         return int.__repr__(obj)
-    if isinstance(obj, str):
+    if kind is str:
         return _quote(obj)
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
         if all(type(x) is int for x in obj):
@@ -80,12 +82,12 @@ def _render(obj, indent=""):
         else:
             body = sep.join([_render(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return "{}"
         body = sep.join([f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj)])
         return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(doc, fmt, columns, rows):
@@ -162,12 +164,9 @@ def _oracle_dims(datum, lam, height):
     """{offset: dim} over the window in window order, from one in-process
     pass under the BBSUPER_CAP height cap; lam None gives the generic
     (Verma) dimensions."""
-    from .verma_oracle import caps_from_env, generic_dims, irreducible_dims
+    from .verma_oracle import caps_from_env, irreducible_dims
 
-    max_height = caps_from_env(os.environ)
-    if lam is None:
-        return generic_dims(datum, height, max_height)
-    return irreducible_dims(datum, lam, height, max_height)
+    return irreducible_dims(datum, lam, height, caps_from_env(os.environ))
 
 
 def _cmd_oracle(datum, lam, height):

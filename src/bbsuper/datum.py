@@ -14,7 +14,6 @@ act on integer root coordinates.
 Indices count from zero everywhere in this module; the JSON forms count
 from one.
 """
-from __future__ import annotations
 
 from math import isinf
 
@@ -303,10 +302,18 @@ def datum_from_json(obj) -> OddCartanDatum:
     if not isinstance(obj, dict) or "A" not in obj:
         raise ValueError("datum JSON needs at least the matrix under 'A'")
     a = obj["A"]
-    d = obj.get("D")
+    if not isinstance(a, list):
+        raise ValueError(f"datum field 'A' must be a list of rows, got {a!r}")
+    for row in a:
+        if not isinstance(row, list):
+            raise ValueError(f"datum field 'A' must be a list of rows, got row {row!r}")
+    d, odd = obj.get("D"), obj.get("odd")
+    for name, value in (("D", d), ("odd", odd)):
+        if value is not None and not isinstance(value, list):
+            raise ValueError(f"datum field {name!r} must be a list, got {value!r}")
     if d is None:
         d = [1] * len(a)
-    odd = [_integer(i, "odd index") - 1 for i in obj.get("odd", [])]
+    odd = [_integer(i, "odd index") - 1 for i in odd or ()]
     return validate_datum(a, d, odd)
 
 

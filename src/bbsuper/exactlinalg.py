@@ -10,7 +10,6 @@ of the denominators it reads.  It is fraction-free, integer-preserving
 elimination after Bareiss (Math. Comp. 22, 1968): no Fraction is built
 and no floating point enters.
 """
-from __future__ import annotations
 
 from math import gcd
 

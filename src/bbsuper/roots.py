@@ -15,7 +15,6 @@ formula.  A negative or non-integral multiplicity aborts: neither can
 happen for a valid datum, and rounding or clamping would silently corrupt
 every later height.
 """
-from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
@@ -44,11 +43,6 @@ class RootTable:
 
     def __repr__(self):
         return f"RootTable(H={self.height_bound}, {len(self.entries)} roots)"
-
-
-def classify(datum: OddCartanDatum, beta) -> str:
-    """A root is real exactly when its norm is positive."""
-    return "real" if datum.root_bilinear(beta, beta) > 0 else "imaginary"
 
 
 def _mult_from_log(beta, log_coef: int, entries) -> int:
@@ -88,7 +82,9 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int) -> RootTable:
             m = _mult_from_log(gamma, log_terms.get(gamma, 0), entries)
             if not m:
                 continue
-            entries[gamma] = RootEntry(m, datum.parity_of(gamma), classify(datum, gamma) == "real")
+            # a root is real exactly when its norm is positive
+            is_real = datum.root_bilinear(gamma, gamma) > 0
+            entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
             # a multiple of a root can be a root even where L vanishes
             for k in range(2, height_bound // h + 1):
                 candidates[k * h].add(tuple(k * x for x in gamma))

@@ -13,7 +13,6 @@ at most H, so no digit carries and adding two keys packs the sum of
 their exponents.  Keys never leave this module: terms, coefficient()
 and the JSON form keep exponent tuples.
 """
-from __future__ import annotations
 
 from collections import defaultdict
 

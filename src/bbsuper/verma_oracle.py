@@ -14,14 +14,13 @@ the dimension; the first independent candidates become the basis, each
 kept as its own row of e-images, and the coordinates of every candidate
 in that basis become the new f matrices.
 
-The generic (Verma) dimension runs the same pass with the highest weight
-left symbolic: each pairing <h_i, lam - gamma> = t_i - <h_i, gamma> is
-kept as two integers, its t_i-coefficient and its constant, so every
-e-image is t_j A + B with A and B rational and no polynomial ring is
-needed.  No multiplicity table and no formula output enters either path,
-which is what makes the result an independent check.
+The generic (Verma) dimension, for lam None, runs the same pass with the
+highest weight left symbolic: each pairing <h_i, lam - gamma> =
+t_i - <h_i, gamma> is kept as two integers, its t_i-coefficient and its
+constant, so every e-image is t_j A + B with A and B rational and no
+polynomial ring is needed.  No multiplicity table and no formula output
+enters either path, which is what makes the result an independent check.
 """
-from __future__ import annotations
 
 from itertools import islice
 from math import lcm
@@ -47,13 +46,6 @@ def caps_from_env(env) -> int:
     if cap < 1:
         raise ValueError(f"{ENV_CAP} takes positive integers, got {raw!r}")
     return cap
-
-
-def _check_height(h, max_height):
-    if h > max_height:
-        raise Unreachable(
-            f"height {h} exceeds cap {max_height}; raise {ENV_CAP} to go deeper"
-        )
 
 
 def _generators(datum, beta):
@@ -136,31 +128,20 @@ def _propagate(datum, lam, cells) -> dict:
     return {beta: len(vecs) for beta, vecs in basis.items()}
 
 
-def _window_dims(datum, lam, height_bound, max_height):
-    # the window is graded, so its first cell over the cap is that deep
-    _check_height(min(height_bound, max_height + 1), max_height)
-    return _propagate(datum, lam, weight_window(datum.rank, height_bound))
-
-
 def irreducible_dims(
-    datum: OddCartanDatum, lam: Weight, height_bound: int, max_height=DEFAULT_MAX_HEIGHT
+    datum: OddCartanDatum, lam: Weight | None, height_bound: int, max_height=DEFAULT_MAX_HEIGHT
 ) -> dict:
-    """{offset: dim L(lam)} over weight_window, in window order.
+    """{offset: dim L(lam)} over weight_window, in window order; lam None
+    gives the generic weight, whose L is the Verma module.
 
     The height bound is checked against max_height before any work starts.
     """
-    return _window_dims(datum, lam, height_bound, max_height)
-
-
-def generic_dims(
-    datum: OddCartanDatum, height_bound: int, max_height=DEFAULT_MAX_HEIGHT
-) -> dict:
-    """{offset: Verma dimension} for generic highest weight over
-    weight_window, in window order.
-
-    The height bound is checked against max_height before any work starts.
-    """
-    return _window_dims(datum, None, height_bound, max_height)
+    if height_bound > max_height:
+        # the window is graded, so its first cell over the cap is that deep
+        raise Unreachable(
+            f"height {max_height + 1} exceeds cap {max_height}; raise {ENV_CAP} to go deeper"
+        )
+    return _propagate(datum, lam, weight_window(datum.rank, height_bound))
 
 
 def _compositions(h, parts):

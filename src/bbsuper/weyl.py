@@ -8,7 +8,6 @@ height bound is finite.  Distinct group elements give distinct defects
 because the start is regular dominant, which makes defect deduplication
 a faithful enumeration and every recorded word reduced.
 """
-from __future__ import annotations
 
 from collections import deque, namedtuple
 

@@ -32,8 +32,9 @@ from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
 from bbsuper.datum import OddCartanDatum, Weight, height, unit_root
+from bbsuper.errors import Unreachable
 from bbsuper.series import CharSeries
-from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT, _check_height
+from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT
 
 
 class BadGeneratorIndex(ValueError):
@@ -87,7 +88,8 @@ def enumerate_f_monomials(datum: OddCartanDatum, beta, max_height=DEFAULT_MAX_HE
     beta = tuple(int(b) for b in beta)
     if any(b < 0 for b in beta):
         raise ValueError(f"{beta} is not in the positive cone")
-    _check_height(height(beta), max_height)
+    if height(beta) > max_height:
+        raise Unreachable(f"height {height(beta)} exceeds cap {max_height}")
     rank = datum.rank
     out = []
 
@@ -156,7 +158,7 @@ def _pairing_fn(datum, lam):
     if lam is None:
         raise ValueError(
             "word pairings need a numeric highest weight; "
-            "generic dimensions come from generic_dims"
+            "generic dimensions come from irreducible_dims with lam None"
         )
 
     def pairing(idx, offset):

@@ -8,7 +8,7 @@ from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import Weight, validate_datum
 from bbsuper.roots import roots_to_json, solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R, series_to_json
-from bbsuper.verma_oracle import generic_dims, irreducible_dims
+from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
     casimir_shift,
@@ -127,7 +127,7 @@ def test_criterion_4_even_non_isotropic():
         )
         check(problems, total == 2**bound - 1, f"divisor sum at {bound}")
     verma = CharSeries.one(5, 1).divide(denominator_R(d, table, 5))
-    dims = generic_dims(d, 5)
+    dims = irreducible_dims(d, None, 5)
     for n in range(6):
         check(problems, dims[(n,)] == verma.coefficient((n,)), f"symbolic rank at {n}")
     elapsed = time.perf_counter() - start

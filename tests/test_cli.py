@@ -59,6 +59,32 @@ def test_validate_rejects_bad_datum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"A": 5}, "'A'"),
+        ({"A": [5]}, "'A'"),
+        ({"A": "2"}, "'A'"),
+        ({"A": {}}, "'A'"),
+        ({"A": [[2]], "D": 1}, "'D'"),
+        ({"A": [[2]], "odd": 3}, "'odd'"),
+    ],
+)
+def test_validate_rejects_datum_shapes(tmp_path, capsys, doc, field):
+    datum = write_json(tmp_path / "d.json", doc)
+    code, out, err = run(capsys, ["validate", "--datum", datum])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"datum field {field} must be a list" in err
+
+
+def test_validate_reads_null_odd_as_absent(tmp_path, capsys):
+    datum = write_json(tmp_path / "d.json", {"A": [[2, -1], [-1, 0]], "D": None, "odd": None})
+    code, out, err = run(capsys, ["validate", "--datum", datum])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["odd"] == []
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"A": [[2.9]]},

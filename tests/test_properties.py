@@ -16,7 +16,7 @@ from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import Weight, validate_datum
 from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R
-from bbsuper.verma_oracle import generic_dims, irreducible_dims
+from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
     character_structure_faults,
@@ -189,7 +189,7 @@ def test_generic_dims_match_inverted_denominator(datum):
     bound = ORACLE_HEIGHT[datum.rank]
     denominator = denominator_R(datum, solve_multiplicities(datum, bound), bound)
     verma = CharSeries.one(bound, datum.rank).divide(denominator)
-    dims = generic_dims(datum, bound)
+    dims = irreducible_dims(datum, None, bound)
     assert dims == {beta: verma.coefficient(beta) for beta in dims}
 
 
@@ -197,7 +197,7 @@ def test_generic_dims_match_inverted_denominator(datum):
 @given(datums(), st.lists(st.integers(0, 2), min_size=3, max_size=3))
 def test_generic_dims_bound_irreducible_dims(datum, levels):
     bound = ORACLE_HEIGHT[datum.rank]
-    generic = generic_dims(datum, bound)
+    generic = irreducible_dims(datum, None, bound)
     irreducible = irreducible_dims(datum, dominant(datum, levels), bound)
     for beta, d in irreducible.items():
         assert generic[beta] >= d, beta
@@ -243,4 +243,6 @@ def test_relabelling_maps_back(datum, data):
     assert unrelabel(perm, irreducible_dims(other, other_lam, bound)) == (
         irreducible_dims(datum, lam, bound)
     )
-    assert unrelabel(perm, generic_dims(other, bound)) == generic_dims(datum, bound)
+    assert unrelabel(perm, irreducible_dims(other, None, bound)) == (
+        irreducible_dims(datum, None, bound)
+    )

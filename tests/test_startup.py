@@ -67,8 +67,9 @@ def loaded(files, *argv):
     )
     assert proc.returncode == 0, proc.stderr
     modules = set(out.read_text().split())
-    # argparse brings gettext and locale with it
-    assert not modules & {"dataclasses", "argparse", "gettext", "locale"}
+    # argparse brings gettext and locale with it; no annotation needs
+    # __future__
+    assert not modules & {"dataclasses", "argparse", "gettext", "locale", "__future__"}
     return modules
 
 

@@ -12,7 +12,7 @@ from bbsuper.datum import Weight, graded_key, validate_datum, weight_from_json
 from bbsuper.errors import Unreachable
 from bbsuper.roots import solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R
-from bbsuper.verma_oracle import caps_from_env, generic_dims, irreducible_dims, weight_window
+from bbsuper.verma_oracle import caps_from_env, irreducible_dims, weight_window
 
 from reference import (
     BadGeneratorIndex,
@@ -198,11 +198,11 @@ def test_gram_odd_iso_level_blocks():
 def test_gram_generic_weight_rejected():
     # generic dimensions come from propagation, not from word pairings
     d = sl2()
-    with pytest.raises(ValueError, match="generic_dims"):
+    with pytest.raises(ValueError, match="lam None"):
         gram_matrix(d, None, (2,))
-    with pytest.raises(ValueError, match="generic_dims"):
+    with pytest.raises(ValueError, match="lam None"):
         pair_with_cell(d, None, (1,), {((0, 1),): 1})
-    with pytest.raises(ValueError, match="generic_dims"):
+    with pytest.raises(ValueError, match="lam None"):
         lower_with_e(d, 0, 1, ((0, 1),), None)
 
 
@@ -241,7 +241,7 @@ def test_irreducible_dim_degenerate_offsets():
 def test_dims_are_keyed_by_offset_in_window_order():
     d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     assert list(irreducible_dims(d, d.fundamental_weight(0), 4)) == weight_window(2, 4)
-    assert list(generic_dims(d, 4)) == weight_window(2, 4)
+    assert list(irreducible_dims(d, None, 4)) == weight_window(2, 4)
 
 
 def test_even_iso_dims_are_partitions():
@@ -324,16 +324,16 @@ def test_irreducible_dims_caps():
 
 def test_generic_dims_free_case():
     d = free_imag()
-    assert values(generic_dims(d, 5)) == [1, 1, 2, 4, 8, 16]
-    assert values(generic_dims(d, 9, WIDE)) == [1] + [2 ** (n - 1) for n in range(1, 10)]
+    assert values(irreducible_dims(d, None, 5)) == [1, 1, 2, 4, 8, 16]
+    assert values(irreducible_dims(d, None, 9, WIDE)) == [1] + [2 ** (n - 1) for n in range(1, 10)]
 
 
 def test_generic_dims_caps():
     d = free_imag()
     with pytest.raises(Unreachable):
-        generic_dims(d, 7)
+        irreducible_dims(d, None, 7)
     with pytest.raises(Unreachable):
-        generic_dims(d, 7, 6)
+        irreducible_dims(d, None, 7, 6)
 
 
 def test_generic_matches_pbw_series():
@@ -347,7 +347,7 @@ def test_generic_matches_pbw_series():
         d = validate_datum(a, dd, odd=odd)
         table = solve_multiplicities(d, 4)
         verma = CharSeries.one(4, d.rank).divide(denominator_R(d, table, 4))
-        for beta, dim in generic_dims(d, 4).items():
+        for beta, dim in irreducible_dims(d, None, 4).items():
             assert dim == verma.coefficient(beta), (a, odd, beta)
 
 
