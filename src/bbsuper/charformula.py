@@ -3,8 +3,9 @@
 The numerator collects, for every orbit element w and every orthogonal
 support s built on imaginary indices annihilated by the highest weight,
 a signed exponential at defect(w) + w(s); the supports depend on the
-highest weight alone and are enumerated once.  Images of imaginary
-simple roots under real reflection words stay in the positive cone, so
+highest weight alone and are enumerated once, and w(s) is read off the
+images w(alpha_i) that each orbit element carries.  Images of imaginary
+simple roots under the real reflections stay in the positive cone, so
 every collected exponent does too.  By the denominator identity the
 numerator N_0 at highest weight zero is the product over positive
 roots, so the character is the quotient N_lambda / N_0: one layered
@@ -19,9 +20,9 @@ product at an odd isotropic one.
 from collections import namedtuple
 from functools import lru_cache
 
-from .datum import OddCartanDatum, Weight, height, unit_root, weight_to_json
+from .datum import OddCartanDatum, Weight, height, weight_to_json
 from .series import CharSeries, series_to_json
-from .weyl import act_on_root, orbit_frontier
+from .weyl import orbit_frontier
 
 
 @lru_cache(maxsize=None)
@@ -102,24 +103,22 @@ def _numerator_with_count(datum, lam, height_bound):
     elements = orbit_frontier(datum, lam, height_bound)
     supports = [s for s in enumerate_supports(datum, lam, height_bound) if s.sign]
     elig = eligible_indices(datum, lam)
-    n = datum.rank
     acc = {}
     contributed = 0
     for elt in elements:
-        images = {i: act_on_root(datum, elt.word, unit_root(n, i)) for i in elig}
-        if any(min(image) < 0 for image in images.values()):
-            raise ValueError(f"{elt.word} moves an imaginary simple root out of the cone")
+        if any(min(elt.images[i]) < 0 for i in elig):
+            raise ValueError(f"defect {elt.defect}: an imaginary simple root leaves the cone")
         for sup in supports:
             exp = list(elt.defect)
             for i, level in zip(sup.indices, sup.coeffs):
-                for j, x in enumerate(images[i]):
+                for j, x in enumerate(elt.images[i]):
                     exp[j] += level * x
             if height(exp) > height_bound:
                 continue
             key = tuple(exp)
             acc[key] = acc.get(key, 0) + elt.sign * sup.sign
             contributed += 1
-    series = CharSeries(height_bound, n, acc)
+    series = CharSeries(height_bound, datum.rank, acc)
     return series, len(elements), contributed
 
 

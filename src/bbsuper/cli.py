@@ -3,8 +3,8 @@
 Every subcommand reads a datum (and usually a weight) from JSON, runs
 one engine entry point and prints a single canonical document, so runs
 are reproducible byte for byte.  Exit codes:
-0 success, 1 bad input or stdout closed early, 2 comparison mismatch,
-3 resource cap hit.
+0 success, 1 bad input or a failed write to stdout, 2 comparison
+mismatch, 3 resource cap hit.
 
 The subcommand comes first; each option is `--opt value` or
 `--opt=value`, in full, and the last one wins.  _COMMANDS says which
@@ -90,22 +90,19 @@ def _render(obj, indent=""):
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit(doc, fmt, columns, rows):
-    """Print doc as JSON, or as a table of the given columns over rows, the
-    dicts that doc holds: a str cell prints as it is, any other as json.dumps."""
+def _format(doc, fmt, columns, rows) -> str:
+    """doc as JSON, or as a table of the given columns over rows, the dicts
+    that doc holds: a str cell shows as it is, any other as json.dumps."""
     if fmt == "json":
-        print(_render(doc))
-        return
+        return _render(doc)
     rendered = [[row[k] if isinstance(row[k], str) else json.dumps(row[k]) for k in columns]
                 for row in rows]
     widths = [len(h) for h in columns]
     for row in rendered:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    line = "  ".join(h.ljust(w) for h, w in zip(columns, widths))
-    print(line.rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rendered:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    lines = [columns, ["-" * w for w in widths], *rendered]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                     for line in lines)
 
 
 def _one_based(indices):
@@ -287,24 +284,18 @@ def _parse_args(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    code = EXIT_OK
     try:
         if "-h" in argv or "--help" in argv:
-            print(_HELP, flush=True)
-            return EXIT_OK
-        args = _parse_args(argv)
-        datum = _load(args.datum, datum_from_json)
-        lam = None if args.lam is None else _load(args.lam, weight_from_json, datum)
-        doc, columns, rows = _COMMANDS[args.subcommand][0](datum, lam, args.height)
-        _emit(doc, args.format, columns, rows)
-        sys.stdout.flush()
-        if args.subcommand == "compare" and not doc["matches"]:
-            return EXIT_MISMATCH
-        return EXIT_OK
-    except BrokenPipeError:
-        # the reader closed stdout (`| head -1`): point it at devnull so that
-        # the flush at exit does not raise again, and exit 1 in silence
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BAD_INPUT
+            text = _HELP
+        else:
+            args = _parse_args(argv)
+            datum = _load(args.datum, datum_from_json)
+            lam = None if args.lam is None else _load(args.lam, weight_from_json, datum)
+            doc, columns, rows = _COMMANDS[args.subcommand][0](datum, lam, args.height)
+            text = _format(doc, args.format, columns, rows)
+            if args.subcommand == "compare" and not doc["matches"]:
+                code = EXIT_MISMATCH
     except Unreachable as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAPPED
@@ -312,6 +303,17 @@ def main(argv=None) -> int:
         # ValueError covers BBSUPER_CAP parse failures and malformed vectors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # the reader closed stdout (`| head -1`) or the write failed (a full
+        # disk): point stdout at devnull so that the flush at exit does not
+        # raise again, and exit 1, in silence for a closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from one.
 """
 
 from math import isinf
+from operator import mul
 
 from .errors import (
     BadDiagonal,
@@ -254,15 +255,12 @@ class OddCartanDatum(_Value):
 
     def pair_root(self, i: int, beta) -> int:
         """Evaluate h_i on a root-lattice vector."""
-        return sum(self.a[i][j] * beta[j] for j in range(self.rank))
+        return sum(map(mul, self.a[i], beta))
 
     def root_bilinear(self, beta, gamma) -> int:
         """Symmetric form between two root-lattice vectors."""
-        acc = 0
-        for i in range(self.rank):
-            if beta[i]:
-                acc += beta[i] * self.d[i] * self.pair_root(i, gamma)
-        return acc
+        rows = zip(beta, self.d, self.a)
+        return sum(b * di * sum(map(mul, row, gamma)) for b, di, row in rows if b)
 
     # ---- reflections and dominance ----
 
@@ -301,6 +299,9 @@ def validate_datum(a, d, odd=()) -> OddCartanDatum:
 def datum_from_json(obj) -> OddCartanDatum:
     if not isinstance(obj, dict) or "A" not in obj:
         raise ValueError("datum JSON needs at least the matrix under 'A'")
+    for key in obj:
+        if key not in ("A", "D", "odd"):
+            raise ValueError(f"unknown datum field {key!r}: use A, D or odd")
     a = obj["A"]
     if not isinstance(a, list):
         raise ValueError(f"datum field 'A' must be a list of rows, got {a!r}")
@@ -328,6 +329,9 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
     n = datum.rank
     if not isinstance(obj, dict):
         raise ValueError("a weight must be an object of Lambda, delta and alpha blocks")
+    for key in obj:
+        if key not in _BLOCKS:
+            raise ValueError(f"unknown weight block {key!r}: use Lambda, delta or alpha")
 
     def block(name):
         entries = obj.get(name)

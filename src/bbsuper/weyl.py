@@ -6,21 +6,21 @@ pairing times alpha_i, so the defect (start minus image, read off the
 root coordinates) grows monotonically in height and the orbit below a
 height bound is finite.  Distinct group elements give distinct defects
 because the start is regular dominant, which makes defect deduplication
-a faithful enumeration and every recorded word reduced.
+a faithful enumeration.
 """
 
 from collections import deque, namedtuple
 
-from .datum import OddCartanDatum, Weight, graded_key, height
+from .datum import OddCartanDatum, Weight, graded_key, height, unit_root
 from .errors import NotDominant
 
 
-class OrbitElement(namedtuple("OrbitElement", "word sign defect")):
-    """One group element: reduced word, sign and defect.
+class OrbitElement(namedtuple("OrbitElement", "sign defect images")):
+    """One group element w: sign, defect and images of the simple roots.
 
-    The word lists reflection indices outermost first, so the rightmost
-    letter acts first.  The defect is the nonnegative integer root vector
-    with image of lam + rho = (lam + rho) - defect.
+    The defect is the nonnegative integer root vector with
+    w(lam + rho) = (lam + rho) - defect, and images[i] is w(alpha_i) in
+    root coordinates for every simple index i.
     """
 
     __slots__ = ()
@@ -33,14 +33,15 @@ def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> lis
         raise NotDominant("orbit expansion needs a dominant integral weight")
     # <h_i, lam + rho>, an integer at real i for dominant integral lam
     shifted = {i: int(datum.pair(i, lam)) + 1 for i in datum.real_indices}
-    first = OrbitElement((), 1, (0,) * datum.rank)
+    n = datum.rank
+    first = OrbitElement(1, (0,) * n, tuple(unit_root(n, i) for i in range(n)))
     seen = {first.defect: first}
     queue = deque([first])
     while queue:
         elt = queue.popleft()
         for i, t in shifted.items():
             c = t - datum.pair_root(i, elt.defect)
-            # descend only; going up would revisit shorter words
+            # descend only; going up would revisit shorter elements
             if c <= 0:
                 continue
             if height(elt.defect) + c > height_bound:
@@ -48,16 +49,9 @@ def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> lis
             defect = elt.defect[:i] + (elt.defect[i] + c,) + elt.defect[i + 1 :]
             if defect in seen:
                 continue
-            nxt = OrbitElement((i,) + elt.word, -elt.sign, defect)
+            # s_i w maps alpha_j to s_i(w(alpha_j))
+            images = tuple(datum.reflect_root(i, image) for image in elt.images)
+            nxt = OrbitElement(-elt.sign, defect, images)
             seen[defect] = nxt
             queue.append(nxt)
     return sorted(seen.values(), key=lambda e: graded_key(e.defect))
-
-
-def act_on_root(datum: OddCartanDatum, word, beta) -> tuple:
-    """Apply a reflection word to root-lattice coordinates, rightmost
-    letter first.  The result may leave the positive cone."""
-    out = tuple(beta)
-    for i in reversed(word):
-        out = datum.reflect_root(i, out)
-    return out

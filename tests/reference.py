@@ -22,10 +22,13 @@ compiles only what its subcommands use.
   rows such as a Gram matrix by that elimination.
 - weight_difference, rho and reflect: weight arithmetic that the package
   leaves out, since its engines read a weight only through its pairings.
+- orbit_words and act_on_root: a shortest reflection word for each orbit
+  element, found by reflecting lam + rho itself, and its replay on root
+  coordinates, against which the orbit's carried images are checked.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -490,6 +493,35 @@ def depth_below(lam: Weight, mu: Weight) -> tuple | None:
     if any(c.denominator != 1 or c < 0 for c in diff.root_part):
         return None
     return tuple(int(c) for c in diff.root_part)
+
+
+def orbit_words(datum, lam, height_bound) -> dict:
+    """{defect: shortest reflection word} over the orbit of lam + rho below
+    the height bound, found by reflecting the weight itself breadth first.
+    A word lists reflection indices outermost first, so its rightmost
+    letter acts first."""
+    start = weight_difference(lam, weight_difference(datum.zero_weight(), rho(datum)))
+    words = {(0,) * datum.rank: ()}
+    queue = deque([((), start)])
+    while queue:
+        word, mu = queue.popleft()
+        for i in datum.real_indices:
+            image = reflect(datum, i, mu)
+            defect = depth_below(start, image)
+            if sum(defect) <= height_bound and defect not in words:
+                words[defect] = (i,) + word
+                queue.append(((i,) + word, image))
+    return words
+
+
+def act_on_root(datum, word, beta) -> tuple:
+    """w(beta) for the reflection word w, rightmost letter first, through
+    reflect on the weight whose root part is beta."""
+    zero = (0,) * datum.rank
+    mu = Weight(zero, zero, tuple(beta))
+    for i in reversed(word):
+        mu = reflect(datum, i, mu)
+    return mu.root_part
 
 
 def is_primitive_candidate(datum, lam, mu) -> bool:

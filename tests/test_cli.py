@@ -77,6 +77,14 @@ def test_validate_rejects_datum_shapes(tmp_path, capsys, doc, field):
     assert f"datum field {field} must be a list" in err
 
 
+def test_validate_rejects_unknown_datum_field(tmp_path, capsys):
+    # a misspelled "odd" used to validate as a datum with no odd index
+    datum = write_json(tmp_path / "d.json", {"A": [[2]], "Odd": [1]})
+    code, out, err = run(capsys, ["validate", "--datum", datum])
+    assert (code, out) == (1, "")
+    assert err == f"error: {datum}: unknown datum field 'Odd': use A, D or odd\n"
+
+
 def test_validate_reads_null_odd_as_absent(tmp_path, capsys):
     datum = write_json(tmp_path / "d.json", {"A": [[2, -1], [-1, 0]], "D": None, "odd": None})
     code, out, err = run(capsys, ["validate", "--datum", datum])
@@ -540,6 +548,16 @@ def test_weight_block_must_be_an_object(tmp_path, capsys, sl2_files, block):
     assert (code, out) == (1, "")
     assert err.endswith("weight block 'Lambda' must be an object\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["char", "oracle"])
+def test_weight_unknown_block_rejected(tmp_path, capsys, sl2_files, command):
+    # a misspelled "Lambda" used to read as the weight 0
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "w.json", {"lambda": {"1": "1"}})
+    code, out, err = run(capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {lam}: unknown weight block 'lambda': use Lambda, delta or alpha\n"
 
 
 def test_weight_block_null_is_zero(tmp_path, capsys, sl2_files):

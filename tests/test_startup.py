@@ -1,7 +1,7 @@
 """The CLI as a child process: each subcommand loads only its engine,
 integral input loads no fractions, a reader that closes stdout early
-gets no traceback, and the package defines nothing that it does not use
-itself.
+gets no traceback, nor does a write to a full device, and the package
+defines nothing that it does not use itself.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
@@ -119,6 +119,28 @@ def test_closed_stdout_exits_1_in_silence(tmp_path, argv, first_line):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--datum", "{datum}"),
+        ("roots", "--datum", "{datum}", "--height", "3", "--format", "table"),
+    ],
+    ids=["validate", "roots-table"],
+)
+def test_full_stdout_is_one_line_error(files, argv):
+    # every write to /dev/full fails with ENOSPC
+    _, datum, _, _ = files
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bbsuper.cli", *(a.format(datum=datum) for a in argv)],
+            env=package_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: stdout: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
