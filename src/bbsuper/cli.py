@@ -4,7 +4,9 @@ Every subcommand reads a datum (and usually a weight) from JSON, runs
 one engine entry point and prints a single canonical document, so runs
 are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input or a failed write to stdout, 2 comparison
-mismatch, 3 resource cap hit.
+mismatch, 3 resource cap hit.  Bad input is any ValueError, from this
+module or an engine, and prints one `error: ...` line; the cap is
+errors.Unreachable and prints one `resource cap: ...` line.
 
 The subcommand comes first; each option is `--opt value` or
 `--opt=value`, in full, and the last one wins.  _COMMANDS says which
@@ -28,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .datum import datum_from_json, weight_from_json
-from .errors import BBSuperError, Unreachable
+from .errors import Unreachable
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -36,26 +38,21 @@ EXIT_MISMATCH = 2
 EXIT_CAPPED = 3
 
 
-class _CliError(Exception):
-    """Input problem that should become exit code 1 with a message."""
-
-
 def _load(path, parse, *context):
-    """parse(*context, the JSON document at path), or _CliError naming path
-    when the file cannot be read or the document is not valid."""
+    """parse(*context, the JSON document at path), or a ValueError that
+    names path when the file cannot be read or decoded or the document is
+    not valid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse(*context, json.loads(fh.read()))
     except OSError as exc:
-        raise _CliError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        obj = json.loads(text)
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise _CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    try:
-        return parse(*context, obj)
-    except (BBSuperError, ValueError, KeyError, TypeError) as exc:
-        raise _CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    # not UTF-8, an integer over int's digit limit, arrays nested past the
+    # recursion limit, or a document that parse refuses
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _render(obj, indent=""):
@@ -239,9 +236,9 @@ _OPTIONS = {
 
 def _parse_args(argv) -> SimpleNamespace:
     """The subcommand and options of argv, with every option the subcommand
-    needs present and in range; _CliError when argv is malformed."""
+    needs present and in range; ValueError when argv is malformed."""
     if not argv or argv[0] not in _COMMANDS:
-        raise _CliError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
+        raise ValueError(f"the first argument must be a subcommand: {', '.join(_COMMANDS)}")
     command = argv[0]
     reads = ("--datum", "--format") + _COMMANDS[command][1]
     args = SimpleNamespace(subcommand=command, datum=None, lam=None, height=None,
@@ -250,35 +247,35 @@ def _parse_args(argv) -> SimpleNamespace:
     for arg in rest:
         option, eq, value = arg.partition("=")
         if arg != "--symbolic" and option not in _OPTIONS:
-            raise _CliError(f"unrecognized argument {arg!r}")
+            raise ValueError(f"unrecognized argument {arg!r}")
         if option not in reads:
-            raise _CliError(f"{command} takes no {option}")
+            raise ValueError(f"{command} takes no {option}")
         if arg == "--symbolic":
             args.symbolic = True
             continue
         if not eq:
             value = next(rest, None)
             if value is None or value.startswith("--"):
-                raise _CliError(f"{option} needs a value")
+                raise ValueError(f"{option} needs a value")
         name, convert = _OPTIONS[option]
         try:
             setattr(args, name, convert(value))
         except ValueError:
-            raise _CliError(f"{option} needs an integer, got {value!r}") from None
+            raise ValueError(f"{option} needs an integer, got {value!r}") from None
     if args.format not in ("json", "table"):
-        raise _CliError(f"--format must be json or table, got {args.format!r}")
+        raise ValueError(f"--format must be json or table, got {args.format!r}")
     if args.jobs < 1:
-        raise _CliError(f"--jobs must be positive, got {args.jobs}")
+        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     if args.symbolic and args.lam is not None:
-        raise _CliError(f"{command} --symbolic takes no --lambda")
+        raise ValueError(f"{command} --symbolic takes no --lambda")
     if args.datum is None:
-        raise _CliError("--datum is required")
+        raise ValueError("--datum is required")
     if "--lambda" in reads and args.lam is None and not args.symbolic:
-        raise _CliError("--lambda is required for this subcommand")
+        raise ValueError("--lambda is required for this subcommand")
     if "--height" in reads and args.height is None:
-        raise _CliError("--height is required for this subcommand")
+        raise ValueError("--height is required for this subcommand")
     if "--height" in reads and args.height < 0:
-        raise _CliError(f"--height must be nonnegative, got {args.height}")
+        raise ValueError(f"--height must be nonnegative, got {args.height}")
     return args
 
 
@@ -299,8 +296,9 @@ def main(argv=None) -> int:
     except Unreachable as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except (_CliError, ValueError, BBSuperError) as exc:
-        # ValueError covers BBSUPER_CAP parse failures and malformed vectors
+    except ValueError as exc:
+        # every refusal: a malformed command line, an unreadable or invalid
+        # file, a bad BBSUPER_CAP, and the engines' own checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

@@ -18,13 +18,6 @@ from one.
 from math import isinf
 from operator import mul
 
-from .errors import (
-    BadDiagonal,
-    ImaginaryIndexReflection,
-    NotSymmetrizable,
-    OddReParity,
-    PositiveOffDiagonal,
-)
 
 def height(beta) -> int:
     """Total of the simple-root coordinates."""
@@ -179,29 +172,36 @@ class OddCartanDatum(_Value):
             raise ValueError("matrix is not square")
         if len(self.d) != n:
             raise ValueError("symmetrizer length does not match the matrix")
-        if not all(i in range(n) for i in self.odd):
-            raise ValueError("odd index out of range")
+        # odd indices are named as the JSON form lists them, from one
+        for i in sorted(self.odd):
+            if i not in range(n):
+                raise ValueError(f"odd index {i + 1} out of range 1..{n}")
         for i in range(n):
             aii = self.a[i][i]
             if aii != 2 and (aii > 0 or aii % 2 != 0):
-                raise BadDiagonal(f"a[{i}][{i}] = {aii}")
+                raise ValueError(
+                    f"a[{i}][{i}] = {aii}: a diagonal entry must be 2 or a nonpositive even integer"
+                )
             for j in range(n):
                 if i != j and self.a[i][j] > 0:
-                    raise PositiveOffDiagonal(f"a[{i}][{j}] = {self.a[i][j]}")
+                    raise ValueError(
+                        f"a[{i}][{j}] = {self.a[i][j]}: an off-diagonal entry must be nonpositive"
+                    )
         if any(di <= 0 for di in self.d):
-            raise NotSymmetrizable(f"symmetrizer {self.d} is not positive")
+            raise ValueError(f"symmetrizer D = {list(self.d)}: every entry must be positive")
         for i in range(n):
             for j in range(i + 1, n):
                 if self.d[i] * self.a[i][j] != self.d[j] * self.a[j][i]:
-                    raise NotSymmetrizable(
+                    raise ValueError(
                         f"d[{i}]*a[{i}][{j}] = {self.d[i] * self.a[i][j]} "
-                        f"!= d[{j}]*a[{j}][{i}] = {self.d[j] * self.a[j][i]}"
+                        f"!= d[{j}]*a[{j}][{i}] = {self.d[j] * self.a[j][i]}: D*A must be symmetric"
                     )
         for i in self.odd:
             if self.a[i][i] == 2:
                 for j in range(n):
                     if self.a[i][j] % 2 != 0:
-                        raise OddReParity(f"a[{i}][{j}] = {self.a[i][j]} at odd real {i}")
+                        raise ValueError(f"a[{i}][{j}] = {self.a[i][j]}: odd index {i + 1} is "
+                                         "real, so its row must be even")
 
     # ---- index classes ----
 
@@ -267,7 +267,7 @@ class OddCartanDatum(_Value):
     def reflect_root(self, i: int, beta) -> tuple:
         """Simple reflection on root-lattice coordinates."""
         if not self.is_real(i):
-            raise ImaginaryIndexReflection(f"index {i} is imaginary")
+            raise ValueError(f"index {i} is imaginary: only real indices reflect")
         c = self.pair_root(i, beta)
         out = list(beta)
         out[i] -= c
@@ -289,7 +289,7 @@ class OddCartanDatum(_Value):
 
 
 def validate_datum(a, d, odd=()) -> OddCartanDatum:
-    """Build a datum, raising the specific validation error on failure."""
+    """Build a datum; a ValueError that states the broken rule on failure."""
     return OddCartanDatum(tuple(tuple(row) for row in a), tuple(d), frozenset(odd))
 
 

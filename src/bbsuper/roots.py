@@ -21,7 +21,6 @@ from math import gcd
 
 from .charformula import numerator_series
 from .datum import OddCartanDatum, graded_key, height
-from .errors import NegativeMultiplicity, NonIntegralMultiplicity
 from .series import CharSeries, log_sign
 
 
@@ -59,9 +58,9 @@ def _mult_from_log(beta, log_coef: int, entries) -> int:
             total -= log_sign(entry.parity, k) * (h // k) * entry.mult
     m, rest = divmod(total, h)
     if rest:
-        raise NonIntegralMultiplicity(f"multiplicity {total}/{h} at exponent {beta}")
+        raise ValueError(f"multiplicity {total}/{h} at exponent {beta} is not an integer")
     if m < 0:
-        raise NegativeMultiplicity(f"multiplicity {m} at exponent {beta}")
+        raise ValueError(f"multiplicity {m} at exponent {beta} is negative")
     return m
 
 

@@ -17,7 +17,6 @@ and the JSON form keep exponent tuples.
 from collections import defaultdict
 
 from .datum import graded_key, height
-from .errors import HeightMismatch, IncompleteRootTable, NonUnitConstantTerm
 
 
 class CharSeries:
@@ -51,7 +50,7 @@ class CharSeries:
 
     def _check_compatible(self, other):
         if self.height_bound != other.height_bound:
-            raise HeightMismatch(f"{self.height_bound} vs {other.height_bound}")
+            raise ValueError(f"height bounds differ: {self.height_bound} vs {other.height_bound}")
         if self.rank != other.rank:
             raise ValueError("series ranks differ")
 
@@ -99,7 +98,7 @@ class CharSeries:
         self._check_compatible(other)
         c0 = other.terms.get((0,) * self.rank, 0)
         if c0 not in (1, -1):
-            raise NonUnitConstantTerm(f"constant term {c0}")
+            raise ValueError(f"constant term {c0}: a divisor needs constant term 1 or -1")
         num, den = self._pack_layers(), other._pack_layers()
         q = {}
         for h in range(self.height_bound + 1):
@@ -180,9 +179,7 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
     read only through items_sorted() and height_bound.
     """
     if table.height_bound < height_bound:
-        raise IncompleteRootTable(
-            f"table stops at {table.height_bound}, need {height_bound}"
-        )
+        raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
     base = height_bound + 1
     log_layers = defaultdict(lambda: defaultdict(int))
     for beta, entry in table.items_sorted():
@@ -200,7 +197,7 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
             coef, rest = divmod(v, h)
             if rest:
                 exp = _unpack(e, datum.rank, base)
-                raise ArithmeticError(f"coefficient {v}/{h} at {exp} is not an integer")
+                raise ValueError(f"coefficient {v}/{h} at {exp} is not an integer")
             if coef:
                 layer[e] = coef
         layers[h] = layer

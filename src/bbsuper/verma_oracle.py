@@ -22,8 +22,9 @@ polynomial ring is needed.  No multiplicity table and no formula output
 enters either path, which is what makes the result an independent check.
 """
 
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from math import lcm
+from operator import sub
 
 from .datum import OddCartanDatum, Weight
 from .errors import Unreachable
@@ -144,16 +145,14 @@ def irreducible_dims(
     return _propagate(datum, lam, weight_window(datum.rank, height_bound))
 
 
-def _compositions(h, parts):
-    """The compositions of h into `parts` nonnegative summands, in lex order."""
-    if parts == 1:
-        yield (h,)
-        return
-    for first in range(h + 1):
-        for rest in _compositions(h - first, parts - 1):
-            yield (first,) + rest
-
-
 def weight_window(rank: int, height_bound: int):
-    """All cone offsets up to the height bound in graded lex order."""
-    return [beta for h in range(height_bound + 1) for beta in _compositions(h, rank)]
+    """All cone offsets up to the height bound in graded lex order.  An
+    offset of height h is fixed by its rank - 1 partial sums, a
+    nondecreasing run in 0..h (stars and bars), and runs in lex order give
+    offsets in lex order."""
+    window = []
+    for h in range(height_bound + 1):
+        for sums in combinations_with_replacement(range(h + 1), rank - 1):
+            cuts = (0, *sums, h)
+            window.append(tuple(map(sub, cuts[1:], cuts)))
+    return window

@@ -12,7 +12,6 @@ a faithful enumeration.
 from collections import deque, namedtuple
 
 from .datum import OddCartanDatum, Weight, graded_key, height, unit_root
-from .errors import NotDominant
 
 
 class OrbitElement(namedtuple("OrbitElement", "sign defect images")):
@@ -30,7 +29,7 @@ def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> lis
     """All orbit elements whose defect height stays within the bound,
     sorted by defect height then lexicographically by defect."""
     if not datum.is_dominant_integral(lam):
-        raise NotDominant("orbit expansion needs a dominant integral weight")
+        raise ValueError("orbit expansion needs a dominant integral weight")
     # <h_i, lam + rho>, an integer at real i for dominant integral lam
     shifted = {i: int(datum.pair(i, lam)) + 1 for i in datum.real_indices}
     n = datum.rank

@@ -51,11 +51,28 @@ def test_validate_echoes_classes(tmp_path, capsys):
     }
 
 
-def test_validate_rejects_bad_datum(tmp_path, capsys):
-    datum = write_json(tmp_path / "d.json", {"A": [[3]], "D": [1]})
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"A": [[3]], "D": [1]},
+         "a[0][0] = 3: a diagonal entry must be 2 or a nonpositive even integer"),
+        ({"A": [[2, 1], [1, 2]]}, "a[0][1] = 1: an off-diagonal entry must be nonpositive"),
+        ({"A": [[2, -1], [-2, 2]]},
+         "d[0]*a[0][1] = -1 != d[1]*a[1][0] = -2: D*A must be symmetric"),
+        ({"A": [[2]], "D": [0]}, "symmetrizer D = [0]: every entry must be positive"),
+        # odd indices are named as the document lists them, from one
+        ({"A": [[2, -1], [-1, 2]], "odd": [1]},
+         "a[0][1] = -1: odd index 1 is real, so its row must be even"),
+        ({"A": [[2]], "odd": [0]}, "odd index 0 out of range 1..1"),
+        ({"A": [[2]], "odd": [2]}, "odd index 2 out of range 1..1"),
+    ],
+    ids=["diagonal", "off-diagonal", "symmetric", "positive-D", "odd-row", "odd-0", "odd-n+1"],
+)
+def test_validate_rejects_bad_datum(tmp_path, capsys, doc, message):
+    datum = write_json(tmp_path / "d.json", doc)
     code, out, err = run(capsys, ["validate", "--datum", datum])
-    assert code == 1
-    assert "error" in err
+    assert (code, out) == (1, "")
+    assert err == f"error: {datum}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -125,6 +142,20 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     code, _, err = run(capsys, ["validate", "--datum", str(bad)])
     assert code == 1
     assert "bad.json:2" in err
+    # files that fail to decode outside the JSON grammar: bytes that are
+    # not UTF-8, an integer over int's 4300-digit limit, and arrays nested
+    # past the recursion limit
+    for name, content, reason in (
+        ("latin1.json", b'{"A": [[2]], "odd": ["\xff"]}', "can't decode byte 0xff"),
+        ("long.json", b'{"A": [[' + b"9" * 5000 + b"]]}", "Exceeds the limit (4300"),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["validate", "--datum", str(path)])
+        assert (code, out) == (1, ""), name
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, name
+        assert reason in err, name
 
 
 def test_roots_json(tmp_path, capsys, sl2_files):

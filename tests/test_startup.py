@@ -1,12 +1,13 @@
 """The CLI as a child process: each subcommand loads only its engine,
 integral input loads no fractions, a reader that closes stdout early
 gets no traceback, nor does a write to a full device, and the package
-defines nothing that it does not use itself.
+defines nothing that it does not use itself and one exception class.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
 """
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -224,3 +225,23 @@ def test_every_definition_is_used_in_the_package():
         and total[node.name] == _references(node)[node.name]
     ]
     assert unused == []
+
+
+def test_one_exception_class():
+    # every refusal is a ValueError; only the height cap, which exits 3
+    # instead of 1, has a type of its own
+    bases = {}
+    for path in Path(bbsuper.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[path.stem, node.name] = [ast.unparse(b) for b in node.bases]
+    local = {name: names for (_, name), names in bases.items()}
+
+    def is_exception(base):
+        if base in local:
+            return any(map(is_exception, local[base]))
+        kind = getattr(builtins, base, None)
+        return isinstance(kind, type) and issubclass(kind, BaseException)
+
+    found = [key for key, names in bases.items() if any(map(is_exception, names))]
+    assert found == [("errors", "Unreachable")]

@@ -8,7 +8,7 @@ import pytest
 
 from bbsuper import exactlinalg, verma_oracle
 from bbsuper.charformula import irreducible_character
-from bbsuper.datum import Weight, graded_key, validate_datum, weight_from_json
+from bbsuper.datum import Weight, graded_key, unit_root, validate_datum, weight_from_json
 from bbsuper.errors import Unreachable
 from bbsuper.roots import solve_multiplicities
 from bbsuper.series import CharSeries, denominator_R
@@ -454,3 +454,7 @@ def test_weight_window_order():
         for bound in range(6):
             cone = (b for b in product(range(bound + 1), repeat=rank) if sum(b) <= bound)
             assert weight_window(rank, bound) == sorted(cone, key=graded_key)
+    # no recursion per index: height 1 at rank 1100 is the origin, then
+    # the unit roots in lex order
+    window = weight_window(1100, 1)
+    assert window == [(0,) * 1100] + [unit_root(1100, i) for i in reversed(range(1100))]

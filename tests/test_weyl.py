@@ -5,7 +5,6 @@ from math import prod
 import pytest
 
 from bbsuper.datum import Weight, height, unit_root, validate_datum
-from bbsuper.errors import NotDominant
 from bbsuper.weyl import orbit_frontier
 
 from reference import act_on_root, orbit_words
@@ -64,7 +63,7 @@ def test_imaginary_indices_do_not_reflect():
 
 def test_orbit_requires_dominant():
     d = validate_datum([[2]], [1])
-    with pytest.raises(NotDominant):
+    with pytest.raises(ValueError, match="orbit expansion needs a dominant integral weight"):
         orbit_frontier(d, Weight((-1,), (0,), (0,)), 5)
 
 
