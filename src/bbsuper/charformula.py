@@ -1,15 +1,16 @@
 """Highest-weight characters by alternating sum over the bounded orbit.
 
-The numerator collects, for every orbit element w and every orthogonal
-support s built on imaginary indices annihilated by the highest weight,
-a signed exponential at defect(w) + w(s); the supports depend on the
-highest weight alone and are enumerated once, and w(s) is read off the
-images w(alpha_i) that each orbit element carries.  Images of imaginary
-simple roots under the real reflections stay in the positive cone, so
-every collected exponent does too.  By the denominator identity the
-numerator N_0 at highest weight zero is the product over positive
-roots, so the character is the quotient N_lambda / N_0: one layered
-division, with no root table, exact within the height window.
+The numerator is the sum, over the real Weyl group and over the
+orthogonal supports s built on imaginary indices annihilated by the
+highest weight, of signed exponentials at (lam + rho) - w(lam + rho - s).
+The supports depend on the highest weight alone and are enumerated once.
+Since s lies on imaginary indices, lam - s is again dominant integral, so
+each support takes one orbit walk of lam - s, cut at the height left
+after s, and every exponent s + defect lies in the positive cone.  By
+the denominator identity the numerator N_0 at highest weight zero is the
+product over positive roots, so the character is the quotient
+N_lambda / N_0: one layered division, with no root table, exact within
+the height window.
 
 Support signs come in three flavours per index: any level n with sign -1
 at a non-isotropic imaginary index, the inverse-Euler coefficients at an
@@ -19,6 +20,7 @@ product at an odd isotropic one.
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import add, sub
 
 from .datum import OddCartanDatum, Weight, height, weight_to_json
 from .series import CharSeries, series_to_json
@@ -100,26 +102,23 @@ def enumerate_supports(datum, lam, budget) -> list:
 
 
 def _numerator_with_count(datum, lam, height_bound):
-    elements = orbit_frontier(datum, lam, height_bound)
-    supports = [s for s in enumerate_supports(datum, lam, height_bound) if s.sign]
-    elig = eligible_indices(datum, lam)
+    """The numerator, the orbit size of lam and the number of terms."""
     acc = {}
-    contributed = 0
-    for elt in elements:
-        if any(min(elt.images[i]) < 0 for i in elig):
-            raise ValueError(f"defect {elt.defect}: an imaginary simple root leaves the cone")
-        for sup in supports:
-            exp = list(elt.defect)
-            for i, level in zip(sup.indices, sup.coeffs):
-                for j, x in enumerate(elt.images[i]):
-                    exp[j] += level * x
-            if height(exp) > height_bound:
-                continue
-            key = tuple(exp)
+    walks = []
+    for sup in enumerate_supports(datum, lam, height_bound):
+        if not sup.sign:
+            continue
+        s = [0] * datum.rank
+        for i, level in zip(sup.indices, sup.coeffs):
+            s[i] = level
+        shifted = Weight(lam.fundamental_part, lam.aux_part, tuple(map(sub, lam.root_part, s)))
+        walk = orbit_frontier(datum, shifted, height_bound - height(s))
+        for elt in walk:
+            key = tuple(map(add, s, elt.defect))
             acc[key] = acc.get(key, 0) + elt.sign * sup.sign
-            contributed += 1
-    series = CharSeries(height_bound, datum.rank, acc)
-    return series, len(elements), contributed
+        walks.append(len(walk))
+    # the empty support comes first, so walks[0] is the orbit of lam
+    return CharSeries(height_bound, datum.rank, acc), walks[0], sum(walks)
 
 
 def numerator_series(datum, lam, height_bound) -> CharSeries:

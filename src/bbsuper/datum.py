@@ -8,8 +8,7 @@ indices is marked odd; an odd real index must have an even row.
 A weight is a plain input and output record in three coordinate blocks:
 over the fundamental weights Lambda_i, over one formal complement symbol
 delta_i per index, and over the simple roots, kept unexpanded.  The
-engines read a weight only through its pairings <h_i, lam>; reflections
-act on integer root coordinates.
+engines read a weight only through its pairings <h_i, lam>.
 
 Indices count from zero everywhere in this module; the JSON forms count
 from one.
@@ -262,16 +261,7 @@ class OddCartanDatum(_Value):
         rows = zip(beta, self.d, self.a)
         return sum(b * di * sum(map(mul, row, gamma)) for b, di, row in rows if b)
 
-    # ---- reflections and dominance ----
-
-    def reflect_root(self, i: int, beta) -> tuple:
-        """Simple reflection on root-lattice coordinates."""
-        if not self.is_real(i):
-            raise ValueError(f"index {i} is imaginary: only real indices reflect")
-        c = self.pair_root(i, beta)
-        out = list(beta)
-        out[i] -= c
-        return tuple(out)
+    # ---- dominance ----
 
     def is_dominant_integral(self, w: Weight) -> bool:
         """Nonnegative on every coroot, integral on real indices and even

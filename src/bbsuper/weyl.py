@@ -6,21 +6,18 @@ pairing times alpha_i, so the defect (start minus image, read off the
 root coordinates) grows monotonically in height and the orbit below a
 height bound is finite.  Distinct group elements give distinct defects
 because the start is regular dominant, which makes defect deduplication
-a faithful enumeration.
+a faithful enumeration.  The walk carries the pairings of each image
+with the real coroots, so a step costs one pass over the real indices.
 """
 
 from collections import deque, namedtuple
 
-from .datum import OddCartanDatum, Weight, graded_key, height, unit_root
+from .datum import OddCartanDatum, Weight, graded_key, height
 
 
-class OrbitElement(namedtuple("OrbitElement", "sign defect images")):
-    """One group element w: sign, defect and images of the simple roots.
-
-    The defect is the nonnegative integer root vector with
-    w(lam + rho) = (lam + rho) - defect, and images[i] is w(alpha_i) in
-    root coordinates for every simple index i.
-    """
+class OrbitElement(namedtuple("OrbitElement", "sign defect")):
+    """One group element w: its sign and its defect, the nonnegative
+    integer root vector with w(lam + rho) = (lam + rho) - defect."""
 
     __slots__ = ()
 
@@ -30,27 +27,24 @@ def orbit_frontier(datum: OddCartanDatum, lam: Weight, height_bound: int) -> lis
     sorted by defect height then lexicographically by defect."""
     if not datum.is_dominant_integral(lam):
         raise ValueError("orbit expansion needs a dominant integral weight")
-    # <h_i, lam + rho>, an integer at real i for dominant integral lam
-    shifted = {i: int(datum.pair(i, lam)) + 1 for i in datum.real_indices}
-    n = datum.rank
-    first = OrbitElement(1, (0,) * n, tuple(unit_root(n, i) for i in range(n)))
+    real = datum.real_indices
+    # <h_j, w(lam + rho)> at the real j, integers for dominant integral lam
+    start = tuple(int(datum.pair(j, lam)) + 1 for j in real)
+    first = OrbitElement(1, (0,) * datum.rank)
     seen = {first.defect: first}
-    queue = deque([first])
+    queue = deque([(first, start)])
     while queue:
-        elt = queue.popleft()
-        for i, t in shifted.items():
-            c = t - datum.pair_root(i, elt.defect)
+        elt, pairings = queue.popleft()
+        room = height_bound - height(elt.defect)
+        for i, c in zip(real, pairings):
             # descend only; going up would revisit shorter elements
-            if c <= 0:
-                continue
-            if height(elt.defect) + c > height_bound:
+            if not 0 < c <= room:
                 continue
             defect = elt.defect[:i] + (elt.defect[i] + c,) + elt.defect[i + 1 :]
             if defect in seen:
                 continue
-            # s_i w maps alpha_j to s_i(w(alpha_j))
-            images = tuple(datum.reflect_root(i, image) for image in elt.images)
-            nxt = OrbitElement(-elt.sign, defect, images)
+            nxt = OrbitElement(-elt.sign, defect)
             seen[defect] = nxt
-            queue.append(nxt)
+            # s_i lowers the weight by c alpha_i
+            queue.append((nxt, tuple(p - c * datum.a[j][i] for j, p in zip(real, pairings))))
     return sorted(seen.values(), key=lambda e: graded_key(e.defect))

@@ -24,7 +24,10 @@ compiles only what its subcommands use.
   leaves out, since its engines read a weight only through its pairings.
 - orbit_words and act_on_root: a shortest reflection word for each orbit
   element, found by reflecting lam + rho itself, and its replay on root
-  coordinates, against which the orbit's carried images are checked.
+  coordinates.
+- numerator_by_images, the alternating numerator formed from one orbit
+  of lam + rho with every support moved by w, against which the
+  package's one walk per support is checked.
 """
 from __future__ import annotations
 
@@ -522,6 +525,30 @@ def act_on_root(datum, word, beta) -> tuple:
     for i in reversed(word):
         mu = reflect(datum, i, mu)
     return mu.root_part
+
+
+def numerator_by_images(datum, lam, height_bound) -> tuple:
+    """(N_lam, number of terms) as the sum over the orbit words w of lam +
+    rho and the supports s of sign(w) sign(s) e^{-(defect(w) + w(s))},
+    cut at the height bound.  Each w(alpha_i) at an eligible index i is
+    replayed from the word and must stay in the positive cone."""
+    supports = [s for s in enumerate_supports(datum, lam, height_bound) if s.sign]
+    acc = {}
+    terms = 0
+    for defect, word in orbit_words(datum, lam, height_bound).items():
+        images = {}
+        for i in eligible_indices(datum, lam):
+            images[i] = act_on_root(datum, word, unit_root(datum.rank, i))
+            assert min(images[i]) >= 0, f"{word}: w(alpha_{i}) = {images[i]} leaves the cone"
+        for sup in supports:
+            exp = list(defect)
+            for i, level in zip(sup.indices, sup.coeffs):
+                exp = [e + level * x for e, x in zip(exp, images[i])]
+            if sum(exp) <= height_bound:
+                key = tuple(exp)
+                acc[key] = acc.get(key, 0) + (-1) ** len(word) * sup.sign
+                terms += 1
+    return CharSeries(height_bound, datum.rank, acc), terms
 
 
 def is_primitive_candidate(datum, lam, mu) -> bool:

@@ -4,6 +4,8 @@ import random
 import time
 from math import lcm
 
+import pytest
+
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import Weight, validate_datum
 from bbsuper.roots import roots_to_json, solve_multiplicities
@@ -329,3 +331,38 @@ def test_criterion_9_character_structure_past_the_oracle():
     verma = CharSeries.one(12, 4).divide(numerator_series(datum, datum.zero_weight(), 12))
     check(problems, character_structure_faults(datum, lam, verma)[1], "Verma character passes")
     report(9, "character structure past the oracle", problems)
+
+
+# criterion 10: real blocks with infinite Weyl groups, (A, D, 0-based odd)
+# with lam = Lambda_1, and the fewest W-pairs the structure check compares
+INFINITE_W = {
+    # affine A2^(1) beside a non-isotropic imaginary index
+    "aff": ([[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]], [1] * 4, [], 8000),
+    # the same real block beside an odd isotropic index
+    "affodd": (
+        [[2, -1, -1, -2], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, 0]], [1, 1, 1, 2], [3], 9000
+    ),
+    # all real and indefinite
+    "ind3": ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [1] * 3, [], 1300),
+}
+
+
+@pytest.mark.parametrize("name", INFINITE_W)
+def test_criterion_10_infinite_weyl_groups(name):
+    a, dd, odd, min_pairs = INFINITE_W[name]
+    datum = validate_datum(a, dd, odd=odd)
+    lam = datum.fundamental_weight(0)
+    problems = []
+    series = irreducible_character(datum, lam, 8).series
+    for beta, oracle in irreducible_dims(datum, lam, 8, 8).items():
+        check(
+            problems,
+            series.coefficient(beta) == oracle,
+            f"cell {beta}: formula {series.coefficient(beta)} oracle {oracle}",
+        )
+    height = 24
+    series = irreducible_character(datum, lam, height).series
+    pairs, faults = character_structure_faults(datum, lam, series)
+    problems += faults
+    check(problems, pairs >= min_pairs, f"only {pairs} W-pairs compared at height {height}")
+    report(10, f"infinite Weyl group {name}", problems)

@@ -15,6 +15,7 @@ from reference import (
     BadGeneratorIndex,
     casimir_shift,
     is_primitive_candidate,
+    numerator_by_images,
     s_lambda_series,
     support_weight,
 )
@@ -175,6 +176,37 @@ def test_numerator_mixed_rank2():
     assert n.coefficient((1, 0)) == -1
     assert n.coefficient((2, 1)) == 1
     assert n.coefficient((0, 3)) == -1
+
+
+# the datums of the roadmap's test list as (A, D, 0-based odd, levels of
+# lam on the Lambda_i); aff, affodd, ind3 and affA1 have infinite real
+# Weyl groups, and affA1 is the affine A1 block beside an imaginary index
+WALK_CASES = {
+    "r4": ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1] * 4, [2],
+           (1, 1, 0, 0)),
+    "r3": ([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1] * 3, [1], (1, 0, 0)),
+    "r2": ([[2, -1], [-1, 0]], [1, 1], [1], (1, 0)),
+    "aff": ([[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]], [1] * 4, [],
+            (1, 0, 0, 0)),
+    "affodd": ([[2, -1, -1, -2], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, 0]], [1, 1, 1, 2],
+               [3], (1, 0, 0, 0)),
+    "ind3": ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [1] * 3, [], (1, 0, 0)),
+    "affA1": ([[2, -2, -1], [-2, 2, -1], [-1, -1, -2]], [1] * 3, [], (2, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_one_walk_per_support_matches_moved_supports(name):
+    # the orbit of lam - s for each support s against the orbit of lam
+    # with every s moved by w: the same terms, counted the same
+    a, dd, odd, levels = WALK_CASES[name]
+    d = validate_datum(a, dd, odd=odd)
+    zero = (0,) * d.rank
+    for lam in (Weight(levels, zero, zero), d.zero_weight()):
+        for bound in (0, 1, 7, 14):
+            expected, terms = numerator_by_images(d, lam, bound)
+            assert numerator_series(d, lam, bound) == expected
+            assert irreducible_character(d, lam, bound).support_terms == terms
 
 
 # ---- characters ----

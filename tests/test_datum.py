@@ -1,4 +1,4 @@
-"""Datum validation, pairings, root reflections and the JSON forms."""
+"""Datum validation, pairings and the JSON forms."""
 import json
 import random
 import re
@@ -132,27 +132,15 @@ def test_bilinear_symmetry():
 
 
 def test_reflection_involution_and_negation():
+    # the reference reflection that orbit_words and act_on_root replay
     d = a2()
     for beta in ((1, 0), (2, 1), (-3, 4)):
+        w = dt.Weight((0, 0), (0, 0), beta)
         for i in range(2):
-            ref = d.reflect_root(i, beta)
-            assert d.pair_root(i, ref) == -d.pair_root(i, beta)
-            assert d.reflect_root(i, ref) == beta
-            assert ref[1 - i] == beta[1 - i]
-
-
-def test_reflect_root_matches_weight_reflection():
-    d = a2()
-    beta = (2, 1)
-    assert d.reflect_root(0, beta) == (2 - d.pair_root(0, beta), 1)
-    w = dt.Weight((0, 0), (0, 0), beta)
-    assert reflect(d, 0, w).root_part == tuple(map(Fraction, d.reflect_root(0, beta)))
-
-
-def test_imaginary_reflection_rejected():
-    d = mixed_rank2()
-    with pytest.raises(ValueError, match="index 1 is imaginary: only real indices reflect"):
-        d.reflect_root(1, (0, 1))
+            ref = reflect(d, i, w)
+            assert d.pair(i, ref) == -d.pair(i, w)
+            assert reflect(d, i, ref) == w
+            assert ref.root_part[1 - i] == beta[1 - i]
 
 
 def test_dominance():

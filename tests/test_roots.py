@@ -98,6 +98,17 @@ def test_table_a2():
     }
 
 
+def test_table_a60_at_height_two():
+    # the simple roots and the 59 sums of adjacent ones, each real and
+    # of multiplicity one
+    n = 60
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    table = solve_multiplicities(validate_datum(a, [1] * n), 2)
+    assert len(table.entries) == 119
+    assert set(table.entries.values()) == {RootEntry(1, 0, True)}
+    assert all(beta.count(1) == sum(beta) for beta in table.entries)
+
+
 def test_table_mixed_rank_two():
     d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     table = solve_multiplicities(d, 4)

@@ -64,7 +64,7 @@ def test_datum_validates_on_construction():
         (RootEntry(1, 0, True), "mult"),
         (CharacterResult(CharSeries.one(1, 1), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
         (OrthogonalSupport((0,), (1,), -1), "sign"),
-        (OrbitElement(1, (0,), ((1,),)), "images"),
+        (OrbitElement(1, (0,)), "defect"),
     ],
 )
 def test_fields_are_read_only(value, field):
