@@ -5,12 +5,18 @@ orthogonal supports s built on imaginary indices annihilated by the
 highest weight, of signed exponentials at (lam + rho) - w(lam + rho - s).
 The supports depend on the highest weight alone and are enumerated once.
 Since s lies on imaginary indices, lam - s is again dominant integral, so
-each support takes one orbit walk of lam - s, cut at the height left
-after s, and every exponent s + defect lies in the positive cone.  By
-the denominator identity the numerator N_0 at highest weight zero is the
-product over positive roots, so the character is the quotient
-N_lambda / N_0: one layered division, with no root table, exact within
-the height window.
+dominance is checked once for lam, and each support takes one orbit walk
+of mu = lam + rho - s, cut at the height left after s.  The walk reflects
+at real indices only and reads mu only through its integer pairings
+<h_j, mu> at the real j.  A reflection at i with pairing c > 0 lowers the
+weight by c alpha_i, so the defect (mu minus the image, in root
+coordinates) grows in height, the orbit below a height bound is finite,
+and every exponent s + defect lies in the positive cone.  Distinct group
+elements give distinct defects because mu is regular dominant, which
+makes defect deduplication a faithful enumeration.  By the denominator
+identity the numerator N_0 at highest weight zero is the product over
+positive roots, so the character is the quotient N_lambda / N_0: one
+layered division, with no root table, exact within the height window.
 
 Support signs come in three flavours per index: any level n with sign -1
 at a non-isotropic imaginary index, the inverse-Euler coefficients at an
@@ -18,13 +24,12 @@ even isotropic one, and the coefficients of the inverse distinct-parts
 product at an odd isotropic one.
 """
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
-from .datum import OddCartanDatum, Weight, height, weight_to_json
+from .datum import OddCartanDatum, Weight, graded_key, height, weight_to_json
 from .series import CharSeries, series_to_json
-from .weyl import orbit_frontier
 
 
 @lru_cache(maxsize=None)
@@ -101,8 +106,46 @@ def enumerate_supports(datum, lam, budget) -> list:
     return out
 
 
+class OrbitElement(namedtuple("OrbitElement", "sign defect")):
+    """One group element w: its sign and its defect, the nonnegative
+    integer root vector with w(mu) = mu - defect for the walk's start mu."""
+
+    __slots__ = ()
+
+
+def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> list:
+    """All orbit elements of a regular dominant mu, given by its positive
+    integer pairings start = <h_j, mu> at datum.real_indices, whose defect
+    height stays within the bound, sorted by defect height then
+    lexicographically by defect."""
+    real = datum.real_indices
+    first = OrbitElement(1, (0,) * datum.rank)
+    seen = {first.defect: first}
+    queue = deque([(first, start)])
+    while queue:
+        elt, pairings = queue.popleft()
+        room = height_bound - height(elt.defect)
+        for i, c in zip(real, pairings):
+            # descend only; going up would revisit shorter elements
+            if not 0 < c <= room:
+                continue
+            defect = elt.defect[:i] + (elt.defect[i] + c,) + elt.defect[i + 1 :]
+            if defect in seen:
+                continue
+            nxt = OrbitElement(-elt.sign, defect)
+            seen[defect] = nxt
+            # s_i lowers the weight by c alpha_i
+            queue.append((nxt, tuple(p - c * datum.a[j][i] for j, p in zip(real, pairings))))
+    return sorted(seen.values(), key=lambda e: graded_key(e.defect))
+
+
 def _numerator_with_count(datum, lam, height_bound):
     """The numerator, the orbit size of lam and the number of terms."""
+    if not datum.is_dominant_integral(lam):
+        raise ValueError("orbit expansion needs a dominant integral weight")
+    real = datum.real_indices
+    # <h_j, lam + rho> at the real j, integers for dominant integral lam
+    start = [int(datum.pair(j, lam)) + 1 for j in real]
     acc = {}
     walks = []
     for sup in enumerate_supports(datum, lam, height_bound):
@@ -111,8 +154,8 @@ def _numerator_with_count(datum, lam, height_bound):
         s = [0] * datum.rank
         for i, level in zip(sup.indices, sup.coeffs):
             s[i] = level
-        shifted = Weight(lam.fundamental_part, lam.aux_part, tuple(map(sub, lam.root_part, s)))
-        walk = orbit_frontier(datum, shifted, height_bound - height(s))
+        pairings = [p - datum.pair_root(j, s) for j, p in zip(real, start)]
+        walk = orbit_frontier(datum, pairings, height_bound - height(s))
         for elt in walk:
             key = tuple(map(add, s, elt.defect))
             acc[key] = acc.get(key, 0) + elt.sign * sup.sign

@@ -344,6 +344,19 @@ def test_only_the_formula_side_needs_dominance(tmp_path, capsys):
         assert run(capsys, argv)[0] == expected, command
 
 
+@pytest.mark.parametrize("value", ["-1", "1/2"], ids=["negative", "half"])
+@pytest.mark.parametrize("command", ["char", "compare"])
+def test_non_dominant_weight_is_one_line_error(tmp_path, capsys, command, value):
+    # Lambda_1 pairs with the real coroot h_1 of r2, which needs a
+    # nonnegative integer there
+    datum = write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
+    lam = write_json(tmp_path / "lam.json", {"Lambda": {"1": value}})
+    argv = [command, "--datum", datum, "--lambda", lam, "--height", "4"]
+    assert run(capsys, argv) == (
+        1, "", "error: orbit expansion needs a dominant integral weight\n"
+    )
+
+
 def test_compare_match(tmp_path, capsys, sl2_files):
     datum, lam = sl2_files
     code, out, _ = run(

@@ -3,7 +3,8 @@ one-pass denominator with term-by-term references on exponent tuples
 (rank at most 4, height at most 6), of the log-derivative solver and the
 character quotient with the naive root-by-root product over small valid
 data (rank at most 3, height at most 6), of the propagated oracle with
-the all-word Gram rank and the formula on small windows, and of the
+the all-word Gram rank and the formula on small windows (about half of
+the data with an infinite real Weyl group), and of the
 generic (Verma) dimensions with the inverted denominator, and of the
 root table, the character and both oracle modes with themselves under a
 relabelling of the simple indices."""
@@ -32,16 +33,24 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def datums(draw, max_rank=3):
-    """Symmetrizable data with valid diagonals and odd real rows even."""
-    rank = draw(st.integers(1, max_rank))
-    diag = [draw(st.sampled_from([2, 0, -2, -4])) for _ in range(rank)]
-    d = [draw(st.sampled_from([1, 2])) for _ in range(rank)]
-    odd = [i for i in range(rank) if draw(st.booleans())]
+def datums(draw, max_rank=3, block=((), ())):
+    """Symmetrizable data with valid diagonals and odd real rows even.  A
+    given block (A, D) of even indices takes the first rows; the rest are
+    drawn."""
+    fixed_a, fixed_d = block
+    k = len(fixed_d)
+    rank = draw(st.integers(max(k, 1), max_rank))
+    diag = [fixed_a[i][i] for i in range(k)]
+    diag += [draw(st.sampled_from([2, 0, -2, -4])) for _ in range(k, rank)]
+    d = list(fixed_d) + [draw(st.sampled_from([1, 2])) for _ in range(k, rank)]
+    odd = [i for i in range(k, rank) if draw(st.booleans())]
     a = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         a[i][i] = diag[i]
         for j in range(i):
+            if i < k:
+                a[i][j], a[j][i] = fixed_a[i][j], fixed_a[j][i]
+                continue
             step = lcm(d[i], d[j])
             if (i in odd and diag[i] == 2) or (j in odd and diag[j] == 2):
                 step *= 2
@@ -49,6 +58,24 @@ def datums(draw, max_rank=3):
             a[i][j] = s // d[i]
             a[j][i] = s // d[j]
     return validate_datum(a, d, odd=odd)
+
+
+# Real blocks (A, D) whose Weyl group is infinite: the affine A2^(1) cycle
+# of the acceptance datum aff, and real pairs with a_ij a_ji = 4 (affine
+# A1^(1) and A2^(2)), 8 and 9.
+INFINITE_W_BLOCKS = [
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1]),
+    ([[2, -2], [-2, 2]], [1, 1]),
+    ([[2, -1], [-4, 2]], [4, 1]),
+    ([[2, -2], [-4, 2]], [2, 1]),
+    ([[2, -3], [-3, 2]], [1, 1]),
+]
+
+
+def infinite_weyl_datums():
+    """Data of rank at most 4 whose real Weyl group is infinite: one of
+    INFINITE_W_BLOCKS, then indices drawn as datums draws them."""
+    return st.sampled_from(INFINITE_W_BLOCKS).flatmap(lambda block: datums(4, block))
 
 
 def dominant(datum, levels):
@@ -153,7 +180,10 @@ FORMULA_HEIGHT = {1: 8, 2: 6, 3: 5, 4: 5}
 
 
 @PROPERTY
-@given(datums(max_rank=4), st.lists(st.integers(0, 2), min_size=4, max_size=4))
+@given(
+    datums(max_rank=4) | infinite_weyl_datums(),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
 def test_oracle_matches_gram_rank_and_formula(datum, levels):
     lam = dominant(datum, levels)
     bound = FORMULA_HEIGHT[datum.rank]
@@ -168,7 +198,7 @@ def test_oracle_matches_gram_rank_and_formula(datum, levels):
 
 @settings(PROPERTY, max_examples=25)
 @given(
-    datums(max_rank=4),
+    datums(max_rank=4) | infinite_weyl_datums(),
     st.integers(10, 16),
     st.lists(st.integers(0, 2), min_size=4, max_size=4),
 )

@@ -31,7 +31,7 @@ with open(sys.argv[1], "w") as fh:
 sys.exit(code)
 """
 
-FORMULA_SIDE = {"bbsuper.charformula", "bbsuper.roots", "bbsuper.series", "bbsuper.weyl"}
+FORMULA_SIDE = {"bbsuper.charformula", "bbsuper.roots", "bbsuper.series"}
 ORACLE_SIDE = {"bbsuper.verma_oracle", "bbsuper.exactlinalg"}
 # weights with integral entries are held as ints and the oracle eliminates
 # in integers, so integral input loads neither of these

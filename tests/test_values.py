@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from bbsuper.charformula import CharacterResult, OrthogonalSupport
+from bbsuper.charformula import CharacterResult, OrbitElement, OrthogonalSupport
 from bbsuper.datum import OddCartanDatum, Weight, validate_datum
 from bbsuper.roots import RootEntry
 from bbsuper.series import CharSeries
-from bbsuper.weyl import OrbitElement
 
 
 def test_weight_is_a_value():

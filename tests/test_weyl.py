@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
+from bbsuper.charformula import numerator_series, orbit_frontier
 from bbsuper.datum import Weight, height, unit_root, validate_datum
-from bbsuper.weyl import orbit_frontier
 
 from reference import act_on_root, orbit_words
 
@@ -16,16 +16,16 @@ ORBITS = [(A2, 10), (B2, 20), (R2, 8)]
 
 
 def test_sl2_orbit_of_shifted_weight():
+    # 2 Lambda + rho pairs to 3 with h
     d = validate_datum([[2]], [1])
-    lam = Weight((2,), (0,), (0,))
-    orbit = orbit_frontier(d, lam, 12)
+    orbit = orbit_frontier(d, (3,), 12)
     assert [tuple(e) for e in orbit] == [(1, (0,)), (-1, (3,))]
     # the reflected element falls outside a tight window
-    assert len(orbit_frontier(d, lam, 2)) == 1
+    assert len(orbit_frontier(d, (3,), 2)) == 1
 
 
 def test_a2_orbit_is_the_full_group():
-    orbit = orbit_frontier(A2, A2.zero_weight(), 10)
+    orbit = orbit_frontier(A2, (1, 1), 10)
     assert [height(e.defect) for e in orbit] == [0, 1, 1, 3, 3, 4]
     assert [e.sign for e in orbit] == [1, -1, -1, 1, 1, -1]
     assert len({e.defect for e in orbit}) == 6
@@ -37,19 +37,21 @@ def test_a2_orbit_is_the_full_group():
 
 
 def test_b2_orbit_count():
-    assert len(orbit_frontier(B2, B2.zero_weight(), 20)) == 8
+    assert len(orbit_frontier(B2, (1, 1), 20)) == 8
 
 
 def test_imaginary_indices_do_not_reflect():
-    orbit = orbit_frontier(R2, R2.fundamental_weight(0), 8)
+    # Lambda_0 + rho pairs to 2 with the one real coroot h_0
+    orbit = orbit_frontier(R2, (2,), 8)
     # s_0 lowers Lambda_0 + rho by 2 alpha_0; s_1 does not exist
     assert [tuple(e) for e in orbit] == [(1, (0, 0)), (-1, (2, 0))]
 
 
 def test_orbit_requires_dominant():
+    # the numerator checks lam once, before any walk
     d = validate_datum([[2]], [1])
     with pytest.raises(ValueError, match="orbit expansion needs a dominant integral weight"):
-        orbit_frontier(d, Weight((-1,), (0,), (0,)), 5)
+        numerator_series(d, Weight((-1,), (0,), (0,)), 5)
 
 
 @pytest.mark.parametrize("d, bound", ORBITS, ids=["A2", "B2", "r2"])
@@ -57,7 +59,8 @@ def test_images_replay_the_reflection_word(d, bound):
     # the defects are those of lam + rho reflected as a weight, word by word
     lam = d.zero_weight()
     words = orbit_words(d, lam, bound)
-    orbit = orbit_frontier(d, lam, bound)
+    # rho pairs to 1 with every real coroot
+    orbit = orbit_frontier(d, (1,) * len(d.real_indices), bound)
     assert sorted(e.defect for e in orbit) == sorted(words)
     for e in orbit:
         assert e.sign == (-1) ** len(words[e.defect])
@@ -84,6 +87,6 @@ def test_a60_orbit_count_at_height_two():
     # the identity, the 60 simple reflections and the commuting pairs
     # s_i s_j; an adjacent pair has defect alpha_i + 2 alpha_j, height 3
     d = chain(60)
-    orbit = orbit_frontier(d, d.zero_weight(), 2)
+    orbit = orbit_frontier(d, (1,) * 60, 2)
     assert len(orbit) == 1 + 60 + comb(60, 2) - 59 == 1772
     assert [e.sign for e in orbit[:2]] == [1, -1] and orbit[-1].sign == 1
