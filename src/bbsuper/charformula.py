@@ -18,53 +18,30 @@ identity the numerator N_0 at highest weight zero is the product over
 positive roots, so the character is the quotient N_lambda / N_0: one
 layered division, with no root table, exact within the height window.
 
-Support signs come in three flavours per index: any level n with sign -1
-at a non-isotropic imaginary index, the inverse-Euler coefficients at an
-even isotropic one, and the coefficients of the inverse distinct-parts
-product at an odd isotropic one.
+A support's sign is the product of one factor per index and level:
+-1 at any level n of a non-isotropic imaginary index, the coefficient of
+q^n in prod (1 - q^k) at an even isotropic one, and in 1 / prod (1 + q^k)
+= prod over odd k of (1 - q^k) at an odd isotropic one.  A zero factor
+ends its branch of the enumeration.  Both enumerations return what the
+numerator reads, {vector: sign}: the supports by their weight, the orbit
+by its defects.
 """
 
 from collections import deque, namedtuple
-from functools import lru_cache
 from operator import add
 
-from .datum import OddCartanDatum, Weight, graded_key, height, weight_to_json
+from .datum import OddCartanDatum, Weight, height, weight_to_json
 from .series import CharSeries, series_to_json
 
 
-@lru_cache(maxsize=None)
-def _euler_table(bound: int, step: int) -> tuple:
+def _euler_table(bound: int, step: int) -> list:
     # prod (1 - q^k) over k = 1, 1 + step, ... <= bound, through q^bound
     coeffs = [0] * (bound + 1)
     coeffs[0] = 1
     for k in range(1, bound + 1, step):
         for m in range(bound, k - 1, -1):
             coeffs[m] -= coeffs[m - k]
-    return tuple(coeffs)
-
-
-def euler_phi(n: int) -> int:
-    """Coefficient of q^n in the Euler product prod (1 - q^k)."""
-    if n < 0:
-        raise ValueError("negative degree")
-    return _euler_table(n, 1)[n]
-
-
-def odd_iso_coeffs(n: int) -> int:
-    """Coefficient of q^n in 1 / prod (1 + q^l) = prod over odd l of (1 - q^l)."""
-    if n < 0:
-        raise ValueError("negative degree")
-    return _euler_table(n, 2)[n]
-
-
-class OrthogonalSupport(namedtuple("OrthogonalSupport", "indices coeffs sign")):
-    """Distinct pairwise-orthogonal imaginary indices with level totals.
-
-    The support's weight is sum coeffs[k] * alpha_{indices[k]}; sign is the
-    product of the per-index factors, possibly zero.
-    """
-
-    __slots__ = ()
+    return coeffs
 
 
 def eligible_indices(datum: OddCartanDatum, lam: Weight) -> tuple:
@@ -72,71 +49,56 @@ def eligible_indices(datum: OddCartanDatum, lam: Weight) -> tuple:
     return tuple(i for i in datum.imaginary_indices if datum.pair(i, lam) == 0)
 
 
-def _index_factor(datum: OddCartanDatum, i: int, n: int) -> int:
-    if not datum.is_isotropic(i):
-        return -1
-    if datum.is_odd(i):
-        return odd_iso_coeffs(n)
-    return euler_phi(n)
-
-
-def enumerate_supports(datum, lam, budget) -> list:
-    """All supports whose total level fits the budget; the empty support
-    is always first."""
+def enumerate_supports(datum, lam, budget) -> dict:
+    """{s: sign} over the supports of total level at most the budget, s
+    the support's weight in root coordinates and sign the product of its
+    per-index factors; the empty support comes first.  A zero factor ends
+    its branch, since the sign of every extension contains it."""
     elig = eligible_indices(datum, lam)
-    out = []
+    # factors[k][n]: the factor of level n at elig[k]
+    factors = [_euler_table(budget, 2 if datum.is_odd(i) else 1) if datum.is_isotropic(i)
+               else [-1] * (budget + 1) for i in elig]
+    out = {}
 
-    def extend(pos, chosen, coeffs, used, sign):
-        out.append(OrthogonalSupport(chosen, coeffs, sign))
+    def extend(pos, s, used, sign):
+        out[s] = sign
         for k in range(pos, len(elig)):
             i = elig[k]
             # (alpha_i, alpha_j) = d_i a_ij with d_i > 0
-            if any(datum.a[i][j] != 0 for j in chosen):
+            if any(a and x for a, x in zip(datum.a[i], s)):
                 continue
-            for level in range(1, budget - used + 1):
-                extend(
-                    k + 1,
-                    chosen + (i,),
-                    coeffs + (level,),
-                    used + level,
-                    sign * _index_factor(datum, i, level),
-                )
+            for level, factor in enumerate(factors[k][1 : budget - used + 1], 1):
+                if factor:
+                    extend(k + 1, s[:i] + (level,) + s[i + 1 :], used + level, sign * factor)
 
-    extend(0, (), (), 0, 1)
+    extend(0, (0,) * datum.rank, 0, 1)
     return out
 
 
-class OrbitElement(namedtuple("OrbitElement", "sign defect")):
-    """One group element w: its sign and its defect, the nonnegative
-    integer root vector with w(mu) = mu - defect for the walk's start mu."""
-
-    __slots__ = ()
-
-
-def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> list:
-    """All orbit elements of a regular dominant mu, given by its positive
-    integer pairings start = <h_j, mu> at datum.real_indices, whose defect
-    height stays within the bound, sorted by defect height then
-    lexicographically by defect."""
+def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> dict:
+    """{defect: sign} over the orbit of a regular dominant mu, given by its
+    positive integer pairings start = <h_j, mu> at datum.real_indices:
+    one entry per group element w whose defect, the nonnegative integer
+    root vector with w(mu) = mu - defect, stays within the height bound."""
     real = datum.real_indices
-    first = OrbitElement(1, (0,) * datum.rank)
-    seen = {first.defect: first}
+    first = (0,) * datum.rank
+    seen = {first: 1}
     queue = deque([(first, start)])
     while queue:
-        elt, pairings = queue.popleft()
-        room = height_bound - height(elt.defect)
+        defect, pairings = queue.popleft()
+        room = height_bound - height(defect)
+        sign = -seen[defect]
         for i, c in zip(real, pairings):
             # descend only; going up would revisit shorter elements
             if not 0 < c <= room:
                 continue
-            defect = elt.defect[:i] + (elt.defect[i] + c,) + elt.defect[i + 1 :]
-            if defect in seen:
+            nxt = defect[:i] + (defect[i] + c,) + defect[i + 1 :]
+            if nxt in seen:
                 continue
-            nxt = OrbitElement(-elt.sign, defect)
-            seen[defect] = nxt
+            seen[nxt] = sign
             # s_i lowers the weight by c alpha_i
             queue.append((nxt, tuple(p - c * datum.a[j][i] for j, p in zip(real, pairings))))
-    return sorted(seen.values(), key=lambda e: graded_key(e.defect))
+    return seen
 
 
 def _numerator_with_count(datum, lam, height_bound):
@@ -148,17 +110,12 @@ def _numerator_with_count(datum, lam, height_bound):
     start = [int(datum.pair(j, lam)) + 1 for j in real]
     acc = {}
     walks = []
-    for sup in enumerate_supports(datum, lam, height_bound):
-        if not sup.sign:
-            continue
-        s = [0] * datum.rank
-        for i, level in zip(sup.indices, sup.coeffs):
-            s[i] = level
+    for s, sign in enumerate_supports(datum, lam, height_bound).items():
         pairings = [p - datum.pair_root(j, s) for j, p in zip(real, start)]
         walk = orbit_frontier(datum, pairings, height_bound - height(s))
-        for elt in walk:
-            key = tuple(map(add, s, elt.defect))
-            acc[key] = acc.get(key, 0) + elt.sign * sup.sign
+        for defect, w_sign in walk.items():
+            key = tuple(map(add, s, defect))
+            acc[key] = acc.get(key, 0) + w_sign * sign
         walks.append(len(walk))
     # the empty support comes first, so walks[0] is the orbit of lam
     return CharSeries(height_bound, datum.rank, acc), walks[0], sum(walks)

@@ -14,6 +14,8 @@ Indices count from zero everywhere in this module; the JSON forms count
 from one.
 """
 
+import re
+import sys
 from math import isinf
 from operator import mul
 
@@ -49,7 +51,8 @@ def _rational(x, block, k):
     no underscore (Fraction refuses those before Python 3.11); a float
     through its decimal string, so 0.1 is 1/10; a bool, NaN, an infinite
     value or anything else Fraction cannot read is refused with a message
-    that names the entry."""
+    that names the entry; so, without echoing it, is a digit run or a
+    value ("1e5000") past int's digit limit, which str() would refuse."""
     if type(x) is int:
         return x
     if isinstance(x, str) and "_" not in x:
@@ -58,6 +61,11 @@ def _rational(x, block, k):
         except ValueError:
             pass
     where = f"at index {k} in weight block {block!r}"
+    # int() gives 0, no limit, on a Python that has none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    too_long = f"more than {limit} digits {where}"
+    if isinstance(x, str) and limit and re.search(rf"\d{{{limit + 1}}}", x.replace("_", "")):
+        raise ValueError(too_long)
     if isinstance(x, bool) or x != x:
         raise ValueError(f"non-numeric value {x!r} {where}")
     if isinstance(x, float):
@@ -65,11 +73,16 @@ def _rational(x, block, k):
             raise ValueError(f"infinite value {where}")
         x = repr(x)
     try:
-        return _fraction(x)
+        v = _fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator {where}") from None
     except (TypeError, ValueError):  # null, a list or an object, text
         raise ValueError(f"non-numeric value {x!r} {where}") from None
+    try:
+        str(v)  # as weight_to_json writes it
+    except ValueError:
+        raise ValueError(too_long) from None
+    return v
 
 
 def _integer(x, what) -> int:

@@ -12,9 +12,12 @@ compiles only what its subcommands use.
   and series_product, series_quotient and root_product, the truncated
   product, quotient and denominator product on exponent tuples, one term
   at a time, without the package's packed layers.
-- casimir_shift, depth_below, is_primitive_candidate,
-  s_lambda_series and support_weight, the ingredients of the character
-  formula taken one at a time.
+- casimir_shift, depth_below, is_primitive_candidate and
+  s_lambda_series, the ingredients of the character formula taken one at
+  a time.
+- supports_by_brute_force, the supports and their signs from every level
+  vector on the eligible indices, with the signs counted by
+  signed_distinct_partition_sum and signed_partition_sum.
 - character_structure_faults, W-invariance and the Verma bounds of a
   character series, necessary conditions that reach past the oracle.
 - row_basis_fraction, the elimination that the package's fraction-free
@@ -26,14 +29,15 @@ compiles only what its subcommands use.
   element, found by reflecting lam + rho itself, and its replay on root
   coordinates.
 - numerator_by_images, the alternating numerator formed from one orbit
-  of lam + rho with every support moved by w, against which the
-  package's one walk per support is checked.
+  of lam + rho with every support of supports_by_brute_force moved by w,
+  against which the package's one walk per support is checked.
 """
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
@@ -354,21 +358,77 @@ def root_product(table, rank, bound) -> dict:
 
 def s_lambda_series(datum, lam, height_bound) -> CharSeries:
     """The untwisted support sum as a series."""
-    acc = {}
-    for sup in enumerate_supports(datum, lam, height_bound):
-        if sup.sign:
-            weight = support_weight(datum.rank, sup)
-            acc[weight] = acc.get(weight, 0) + sup.sign
-    return CharSeries(height_bound, datum.rank, acc)
+    return CharSeries(height_bound, datum.rank, enumerate_supports(datum, lam, height_bound))
 
 
-def support_weight(rank, support) -> tuple:
-    """sum coeffs[k] * alpha_{indices[k]} of an OrthogonalSupport, on root
-    coordinates."""
-    weight = [0] * rank
-    for i, c in zip(support.indices, support.coeffs):
-        weight[i] += c
-    return tuple(weight)
+@cache
+def signed_distinct_partition_sum(n, largest=None):
+    """Sum of (-1)^(number of parts) over partitions of n into distinct
+    parts, expanding prod (1 - q^k) term by term."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        return 1
+    total = 0
+    for k in range(1, min(n, largest) + 1):
+        total -= signed_distinct_partition_sum(n - k, k - 1)
+    return total
+
+
+@cache
+def signed_partition_sum(n, largest=None):
+    """Sum of (-1)^(number of parts) over all partitions of n, expanding
+    prod (1 + q^l)^(-1) term by term."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        return 1
+    total = 0
+    for k in range(1, min(n, largest) + 1):
+        total -= signed_partition_sum(n - k, k)
+    return total
+
+
+def _level_vectors(count, budget):
+    """Every vector of count nonnegative levels with total at most budget."""
+    if not count:
+        yield ()
+        return
+    for n in range(budget + 1):
+        for rest in _level_vectors(count - 1, budget - n):
+            yield (n,) + rest
+
+
+def supports_by_brute_force(datum, lam, budget) -> dict:
+    """{s: sign} over every level vector s on the eligible indices whose
+    nonzero levels sit on pairwise orthogonal simple roots and total at
+    most the budget.  The sign is the product over the support of -1 at a
+    non-isotropic index and the signed count of partitions of the level,
+    into distinct parts at an even isotropic index and into any parts at
+    an odd one; zero signs are dropped."""
+    elig = eligible_indices(datum, lam)
+    n = datum.rank
+    even = [signed_distinct_partition_sum(level) for level in range(budget + 1)]
+    odd = [signed_partition_sum(level) for level in range(budget + 1)]
+    clash = {(a, b) for a, b in combinations(elig, 2)
+             if datum.root_bilinear(unit_root(n, a), unit_root(n, b))}
+    out = {}
+    for levels in _level_vectors(len(elig), budget):
+        support = [i for i, level in zip(elig, levels) if level]
+        if clash.intersection(combinations(support, 2)):
+            continue
+        sign = 1
+        s = [0] * n
+        for i, level in zip(elig, levels):
+            if level:
+                s[i] = level
+                if not datum.is_isotropic(i):
+                    sign = -sign
+                else:
+                    sign *= (odd if datum.is_odd(i) else even)[level]
+        if sign:
+            out[tuple(s)] = sign
+    return out
 
 
 def character_structure_faults(datum, lam, series) -> tuple:
@@ -532,7 +592,7 @@ def numerator_by_images(datum, lam, height_bound) -> tuple:
     rho and the supports s of sign(w) sign(s) e^{-(defect(w) + w(s))},
     cut at the height bound.  Each w(alpha_i) at an eligible index i is
     replayed from the word and must stay in the positive cone."""
-    supports = [s for s in enumerate_supports(datum, lam, height_bound) if s.sign]
+    supports = supports_by_brute_force(datum, lam, height_bound)
     acc = {}
     terms = 0
     for defect, word in orbit_words(datum, lam, height_bound).items():
@@ -540,13 +600,14 @@ def numerator_by_images(datum, lam, height_bound) -> tuple:
         for i in eligible_indices(datum, lam):
             images[i] = act_on_root(datum, word, unit_root(datum.rank, i))
             assert min(images[i]) >= 0, f"{word}: w(alpha_{i}) = {images[i]} leaves the cone"
-        for sup in supports:
+        for s, sign in supports.items():
             exp = list(defect)
-            for i, level in zip(sup.indices, sup.coeffs):
-                exp = [e + level * x for e, x in zip(exp, images[i])]
+            for i, level in enumerate(s):
+                if level:
+                    exp = [e + level * x for e, x in zip(exp, images[i])]
             if sum(exp) <= height_bound:
                 key = tuple(exp)
-                acc[key] = acc.get(key, 0) + (-1) ** len(word) * sup.sign
+                acc[key] = acc.get(key, 0) + (-1) ** len(word) * sign
                 terms += 1
     return CharSeries(height_bound, datum.rank, acc), terms
 

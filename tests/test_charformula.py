@@ -4,10 +4,8 @@ import pytest
 from bbsuper.charformula import (
     enumerate_supports,
     eligible_indices,
-    euler_phi,
     irreducible_character,
     numerator_series,
-    odd_iso_coeffs,
 )
 from bbsuper.datum import Weight, validate_datum
 
@@ -17,58 +15,43 @@ from reference import (
     is_primitive_candidate,
     numerator_by_images,
     s_lambda_series,
-    support_weight,
+    signed_distinct_partition_sum,
+    signed_partition_sum,
+    supports_by_brute_force,
 )
 
 
-# ---- independent oracles ----
+# ---- sign coefficients ----
+# euler_phi(n), the coefficient of q^n in prod (1 - q^k), and
+# odd_iso_coeffs(n), that of 1 / prod (1 + q^k), read off the supports of
+# the one isotropic index of [[0]]
 
 
-def signed_distinct_partition_sum(n, largest=None):
-    """Sum of (-1)^(number of parts) over partitions of n into distinct
-    parts, expanding prod (1 - q^k) term by term."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    total = 0
-    for k in range(1, min(n, largest) + 1):
-        total -= signed_distinct_partition_sum(n - k, k - 1)
-    return total
-
-
-def signed_partition_sum(n, largest=None):
-    """Sum of (-1)^(number of parts) over all partitions of n, expanding
-    prod (1 + q^l)^(-1) term by term."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    total = 0
-    for k in range(1, min(n, largest) + 1):
-        total -= signed_partition_sum(n - k, k)
-    return total
+def level_signs(odd, bound):
+    """The sign of level n at the one index of [[0]], 0 where the support
+    is absent, for n = 0 .. bound."""
+    d = validate_datum([[0]], [1], odd=[0] if odd else [])
+    sups = enumerate_supports(d, d.zero_weight(), bound)
+    return [sups.get((n,), 0) for n in range(bound + 1)]
 
 
 def test_euler_phi_against_signed_enumeration():
-    for n in range(13):
-        assert euler_phi(n) == signed_distinct_partition_sum(n)
-    assert [euler_phi(n) for n in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
-    assert euler_phi(12) == -1
+    assert level_signs(False, 12) == [signed_distinct_partition_sum(n) for n in range(13)]
+    assert level_signs(False, 7) == [1, -1, -1, 0, 0, 1, 0, 1]
+    assert level_signs(False, 12)[12] == -1
 
 
 def test_euler_phi_pentagonal_support():
     pentagonal = {k * (3 * k - 1) // 2 for k in range(-20, 21)}
-    for n in range(40):
-        if euler_phi(n) != 0:
+    for n, sign in enumerate(level_signs(False, 39)):
+        if sign != 0:
             assert n in pentagonal
-            assert euler_phi(n) in (1, -1)
+            assert sign in (1, -1)
 
 
 def test_odd_iso_coeffs_against_signed_enumeration():
-    for n in range(12):
-        assert odd_iso_coeffs(n) == signed_partition_sum(n)
-    assert [odd_iso_coeffs(n) for n in range(9)] == [1, -1, 0, -1, 1, -1, 1, -1, 2]
+    assert level_signs(True, 11) == [signed_partition_sum(n) for n in range(12)]
+    assert level_signs(True, 8) == [1, -1, 0, -1, 1, -1, 1, -1, 2]
 
 
 def test_odd_iso_coeffs_match_odd_part_product():
@@ -79,61 +62,91 @@ def test_odd_iso_coeffs_match_odd_part_product():
     for l in range(1, bound + 1, 2):
         for m in range(bound, l - 1, -1):
             coeffs[m] -= coeffs[m - l]
-    assert [odd_iso_coeffs(n) for n in range(bound + 1)] == coeffs
+    assert level_signs(True, bound) == coeffs
 
 
 # ---- supports ----
 
 
 def test_supports_even_isotropic_levels():
+    # levels 3 and 4 have sign zero and are left out
     d = validate_datum([[0]], [1])
     sups = enumerate_supports(d, d.zero_weight(), 4)
-    assert [(s.indices, s.coeffs, support_weight(1, s), s.sign) for s in sups] == [
-        ((), (), (0,), 1),
-        ((0,), (1,), (1,), -1),
-        ((0,), (2,), (2,), -1),
-        ((0,), (3,), (3,), 0),
-        ((0,), (4,), (4,), 0),
-    ]
+    assert list(sups.items()) == [((0,), 1), ((1,), -1), ((2,), -1)]
 
 
 def test_supports_odd_isotropic_levels():
+    # level 2 has sign zero and is left out; the levels past it are not
     d = validate_datum([[0]], [1], odd=[0])
     sups = enumerate_supports(d, d.zero_weight(), 5)
-    assert [s.sign for s in sups] == [1, -1, 0, -1, 1, -1]
+    assert list(sups.items()) == [((0,), 1), ((1,), -1), ((3,), -1), ((4,), 1), ((5,), -1)]
 
 
 def test_supports_non_isotropic_levels_all_minus_one():
     d = validate_datum([[-2]], [1])
     sups = enumerate_supports(d, d.zero_weight(), 5)
-    assert [s.sign for s in sups] == [1, -1, -1, -1, -1, -1]
-    assert [support_weight(1, s) for s in sups] == [(0,), (1,), (2,), (3,), (4,), (5,)]
+    assert list(sups.items()) == [((0,), 1)] + [((n,), -1) for n in range(1, 6)]
 
 
 def test_supports_respect_eligibility():
     d = validate_datum([[0]], [1])
     lam = d.fundamental_weight(0)
     assert eligible_indices(d, lam) == ()
-    assert len(enumerate_supports(d, lam, 6)) == 1
+    assert enumerate_supports(d, lam, 6) == {(0,): 1}
 
 
 def test_supports_orthogonal_pair_combines():
     d = validate_datum([[0, 0], [0, 0]], [1, 1])
     sups = enumerate_supports(d, d.zero_weight(), 3)
-    assert len(sups) == 10
-    both = [s for s in sups if s.indices == (0, 1)]
-    assert [(s.coeffs, support_weight(2, s)) for s in both] == [
-        ((1, 1), (1, 1)),
-        ((1, 2), (1, 2)),
-        ((2, 1), (2, 1)),
-    ]
-    assert all(s.sign == euler_phi(s.coeffs[0]) * euler_phi(s.coeffs[1]) for s in both)
+    # (0, 3) and (3, 0) have sign zero
+    assert len(sups) == 8
+    assert {s: sign for s, sign in sups.items() if min(s) > 0} == {
+        (1, 1): 1,
+        (1, 2): 1,
+        (2, 1): 1,
+    }
 
 
 def test_supports_non_orthogonal_pair_excluded():
     d = validate_datum([[0, -1], [-1, 0]], [1, 1])
     sups = enumerate_supports(d, d.zero_weight(), 4)
-    assert all(len(s.indices) <= 1 for s in sups)
+    assert all(min(s) == 0 for s in sups)
+
+
+ZERO4 = [[0] * 4 for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "a, odd, levels, budget",
+    [
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [2], (1, 1, 0, 0), 30),
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [2], (0,) * 4, 30),
+        ([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1], (1, 0, 0), 30),
+        ([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1], (0,) * 3, 30),
+        ([[0, 0], [0, 0]], [], (0, 0), 30),
+        ([[0, 0], [0, 0]], [], (1, 0), 30),
+        ([[0, -1], [-1, 0]], [], (0, 0), 30),
+        (ZERO4, [], (0,) * 4, 30),
+        (ZERO4, [1, 3], (0,) * 4, 30),
+        (ZERO4, [1, 3], (0, 0, 1, 0), 12),
+    ],
+    ids=["r4", "r4-zero", "r3", "r3-zero", "zero2", "zero2-lam", "pair", "zero4", "zero4-odd",
+         "zero4-odd-lam"],
+)
+def test_supports_match_brute_force(a, odd, levels, budget):
+    d = validate_datum(a, [1] * len(a), odd=odd)
+    zero = (0,) * d.rank
+    lam = Weight(levels, zero, zero)
+    sups = enumerate_supports(d, lam, budget)
+    assert sups == supports_by_brute_force(d, lam, budget)
+    assert next(iter(sups)) == zero and sups[zero] == 1
+
+
+def test_zero4_support_count():
+    # every one of the 46376 level vectors of total at most 30 is a
+    # support, and 2081 of them have a nonzero sign
+    d = validate_datum(ZERO4, [1] * 4)
+    assert len(enumerate_supports(d, d.zero_weight(), 30)) == 2081
 
 
 def test_s_lambda_series_odd_isotropic():

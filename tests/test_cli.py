@@ -698,6 +698,31 @@ def test_weight_non_numeric_value_rejected(tmp_path, capsys, sl2_files, command,
     assert "non-numeric value " in err and err.endswith(" at index 1 in weight block 'Lambda'\n")
 
 
+@pytest.mark.parametrize(
+    "block, value",
+    [
+        ("Lambda", "1" + "0" * 5000),
+        ("Lambda", "1e5000"),
+        ("delta", "1e-5000"),
+        ("alpha", "1/1" + "0" * 5000),
+        ("alpha", "0." + "0" * 5000),
+    ],
+    ids=["digits", "exponent", "negative-exponent", "denominator", "decimals"],
+)
+@pytest.mark.parametrize("command", ["char", "oracle", "compare"])
+def test_weight_past_the_digit_limit_rejected(tmp_path, capsys, sl2_files, command, block, value):
+    # int() refuses a digit string over its 4300-digit limit, and str() the
+    # value of "1e5000", which char writes as the base of its character:
+    # each is refused where the weight is read, without echoing the entry
+    datum, _ = sl2_files
+    lam = write_json(tmp_path / "long.json", {block: {"1": value}})
+    code, out, err = run(
+        capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {lam}: more than 4300 digits at index 1 in weight block {block!r}\n"
+
+
 def test_weight_float_reads_as_its_decimal(tmp_path, capsys):
     # an imaginary index takes any nonnegative pairing, and char echoes the
     # weight it read as the base of the character

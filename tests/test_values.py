@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbsuper.charformula import CharacterResult, OrbitElement, OrthogonalSupport
+from bbsuper.charformula import CharacterResult
 from bbsuper.datum import OddCartanDatum, Weight, validate_datum
 from bbsuper.roots import RootEntry
 from bbsuper.series import CharSeries
@@ -37,6 +37,10 @@ def test_weight_is_a_value():
             Weight((0, 0), (0, 0), (0, bad))
     with pytest.raises(ValueError, match=r"^zero denominator at index 1 in weight block 'delta'$"):
         Weight((0,), ("1/0",), (0,))
+    # a value that str() could not write is refused as its digit string is
+    too_long = r"^more than 4300 digits at index 1 in weight block 'Lambda'$"
+    with pytest.raises(ValueError, match=too_long):
+        Weight(("1e5000",), (0,), (0,))
 
 
 def test_datum_is_a_value():
@@ -62,8 +66,6 @@ def test_datum_validates_on_construction():
         (validate_datum([[2]], [1]), "a"),
         (RootEntry(1, 0, True), "mult"),
         (CharacterResult(CharSeries.one(1, 1), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
-        (OrthogonalSupport((0,), (1,), -1), "sign"),
-        (OrbitElement(1, (0,)), "defect"),
     ],
 )
 def test_fields_are_read_only(value, field):
