@@ -52,7 +52,8 @@ def _rational(x, block, k):
     through its decimal string, so 0.1 is 1/10; a bool, NaN, an infinite
     value or anything else Fraction cannot read is refused with a message
     that names the entry; so, without echoing it, is a digit run or a
-    value ("1e5000") past int's digit limit, which str() would refuse."""
+    value ("1e5000") past int's digit limit, which str() would refuse; an
+    exponent far past it is refused before Fraction builds 10**exponent."""
     if type(x) is int:
         return x
     if isinstance(x, str) and "_" not in x:
@@ -64,8 +65,18 @@ def _rational(x, block, k):
     # int() gives 0, no limit, on a Python that has none
     limit = getattr(sys, "get_int_max_str_digits", int)()
     too_long = f"more than {limit} digits {where}"
-    if isinstance(x, str) and limit and re.search(rf"\d{{{limit + 1}}}", x.replace("_", "")):
-        raise ValueError(too_long)
+    if isinstance(x, str) and limit:
+        if re.search(rf"\d{{{limit + 1}}}", x.replace("_", "")):
+            raise ValueError(too_long)
+        # Fraction builds 10**|e| before str() can refuse the value.  Both
+        # digit runs of the mantissa passed the check above, so from
+        # |e| = 3 * limit a nonzero value is past the limit, and zero is 0
+        d = r"\d+(?:_\d+)*"  # Fraction's digit run
+        m = re.fullmatch(rf"\s*[-+]?(?=\.?\d)((?:{d})?(?:\.(?:{d})?)?)[eE][-+]?({d})\s*", x)
+        if m and int(m[2]) >= 3 * limit:
+            if any(int(c) for c in m[1] if c not in "._"):
+                raise ValueError(too_long)
+            return 0
     if isinstance(x, bool) or x != x:
         raise ValueError(f"non-numeric value {x!r} {where}")
     if isinstance(x, float):

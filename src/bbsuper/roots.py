@@ -3,25 +3,21 @@
 The specialized numerator N_0 at highest weight zero equals the product
 over positive roots of (1-e^{-beta})^m for even beta and (1+e^{-beta})^{-m}
 for odd beta.  With D the height derivation, which scales e^{-gamma} by
-ht(gamma), the log-derivative L = D(N_0) / N_0 is an integer series
-and, by the product form,
-
-    -L_gamma = sum over k | gamma of eps_k(gamma/k) ht(gamma/k) m_{gamma/k},
-
-where eps_k(beta) is 1 for even beta and (-1)^{k+1} for odd beta.  The
-k = 1 term isolates ht(gamma) m_gamma, so one pass in graded order solves
-every multiplicity by Moebius inversion, as in Kang's superdimension
-formula.  A negative or non-integral multiplicity aborts: neither can
+ht(gamma), the log-derivative L = D(N_0) / N_0 is an integer series, the
+sum of series.root_log_terms over the roots.  The solver peels it in
+graded order: at gamma, what the roots found below ht(gamma) leave of
+L_gamma is -ht(gamma) m_gamma, and a new root subtracts its own terms
+from the heights above, which also reaches every multiple of it where L
+vanishes.  A negative or non-integral multiplicity aborts: neither can
 happen for a valid datum, and rounding or clamping would silently corrupt
 every later height.
 """
 
-from collections import namedtuple
-from math import gcd
+from collections import defaultdict, namedtuple
 
 from .charformula import numerator_series
 from .datum import OddCartanDatum, graded_key, height
-from .series import CharSeries, log_sign
+from .series import CharSeries, root_log_terms
 
 
 class RootEntry(namedtuple("RootEntry", "mult parity is_real")):
@@ -44,49 +40,32 @@ class RootTable:
         return f"RootTable(H={self.height_bound}, {len(self.entries)} roots)"
 
 
-def _mult_from_log(beta, log_coef: int, entries) -> int:
-    """m_beta from the log-derivative coefficient L_beta and the entries
-    already solved at the proper divisors beta/k."""
-    h = height(beta)
-    total = -log_coef
-    g = gcd(*beta)
-    for k in range(2, g + 1):
-        if g % k:
-            continue
-        entry = entries.get(tuple(x // k for x in beta))
-        if entry is not None:
-            total -= log_sign(entry.parity, k) * (h // k) * entry.mult
-    m, rest = divmod(total, h)
-    if rest:
-        raise ValueError(f"multiplicity {total}/{h} at exponent {beta} is not an integer")
-    if m < 0:
-        raise ValueError(f"multiplicity {m} at exponent {beta} is negative")
-    return m
-
-
 def solve_multiplicities(datum: OddCartanDatum, height_bound: int) -> RootTable:
     """Solve every multiplicity below the bound from L = D(N_0) / N_0."""
-    rank = datum.rank
     numerator = numerator_series(datum, datum.zero_weight(), height_bound)
     derived = CharSeries(
-        height_bound, rank, {e: height(e) * c for e, c in numerator.terms.items()}
+        height_bound, datum.rank, {e: height(e) * c for e, c in numerator.terms.items()}
     )
-    log_terms = derived.divide(numerator).terms
-    candidates = [set() for _ in range(height_bound + 1)]
-    for gamma in log_terms:
-        candidates[height(gamma)].add(gamma)
+    # unexplained[h] holds what the roots found below height h leave of L there
+    unexplained = [defaultdict(int) for _ in range(height_bound + 1)]
+    for gamma, c in derived.divide(numerator).terms.items():
+        unexplained[height(gamma)][gamma] = c
     entries = {}
     for h in range(1, height_bound + 1):
-        for gamma in sorted(candidates[h]):
-            m = _mult_from_log(gamma, log_terms.get(gamma, 0), entries)
+        for gamma in sorted(unexplained[h]):
+            total = -unexplained[h][gamma]
+            m, rest = divmod(total, h)
+            if rest:
+                raise ValueError(f"multiplicity {total}/{h} at exponent {gamma} is not an integer")
+            if m < 0:
+                raise ValueError(f"multiplicity {m} at exponent {gamma} is negative")
             if not m:
                 continue
             # a root is real exactly when its norm is positive
             is_real = datum.root_bilinear(gamma, gamma) > 0
-            entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
-            # a multiple of a root can be a root even where L vanishes
-            for k in range(2, height_bound // h + 1):
-                candidates[k * h].add(tuple(k * x for x in gamma))
+            entry = entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
+            for multiple, c in root_log_terms(gamma, entry, height_bound):
+                unexplained[height(multiple)][multiple] -= c
     return RootTable(height_bound, entries)
 
 

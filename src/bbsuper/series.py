@@ -12,6 +12,10 @@ is at most H, and the loop only adds pairs whose sum still has height
 at most H, so no digit carries and adding two keys packs the sum of
 their exponents.  Keys never leave this module: terms, coefficient()
 and the JSON form keep exponent tuples.
+
+root_log_terms is the one expansion of a root into the log-derivative
+of the denominator: denominator_R sums it over a root table, and
+roots.solve_multiplicities peels it off L = D(N_0)/N_0 to find the table.
 """
 
 from collections import defaultdict
@@ -158,25 +162,29 @@ def _layer_convolution(a, b, h) -> dict:
     return layer
 
 
-def log_sign(parity, k) -> int:
-    """eps_k: the sign with which a root of this parity reaches e^{-k beta}
-    in the log-derivative of its denominator factor; -1 only for odd roots
-    at even k."""
-    return -1 if parity and k % 2 == 0 else 1
+def root_log_terms(beta, entry, height_bound) -> list:
+    """(k beta, -eps_k m ht(beta)) for every k >= 1 with k beta in the
+    window: the terms that a root of multiplicity m adds to the
+    log-derivative L = D(R)/R of the denominator, with eps_k = -1 for an
+    odd root at even k and 1 otherwise."""
+    h = height(beta)
+    coef = -entry.mult * h
+    terms = [(beta, coef)] if h <= height_bound else []
+    for k in range(2, height_bound // h + 1):
+        terms.append((tuple([k * x for x in beta]), -coef if entry.parity and k % 2 == 0 else coef))
+    return terms
 
 
 def denominator_R(datum, table, height_bound) -> CharSeries:
     """Product over the root table in one pass: even roots contribute
     (1-e^{-beta})^m, odd roots (1+e^{-beta})^{-m}.
 
-    With D the height derivation (e^{-gamma} -> ht(gamma) e^{-gamma}), the
-    log-derivative L = D(R)/R is read off the table: an even root beta adds
-    -m ht(beta) e^{-k beta} for every k >= 1, an odd one
-    -m ht(beta) (-1)^{k+1} e^{-k beta}.  Then D(R) = R L fixes R layer by
-    layer from R_0 = 1, since ht(gamma) R_gamma is the sum of
-    R_delta L_{gamma-delta} over delta of smaller height.  Every division
-    is exact for integer multiplicities; a remainder raises.  The table is
-    read only through items_sorted() and height_bound.
+    The log-derivative L = D(R)/R is the sum of every root's
+    root_log_terms.  Then D(R) = R L fixes R layer by layer from R_0 = 1,
+    since ht(gamma) R_gamma is the sum of R_delta L_{gamma-delta} over
+    delta of smaller height.  Every division is exact for integer
+    multiplicities; a remainder raises.  The table is read only through
+    items_sorted() and height_bound.
     """
     if table.height_bound < height_bound:
         raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
@@ -187,9 +195,9 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
         if h > height_bound:
             break
         key = _pack(beta, base)
-        for k in range(1, height_bound // h + 1):
+        for k, (_, coef) in enumerate(root_log_terms(beta, entry, height_bound), 1):
             # k beta has height at most H, so k key packs it
-            log_layers[k * h][k * key] -= log_sign(entry.parity, k) * entry.mult * h
+            log_layers[k * h][k * key] += coef
     layers = {0: {0: 1}}
     for h in range(1, height_bound + 1):
         layer = {}

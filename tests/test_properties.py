@@ -1,6 +1,7 @@
 """Randomized agreement of the series kernel's product, quotient and
 one-pass denominator with term-by-term references on exponent tuples
-(rank at most 4, height at most 6), of the log-derivative solver and the
+(rank at most 4, height at most 6), of the log-derivative solver with
+the denominator it inverts, of the log-derivative solver and the
 character quotient with the naive root-by-root product over small valid
 data (rank at most 3, height at most 6), of the propagated oracle with
 the all-word Gram rank and the formula on small windows (about half of
@@ -9,10 +10,12 @@ generic (Verma) dimensions with the inverted denominator, and of the
 root table, the character and both oracle modes with themselves under a
 relabelling of the simple indices."""
 from math import lcm
+from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bbsuper import roots
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import Weight, validate_datum
 from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
@@ -113,6 +116,23 @@ def root_tables(draw):
 
 
 @st.composite
+def datum_root_tables(draw):
+    """(datum, table): 1 to 6 cone vectors up to height 6 with
+    multiplicities 1 to 3, parity and class taken from the datum; an odd
+    root beta may also get a root at 2 beta."""
+    datum = draw(datums())
+    vectors = exponents(datum.rank, 6).filter(any)
+    betas = draw(st.lists(vectors, min_size=1, max_size=6, unique=True))
+    doubles = [tuple(2 * x for x in b) for b in betas if datum.parity_of(b) and sum(b) <= 3]
+    betas += [d for d in doubles if d not in betas and draw(st.booleans())]
+    entries = {
+        b: RootEntry(draw(st.integers(1, 3)), datum.parity_of(b), datum.root_bilinear(b, b) > 0)
+        for b in betas
+    }
+    return datum, RootTable(6, entries)
+
+
+@st.composite
 def series_pairs(draw):
     """(bound, rank, a, b): two term maps with negative and zero
     coefficients; b has constant term 1 or -1, so a can be divided by it."""
@@ -150,6 +170,23 @@ def test_denominator_matches_naive_product(rank_and_table):
     d = validate_datum([[2 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n)
     bound = table.height_bound
     assert denominator_R(d, table, bound).terms == root_product(table, n, bound)
+
+
+@PROPERTY
+@given(datum_root_tables())
+# an odd root of multiplicity 2 at beta leaves L = 0 at 2 beta, where the
+# even root of multiplicity 1 must still be found
+@example((
+    validate_datum([[0]], [1], odd=[0]),
+    RootTable(6, {(1,): RootEntry(2, 1, False), (2,): RootEntry(1, 0, False)}),
+))
+def test_solver_inverts_denominator(case):
+    # solve_multiplicities peels L = D(N)/N of N = denominator_R(table)
+    # back into the table
+    datum, table = case
+    product = denominator_R(datum, table, table.height_bound)
+    with patch.object(roots, "numerator_series", lambda *args: product):
+        assert solve_multiplicities(datum, table.height_bound).entries == table.entries
 
 
 @PROPERTY

@@ -5,14 +5,8 @@ import pytest
 
 from bbsuper.charformula import numerator_series
 from bbsuper.datum import validate_datum
-from bbsuper.roots import (
-    RootEntry,
-    RootTable,
-    _mult_from_log,
-    roots_to_json,
-    solve_multiplicities,
-)
-from bbsuper.series import denominator_R
+from bbsuper.roots import RootEntry, RootTable, roots_to_json, solve_multiplicities
+from bbsuper.series import CharSeries, denominator_R
 
 
 # ---- independent oracle for the rank-one free case ----
@@ -169,46 +163,75 @@ def test_classify_norms():
     assert is_real(osp, (2,))
 
 
-def test_log_step_divisor_sum():
-    # osp(1|2): L = D(N_0)/N_0 for N_0 = 1 - q reads -q - q^2 - ...; the odd
-    # root at 1 feeds q^2 with eps_2 = -1, leaving the even root at 2
-    odd = {(1,): RootEntry(1, 1, True)}
-    assert _mult_from_log((1,), -1, {}) == 1
-    assert _mult_from_log((2,), -1, odd) == 1
-    assert _mult_from_log((2,), -1, {(1,): RootEntry(1, 0, True)}) == 0
-    assert _mult_from_log((1, 1), -4, {}) == 2
-    # a root can sit where L vanishes
-    assert _mult_from_log((2,), 0, {(1,): RootEntry(2, 1, False)}) == 1
+# ---- the peel, on a given numerator ----
+
+
+def solve_from(monkeypatch, datum, numerator):
+    """solve_multiplicities with N_0 replaced by the given series."""
+    import bbsuper.roots as roots_module
+
+    monkeypatch.setattr(roots_module, "numerator_series", lambda *args: numerator)
+    return solve_multiplicities(datum, numerator.height_bound)
+
+
+def mults(table):
+    return {beta: entry.mult for beta, entry in table.entries.items()}
+
+
+def test_log_step_divisor_sum(monkeypatch):
+    # N_0 = 1 - q gives L = D(N_0)/N_0 = -q - q^2 - ...: L_1 = -1 makes a
+    # root of multiplicity 1 at 1.  If it is even, it accounts for L_2 = -1 and
+    # 2 is no root; if it is odd, it feeds q^2 with eps_2 = -1, leaving an
+    # even root at 2 (osp(1|2))
+    one_minus_q = CharSeries(2, 1, {(0,): 1, (1,): -1})
+    assert mults(solve_from(monkeypatch, validate_datum([[2]], [1]), one_minus_q)) == {(1,): 1}
+    osp = validate_datum([[2]], [1], odd=[0])
+    assert mults(solve_from(monkeypatch, osp, one_minus_q)) == {(1,): 1, (2,): 1}
+    # (1 - e^{-(1,1)})^2 gives L_(1,1) = -4 = -ht(1,1) m
+    square = CharSeries(2, 2, {(0, 0): 1, (1, 1): -2})
+    iso = validate_datum([[0, -1], [-1, 0]], [1, 1])
+    assert mults(solve_from(monkeypatch, iso, square)) == {(1, 1): 2}
+    # a root can sit where L vanishes: an odd root of multiplicity 2 at 1
+    # puts +2 at q^2, so L_2 = 0 leaves -2 = -ht(2) m_2, an even root at 2
+    d = validate_datum([[0]], [1], odd=[0])
+    rows = {(1,): RootEntry(2, 1, False), (2,): RootEntry(1, 0, False)}
+    numerator = denominator_R(d, RootTable(2, rows), 2)
+    assert solve_from(monkeypatch, d, numerator).entries == rows
 
 
 def test_solver_visits_multiples_where_log_vanishes(monkeypatch):
-    import bbsuper.roots as roots_module
-
     # an odd root of multiplicity 2 at beta and an even one of multiplicity
     # 1 at 2 beta cancel in L at 2 beta; the solver must still find 2 beta
     d = validate_datum([[0, -1], [-1, 0]], [1, 1], odd=[0])
     rows = {(1, 1): RootEntry(2, 1, False), (2, 2): RootEntry(1, 0, False)}
-    product = denominator_R(d, RootTable(6, rows), 6)
-    monkeypatch.setattr(roots_module, "numerator_series", lambda *args: product)
-    table = solve_multiplicities(d, 6)
-    assert {b: e.mult for b, e in table.entries.items()} == {(1, 1): 2, (2, 2): 1}
+    table = solve_from(monkeypatch, d, denominator_R(d, RootTable(6, rows), 6))
+    assert mults(table) == {(1, 1): 2, (2, 2): 1}
 
 
-def test_negative_multiplicity_aborts():
+def test_negative_multiplicity_aborts(monkeypatch):
+    d = validate_datum([[0]], [1])
+    # N_0 = 1 + q gives L_1 = 1
     with pytest.raises(ValueError, match=re.escape("multiplicity -1 at exponent (1,) is negative")):
-        _mult_from_log((1,), 1, {})
+        solve_from(monkeypatch, d, CharSeries(1, 1, {(0,): 1, (1,): 1}))
     # an even root at 1 already accounts for more than L_2 allows
+    rows = {(1,): RootEntry(3, 0, False), (2,): RootEntry(-1, 0, False)}
+    numerator = denominator_R(d, RootTable(2, rows), 2)
     with pytest.raises(ValueError, match=re.escape("multiplicity -1 at exponent (2,) is negative")):
-        _mult_from_log((2,), -1, {(1,): RootEntry(3, 0, True)})
+        solve_from(monkeypatch, d, numerator)
 
 
-def test_non_integral_multiplicity_aborts():
-    message = "multiplicity 1/2 at exponent (2,) is not an integer"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        _mult_from_log((2,), -1, {})
-    message = "multiplicity 4/3 at exponent (1, 2) is not an integer"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        _mult_from_log((1, 2), -4, {})
+def test_non_integral_multiplicity_aborts(monkeypatch):
+    # an integer numerator gives an integral L, so L itself is replaced:
+    # nothing below gamma explains L_gamma, which ht(gamma) does not divide
+    cases = [
+        (1, {(2,): -1}, "multiplicity 1/2 at exponent (2,) is not an integer"),
+        (2, {(1, 2): -4}, "multiplicity 4/3 at exponent (1, 2) is not an integer"),
+    ]
+    for rank, log, message in cases:
+        d = validate_datum([[0] * rank for _ in range(rank)], [1] * rank)
+        monkeypatch.setattr(CharSeries, "divide", lambda self, other: CharSeries(3, rank, log))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_multiplicities(d, 3)
 
 
 def test_truncate_matches_shallow_solve():

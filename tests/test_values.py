@@ -2,6 +2,7 @@
 read-only fields, validation on construction."""
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,20 @@ def test_weight_is_a_value():
     too_long = r"^more than 4300 digits at index 1 in weight block 'Lambda'$"
     with pytest.raises(ValueError, match=too_long):
         Weight(("1e5000",), (0,), (0,))
+
+
+def test_weight_exponent_past_the_limit_refused_at_once():
+    # Fraction("1e10000000") builds 10**10000000, many seconds, before
+    # str() could refuse it; a zero mantissa stays 0 at any exponent
+    too_long = r"^more than 4300 digits at index 1 in weight block 'Lambda'$"
+    start = time.perf_counter()
+    for huge in ("1e10000000", "-2.5E-10000000"):
+        with pytest.raises(ValueError, match=too_long):
+            Weight((huge,), (0,), (0,))
+    assert Weight(("0e10000000",), (0,), (0,)).fundamental_part == (0,)
+    assert time.perf_counter() - start < 1
+    small = Weight(("1e-5", "2.5e-1"), (0, 0), (0, 0)).fundamental_part
+    assert small == (Fraction(1, 100000), Fraction(1, 4))
 
 
 def test_datum_is_a_value():
