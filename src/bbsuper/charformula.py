@@ -31,7 +31,7 @@ from collections import deque, namedtuple
 from operator import add
 
 from .datum import OddCartanDatum, Weight, height, weight_to_json
-from .series import CharSeries, series_to_json
+from .series import CharSeries, product_holds, series_to_json
 
 
 def _euler_table(bound: int, step: int) -> list:
@@ -141,29 +141,36 @@ def irreducible_character(datum, lam, height_bound) -> CharacterResult:
 
     The residual diagnostic counts exponents where N_lambda and the
     character times N_0 disagree, which is zero whenever the arithmetic
-    is consistent.  The product is computed in full although divide makes
-    it exact by construction: it is the only check that divide's own
-    recurrence reproduces N_lambda.  It shares the pair loop with
-    divide, so a fault in that loop can cancel out of it.
+    is consistent: it is the check that divide's own recurrence
+    reproduces N_lambda.  series.product_holds decides it by graded
+    evaluation, which shares no pair loop with divide: it passes every
+    exact quotient and misses a wrong one with probability at most H/p.
+    Only when it fails is the product formed and its terms counted; that
+    count is at least 1, since the check has then proved the residual
+    nonzero even where the product, through a fault in the pair loop
+    that divide shares, finds no term.
     """
     numerator, orbit_size, contributed = _numerator_with_count(datum, lam, height_bound)
     denom = numerator_series(datum, datum.zero_weight(), height_bound)
     quotient = numerator.divide(denom)
-    residual = numerator - quotient.mul(denom)
+    residual = 0
+    if not product_holds(numerator, quotient, denom):
+        residual = len((numerator - quotient.mul(denom)).terms) or 1
     return CharacterResult(
         series=quotient,
         highest_weight=lam,
         orbit_size=orbit_size,
         support_terms=contributed,
-        residual_terms=len(residual.terms),
+        residual_terms=residual,
     )
 
 
-def character_result_to_json(result: CharacterResult) -> dict:
+def character_result_to_json(result: CharacterResult, flat=False) -> dict:
+    """The character document; flat as series_to_json takes it."""
     return {
         "character": {
             "base": weight_to_json(result.highest_weight),
-            **series_to_json(result.series),
+            **series_to_json(result.series, flat),
         },
         "diagnostics": {
             "orbit_size": result.orbit_size,

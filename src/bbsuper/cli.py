@@ -17,7 +17,8 @@ and prints what the handler returns.
 
 Each call is one short process, so start-up counts: options are read
 from a table (argparse loads gettext and locale too), _render writes the
-JSON (json.dumps with an indent runs the pure-Python encoder), and each
+JSON (json.dumps with an indent runs the pure-Python encoder) and the
+engines write their long lists themselves, and each
 handler imports its engine itself, so validate stops at the datum, the
 formula side never loads the oracle, and the oracle never loads the
 formula side.
@@ -38,13 +39,13 @@ EXIT_MISMATCH = 2
 EXIT_CAPPED = 3
 
 
-def _load(path, parse, *context):
-    """parse(*context, the JSON document at path), or a ValueError that
-    names path when the file cannot be read or decoded or the document is
-    not valid."""
+def _load(path, parse, *context, parse_int=None):
+    """parse(*context, the JSON document at path, its integer literals read
+    by parse_int, int by default), or a ValueError that names path when the
+    file cannot be read or decoded or the document is not valid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(*context, json.loads(fh.read()))
+            return parse(*context, json.loads(fh.read(), parse_int=parse_int))
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
@@ -57,9 +58,10 @@ def _load(path, parse, *context):
 
 def _render(obj, indent=""):
     """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts,
-    lists, tuples, str, int, bool and None; TypeError on any other type.
-    Types are matched exactly (bool is not int here), which is quicker
-    than isinstance and refuses subclasses."""
+    lists, tuples, str, int, bool and None; a callable writes its own
+    value, given the indent; TypeError on any other type.  Types are
+    matched exactly (bool is not int here), which is quicker than
+    isinstance and refuses subclasses."""
     kind = type(obj)
     if obj is None:
         return "null"
@@ -84,16 +86,18 @@ def _render(obj, indent=""):
             return "{}"
         body = sep.join([f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj)])
         return f"{{\n{inner}{body}\n{indent}}}"
+    if callable(obj):  # such as RootTable.rows_json
+        return obj(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _format(doc, fmt, columns, rows) -> str:
-    """doc as JSON, or as a table of the given columns over rows, the dicts
-    that doc holds: a str cell shows as it is, any other as json.dumps."""
+    """doc as JSON, or as a table of the given columns over rows(), dicts:
+    a str cell shows as it is, any other as json.dumps."""
     if fmt == "json":
         return _render(doc)
     rendered = [[row[k] if isinstance(row[k], str) else json.dumps(row[k]) for k in columns]
-                for row in rows]
+                for row in rows()]
     widths = [len(h) for h in columns]
     for row in rendered:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
@@ -116,7 +120,7 @@ def _cmd_validate(datum, lam, height):
         "isotropic": _one_based(datum.isotropic_indices),
         "odd": _one_based(sorted(datum.odd)),
     }
-    return doc, ("field", "value"), [{"field": k, "value": doc[k]} for k in sorted(doc)]
+    return doc, ("field", "value"), lambda: [{"field": k, "value": doc[k]} for k in sorted(doc)]
 
 
 _ROOT_COLUMNS = ("root", "mult", "parity", "class")
@@ -125,33 +129,32 @@ _ROOT_COLUMNS = ("root", "mult", "parity", "class")
 def _cmd_roots(datum, lam, height):
     from .roots import roots_to_json, solve_multiplicities
 
-    doc = roots_to_json(solve_multiplicities(datum, height))
-    return doc, _ROOT_COLUMNS, doc
+    table = solve_multiplicities(datum, height)
+    return table.rows_json, _ROOT_COLUMNS, lambda: roots_to_json(table)
 
 
 def _cmd_char(datum, lam, height):
     from .charformula import character_result_to_json, irreducible_character
 
-    doc = character_result_to_json(irreducible_character(datum, lam, height))
-    return doc, ("exp", "coef"), doc["character"]["terms"]
+    result = irreducible_character(datum, lam, height)
+    return (character_result_to_json(result, flat=True), ("exp", "coef"),
+            lambda: character_result_to_json(result)["character"]["terms"])
 
 
 def _cmd_denom_check(datum, lam, height):
     from .charformula import numerator_series
-    from .roots import roots_to_json, solve_multiplicities
-    from .series import denominator_R
+    from .roots import denominator_residual_terms, roots_to_json, solve_multiplicities
 
-    table = solve_multiplicities(datum, height)
-    residual = denominator_R(datum, table, height) - numerator_series(
-        datum, datum.zero_weight(), height
-    )
+    numerator = numerator_series(datum, datum.zero_weight(), height)
+    table = solve_multiplicities(datum, height, numerator)
+    residual = denominator_residual_terms(datum, table, numerator)
     doc = {
         "height": height,
-        "residual_terms": len(residual.terms),
-        "ok": not residual.terms,
-        "roots": roots_to_json(table),
+        "residual_terms": residual,
+        "ok": not residual,
+        "roots": table.rows_json,
     }
-    return doc, _ROOT_COLUMNS, doc["roots"]
+    return doc, _ROOT_COLUMNS, lambda: roots_to_json(table)
 
 
 def _oracle_dims(datum, lam, height):
@@ -166,7 +169,7 @@ def _oracle_dims(datum, lam, height):
 def _cmd_oracle(datum, lam, height):
     dims = _oracle_dims(datum, lam, height)
     doc = [{"mu_offset": list(beta), "dim": dim} for beta, dim in dims.items()]
-    return doc, ("mu_offset", "dim"), doc
+    return doc, ("mu_offset", "dim"), lambda: doc
 
 
 def _cmd_compare(datum, lam, height):
@@ -188,13 +191,13 @@ def _cmd_compare(datum, lam, height):
         "matches": not differences,
         "differences": differences,
     }
-    return doc, ("mu_offset", "formula", "oracle"), differences
+    return doc, ("mu_offset", "formula", "oracle"), lambda: differences
 
 
 # subcommand -> (handler, the options it reads besides --datum and --format),
 # as README's table of what each subcommand needs says.  A handler takes
 # (datum, weight or None, height or None) and returns (doc, table columns,
-# table rows), the rows being dicts that doc holds.
+# a function that returns the table rows as dicts).
 _COMMANDS = {
     "validate": (_cmd_validate, ()),
     "roots": (_cmd_roots, ("--height",)),
@@ -288,7 +291,10 @@ def main(argv=None) -> int:
         else:
             args = _parse_args(argv)
             datum = _load(args.datum, datum_from_json)
-            lam = None if args.lam is None else _load(args.lam, weight_from_json, datum)
+            # a weight's integer literal reaches weight_from_json as its
+            # digits, so one past int's digit limit is refused like a string
+            lam = None if args.lam is None else _load(args.lam, weight_from_json, datum,
+                                                      parse_int=str)
             doc, columns, rows = _COMMANDS[args.subcommand][0](datum, lam, args.height)
             text = _format(doc, args.format, columns, rows)
             if args.subcommand == "compare" and not doc["matches"]:

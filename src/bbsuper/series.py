@@ -6,21 +6,41 @@ All arithmetic is exact and closed under that truncation.  Products and
 quotients walk height layers, and _layer_convolution is their one pair
 loop: a product merges its layers, a quotient solves them in turn.
 
-Inside that loop an exponent is one integer, sum of e_i (H+1)^i
-(Kronecker substitution).  Every coordinate of an exponent in the window
-is at most H, and the loop only adds pairs whose sum still has height
-at most H, so no digit carries and adding two keys packs the sum of
-their exponents.  Keys never leave this module: terms, coefficient()
-and the JSON form keep exponent tuples.
+Inside that loop an exponent is one integer, sum of e_i (H+1)^(r-1-i)
+at rank r (Kronecker substitution), so the first coordinate is the
+leading digit and keys of one height sort as their exponents do.  Every
+coordinate of an exponent in the window is at most H, and the loop only
+adds pairs whose sum still has height at most H, so no digit carries and
+adding two keys packs the sum of their exponents.  Keys leave this
+module only as the layers of log_derivative, which
+roots.solve_multiplicities peels; terms, coefficient() and the JSON form
+keep exponent tuples.
 
 root_log_terms is the one expansion of a root into the log-derivative
-of the denominator: denominator_R sums it over a root table, and
-roots.solve_multiplicities peels it off L = D(N_0)/N_0 to find the table.
+of the denominator: table_log_terms lists it over a root table, whose
+sum denominator_R expands, and roots.solve_multiplicities peels it off
+L = D(N_0)/N_0 to find the table.
+
+graded_check checks a product without forming it (product_holds for
+series, roots.denominator_residual_terms for D(N_0) = N_0 L), by graded
+evaluation: e^{-beta} maps to x^{ht beta} z_1^{beta_1} ... z_r^{beta_r}
+in F_p[x]/(x^{H+1}), at one fixed point z.  The height grading makes
+this a ring homomorphism of the truncated series, so a == b c implies
+that the images agree, in O(terms r) to map and O(H^2) to multiply.
+Layer h of a nonzero a - b c maps to a homogeneous polynomial of degree
+h <= H in z; if one of its coefficients is not divisible by p, a
+uniformly random point is a root of it with probability at most H/p
+(Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979), the idea of
+Freivalds' product check.  p is the least of the Mersenne primes
+2^61 - 1, 2^127 - 1, 2^521 - 1 and 2^1279 - 1 above a bound on the size
+of the coefficients of a - b c, so a nonzero one is not a multiple of
+p; past the last of them the product is formed.  The point is fixed, so
+every run prints the same output.
 """
 
 from collections import defaultdict
 
-from .datum import graded_key, height
+from .datum import graded_key
 
 
 class CharSeries:
@@ -97,13 +117,18 @@ class CharSeries:
 
     def divide(self, other) -> "CharSeries":
         """The series q with q * other == self; the constant term of other
-        must be 1 or -1.  Layer h of q is solved from the layers below it:
-        q_h = c_0 (self_h - sum over k >= 1 of other_k q_{h-k})."""
+        must be 1 or -1."""
         self._check_compatible(other)
-        c0 = other.terms.get((0,) * self.rank, 0)
+        return _unpack_layers(other._solve(self._pack_layers()), self.height_bound, self.rank)
+
+    def _solve(self, num) -> dict:
+        """Packed layers of the q with q * self == num, num given in packed
+        layers.  Layer h of q is solved from the layers below it:
+        q_h = c_0 (num_h - sum over k >= 1 of self_k q_{h-k})."""
+        c0 = self.terms.get((0,) * self.rank, 0)
         if c0 not in (1, -1):
             raise ValueError(f"constant term {c0}: a divisor needs constant term 1 or -1")
-        num, den = self._pack_layers(), other._pack_layers()
+        den = self._pack_layers()
         q = {}
         for h in range(self.height_bound + 1):
             # q_h is not in q yet, so the k = 0 term drops out
@@ -111,24 +136,51 @@ class CharSeries:
             for e, c in num.get(h, {}).items():
                 rest[e] -= c
             q[h] = {e: -c0 * v for e, v in rest.items() if v}
-        return _unpack_layers(q, self.height_bound, self.rank)
+        return q
+
+    def log_derivative(self) -> dict:
+        """L = D(self) / self as {height: {packed exponent: coefficient}}
+        for every height in the window; D scales e^{-gamma} by ht(gamma)."""
+        num = self._pack_layers()
+        return self._solve({h: {e: h * c for e, c in layer.items()} for h, layer in num.items()})
+
+    def terms_json(self, indent="") -> str:
+        """cli._render of series_to_json(self)["terms"] at indent, written
+        straight from the terms."""
+        rows = [(c,) + e for e, c in self.items_sorted()]
+        return json_list(indent, ('"coef": "%d"', '"exp"'), rows)
+
+
+def json_list(indent, keys, rows) -> str:
+    """cli._render at indent of a list of objects with the same keys, in
+    sorted order: `"key": format` for each key but the last, whose value
+    is a nonempty list of ints.  A row holds the values in key order, the
+    ints last and flat."""
+    if not rows:
+        return "[]"
+    inner, field, cell = indent + "  ", indent + "    ", indent + "      "
+    head = "".join([f"{field}{k},\n" for k in keys[:-1]])
+    ints = f",\n{cell}".join(["%d"] * (len(rows[0]) - len(keys) + 1))
+    template = f"{{\n{head}{field}{keys[-1]}: [\n{cell}{ints}\n{field}]\n{inner}}}"
+    body = f",\n{inner}".join([template % row for row in rows])
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _pack(exp, base) -> int:
-    """Key of an exponent: coordinate i is the digit of base**i."""
+    """Key of an exponent: coordinate i is the digit of base**(rank - 1 - i)."""
     key = 0
-    for x in reversed(exp):
+    for x in exp:
         key = key * base + x
     return key
 
 
-def _unpack(key, rank, base) -> tuple:
+def unpack(key, rank, base) -> tuple:
     """Exponent of a key, the inverse of _pack."""
     exp = []
     for _ in range(rank):
         key, x = divmod(key, base)
         exp.append(x)
-    return tuple(exp)
+    return tuple(exp[::-1])
 
 
 def _unpack_layers(layers, height_bound, rank) -> CharSeries:
@@ -137,7 +189,7 @@ def _unpack_layers(layers, height_bound, rank) -> CharSeries:
     base = height_bound + 1
     out = CharSeries(height_bound, rank)
     out.terms = {
-        _unpack(key, rank, base): c
+        unpack(key, rank, base): c
         for layer in layers.values()
         for key, c in layer.items()
         if c
@@ -162,17 +214,26 @@ def _layer_convolution(a, b, h) -> dict:
     return layer
 
 
-def root_log_terms(beta, entry, height_bound) -> list:
-    """(k beta, -eps_k m ht(beta)) for every k >= 1 with k beta in the
-    window: the terms that a root of multiplicity m adds to the
-    log-derivative L = D(R)/R of the denominator, with eps_k = -1 for an
-    odd root at even k and 1 otherwise."""
-    h = height(beta)
+def root_log_terms(h, entry, height_bound) -> list:
+    """[c_1, c_2, ...]: a root beta of height h and multiplicity m adds
+    c_k = -eps_k m h to the log-derivative L = D(R)/R of the denominator
+    at k beta, for every k >= 1 with k beta in the window; eps_k = -1 for
+    an odd root at even k and 1 otherwise."""
     coef = -entry.mult * h
-    terms = [(beta, coef)] if h <= height_bound else []
-    for k in range(2, height_bound // h + 1):
-        terms.append((tuple([k * x for x in beta]), -coef if entry.parity and k % 2 == 0 else coef))
-    return terms
+    return [-coef if entry.parity and k % 2 == 0 else coef
+            for k in range(1, height_bound // h + 1)]
+
+
+def table_log_terms(table, height_bound):
+    """(k beta, c_k) over the root_log_terms of the table's roots: the
+    terms of L, unsummed.  The table is read only through entries and
+    height_bound; it is walked unsorted, and a root past the window adds
+    nothing."""
+    if table.height_bound < height_bound:
+        raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
+    for beta, entry in table.entries.items():
+        for k, coef in enumerate(root_log_terms(sum(beta), entry, height_bound), 1):
+            yield (beta if k == 1 else tuple([k * x for x in beta])), coef
 
 
 def denominator_R(datum, table, height_bound) -> CharSeries:
@@ -183,28 +244,19 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
     root_log_terms.  Then D(R) = R L fixes R layer by layer from R_0 = 1,
     since ht(gamma) R_gamma is the sum of R_delta L_{gamma-delta} over
     delta of smaller height.  Every division is exact for integer
-    multiplicities; a remainder raises.  The table is read only through
-    items_sorted() and height_bound.
+    multiplicities; a remainder raises.
     """
-    if table.height_bound < height_bound:
-        raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
     base = height_bound + 1
     log_layers = defaultdict(lambda: defaultdict(int))
-    for beta, entry in table.items_sorted():
-        h = height(beta)
-        if h > height_bound:
-            break
-        key = _pack(beta, base)
-        for k, (_, coef) in enumerate(root_log_terms(beta, entry, height_bound), 1):
-            # k beta has height at most H, so k key packs it
-            log_layers[k * h][k * key] += coef
+    for e, coef in table_log_terms(table, height_bound):
+        log_layers[sum(e)][_pack(e, base)] += coef
     layers = {0: {0: 1}}
-    for h in range(1, height_bound + 1):
+    for h in range(1, base):
         layer = {}
         for e, v in _layer_convolution(log_layers, layers, h).items():
             coef, rest = divmod(v, h)
             if rest:
-                exp = _unpack(e, datum.rank, base)
+                exp = unpack(e, datum.rank, base)
                 raise ValueError(f"coefficient {v}/{h} at {exp} is not an integer")
             if coef:
                 layer[e] = coef
@@ -212,13 +264,63 @@ def denominator_R(datum, table, height_bound) -> CharSeries:
     return _unpack_layers(layers, height_bound, datum.rank)
 
 
+# ---- graded evaluation ----
+
+# Mersenne primes; a check works mod the least one above its size bound
+_PRIMES = tuple((1 << e) - 1 for e in (61, 127, 521, 1279))
+
+
+def graded_check(size, rank, height_bound, x, y, w):
+    """Whether X == Y W for the truncated series given by the
+    (exponent, coefficient) iterables x, y and w, by graded evaluation
+    mod p, the least prime of _PRIMES above size, a bound on every
+    coefficient of X - Y W; None, with nothing read, when size reaches
+    them all."""
+    p = next((p for p in _PRIMES if p > size), None)
+    if p is None:
+        return None
+    # z_i^k mod p for k <= H, at a fixed point z from a linear
+    # congruential sequence
+    powers, z = [], 1
+    for _ in range(rank):
+        z = (z * 6364136223846793005 + 1442695040888963407) % p
+        powers.append([pow(z, k, p) for k in range(height_bound + 1)])
+    images = []
+    for terms in (x, y, w):
+        image = [0] * (height_bound + 1)
+        for e, c in terms:
+            for row, d in zip(powers, e):
+                c *= row[d]
+            image[sum(e)] += c % p
+        images.append(image)
+    x, y, w = images
+    return all(
+        (x[h] - sum(y[k] * w[h - k] for k in range(h + 1))) % p == 0 for h in range(len(x))
+    )
+
+
+def product_holds(a, b, c) -> bool:
+    """Whether a == b c, by graded evaluation (see the module docstring):
+    True on every exact product, and on any other False except with
+    probability at most H/p over the point.  Only when the coefficients
+    of a - b c could reach every prime it tries is the product formed,
+    and compared exactly."""
+    sizes = [list(map(abs, s.terms.values())) or [0] for s in (a, b, c)]
+    size = max(sizes[0]) + max(sizes[1]) * sum(sizes[2])
+    holds = graded_check(size, a.rank, a.height_bound,
+                         a.terms.items(), b.terms.items(), c.terms.items())
+    return a == b.mul(c) if holds is None else holds
+
+
 # ---- JSON form ----
 
 
-def series_to_json(series: CharSeries) -> dict:
+def series_to_json(series: CharSeries, flat=False) -> dict:
+    """The series as a JSON document; with flat, "terms" is the writer
+    series.terms_json, which cli._render calls in its place."""
     return {
         "height_bound": series.height_bound,
-        "terms": [
+        "terms": series.terms_json if flat else [
             {"exp": list(e), "coef": str(c)} for e, c in series.items_sorted()
         ],
     }

@@ -701,21 +701,25 @@ def test_weight_non_numeric_value_rejected(tmp_path, capsys, sl2_files, command,
 @pytest.mark.parametrize(
     "block, value",
     [
-        ("Lambda", "1" + "0" * 5000),
-        ("Lambda", "1e5000"),
-        ("delta", "1e-5000"),
-        ("alpha", "1/1" + "0" * 5000),
-        ("alpha", "0." + "0" * 5000),
+        ("Lambda", '"1%s"' % ("0" * 5000)),
+        ("Lambda", '"1e5000"'),
+        ("delta", '"1e-5000"'),
+        ("alpha", '"1/1%s"' % ("0" * 5000)),
+        ("alpha", '"0.%s"' % ("0" * 5000)),
+        ("delta", "-1" + "0" * 5000),
     ],
-    ids=["digits", "exponent", "negative-exponent", "denominator", "decimals"],
+    ids=["digits", "exponent", "negative-exponent", "denominator", "decimals", "literal"],
 )
 @pytest.mark.parametrize("command", ["char", "oracle", "compare"])
 def test_weight_past_the_digit_limit_rejected(tmp_path, capsys, sl2_files, command, block, value):
     # int() refuses a digit string over its 4300-digit limit, and str() the
     # value of "1e5000", which char writes as the base of its character:
-    # each is refused where the weight is read, without echoing the entry
+    # each is refused where the weight is read, without echoing the entry.
+    # value is the entry as the file holds it, a JSON integer literal too
     datum, _ = sl2_files
-    lam = write_json(tmp_path / "long.json", {block: {"1": value}})
+    lam = tmp_path / "long.json"
+    lam.write_text('{"%s": {"1": %s}}' % (block, value))
+    lam = str(lam)
     code, out, err = run(
         capsys, [command, "--datum", datum, "--lambda", lam, "--height", "2"]
     )

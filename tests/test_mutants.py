@@ -1,0 +1,138 @@
+"""Faults planted in one engine function, and the checks that must see
+them: the residual of `char` and the `ok` of `denom-check`, which decide
+by graded evaluation and so share no pair loop with the division they
+check.  Also that those checks form no full product on their success
+path, and that a failing check still counts the exact residual."""
+import json
+from collections import defaultdict
+
+import pytest
+
+import bbsuper.roots as roots
+import bbsuper.series as series
+from bbsuper.charformula import irreducible_character, numerator_series
+from bbsuper.cli import main
+from bbsuper.datum import datum_from_json, validate_datum, weight_from_json
+from bbsuper.roots import RootEntry, RootTable, denominator_residual_terms, solve_multiplicities
+from bbsuper.series import CharSeries, denominator_R, product_holds
+
+R4 = {"A": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], "odd": [3]}
+R4_LAMBDA = {"Lambda": {"1": "1", "2": "1"}}
+# the first prime of the graded evaluation
+P = 2**61 - 1
+
+
+@pytest.fixture
+def r4_files(tmp_path):
+    datum, lam = tmp_path / "r4.json", tmp_path / "lam.json"
+    datum.write_text(json.dumps(R4))
+    lam.write_text(json.dumps(R4_LAMBDA))
+    return str(datum), str(lam)
+
+
+def run_json(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out or "null")
+
+
+def skip_equal_heights(a, b, h):
+    """_layer_convolution without the pairs whose two factors have one
+    positive height: a fault that divide and mul make alike, so the
+    product of a wrong quotient still gives the numerator back."""
+    layer = defaultdict(int)
+    for k in range(h + 1):
+        if k and 2 * k == h:
+            continue
+        for ea, ca in a.get(k, {}).items():
+            for eb, cb in b.get(h - k, {}).items():
+                layer[ea + eb] += ca * cb
+    return layer
+
+
+def test_equal_height_mutant_shows_in_the_residual(capsys, monkeypatch, r4_files):
+    datum_doc = datum_from_json(R4)
+    lam = weight_from_json(datum_doc, R4_LAMBDA)
+    honest = irreducible_character(datum_doc, lam, 5).series
+    monkeypatch.setattr(series, "_layer_convolution", skip_equal_heights)
+    numerator = numerator_series(datum_doc, lam, 5)
+    denom = numerator_series(datum_doc, datum_doc.zero_weight(), 5)
+    quotient = numerator.divide(denom)
+    assert quotient != honest
+    # the exact residual runs through the same faulty pair loop and is blind
+    assert not (numerator - quotient.mul(denom)).terms
+    datum, lam_path = r4_files
+    code, doc = run_json(capsys, ["char", "--datum", datum, "--lambda", lam_path, "--height", "5"])
+    assert code == 0
+    assert doc["diagnostics"]["residual_terms"] > 0
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a check formed a full product")
+
+
+def test_success_paths_form_no_product(capsys, monkeypatch, r4_files):
+    monkeypatch.setattr(CharSeries, "mul", refuse)
+    monkeypatch.setattr(roots, "denominator_R", refuse)
+    datum, lam = r4_files
+    code, doc = run_json(capsys, ["char", "--datum", datum, "--lambda", lam, "--height", "8"])
+    assert (code, doc["diagnostics"]["residual_terms"]) == (0, 0)
+    code, doc = run_json(capsys, ["denom-check", "--datum", datum, "--height", "8"])
+    assert (code, doc["residual_terms"], doc["ok"]) == (0, 0, True)
+
+
+def test_checks_run_no_pair_loop(monkeypatch):
+    d = datum_from_json(R4)
+    lam = weight_from_json(d, R4_LAMBDA)
+    numerator = numerator_series(d, lam, 8)
+    denom = numerator_series(d, d.zero_weight(), 8)
+    quotient = numerator.divide(denom)
+    table = solve_multiplicities(d, 8)
+    monkeypatch.setattr(series, "_layer_convolution", refuse)
+    assert product_holds(numerator, quotient, denom)
+    assert denominator_residual_terms(d, table, denom) == 0
+
+
+def test_failed_checks_count_the_exact_residual(monkeypatch):
+    d = datum_from_json(R4)
+    table = solve_multiplicities(d, 6)
+    denom = numerator_series(d, d.zero_weight(), 6)
+    # one multiplicity one too large
+    beta, entry = next(iter(table.entries.items()))
+    wrong = RootTable(6, {**table.entries, beta: entry._replace(mult=entry.mult + 1)})
+    exact = len((denominator_R(d, wrong, 6) - denom).terms)
+    assert exact > 0
+    assert denominator_residual_terms(d, wrong, denom) == exact
+    lam = weight_from_json(d, R4_LAMBDA)
+    numerator = numerator_series(d, lam, 6)
+    quotient = numerator.divide(denom) - CharSeries(6, 4, {(1, 1, 0, 0): 1})
+    assert not product_holds(numerator, quotient, denom)
+    # a faulty product that finds no term: the failed check still counts 1
+    monkeypatch.setattr(roots, "denominator_R", lambda *args: denom)
+    assert denominator_residual_terms(d, wrong, denom) == 1
+
+
+def test_coefficients_past_a_prime(monkeypatch):
+    # a - b c = p e^{-2} maps to zero mod p = 2^61 - 1; b's coefficient p
+    # puts the size bound past p, so the check works mod 2^127 - 1
+    c = CharSeries(2, 1, {(0,): 1, (1,): -1})
+    b = CharSeries(2, 1, {(0,): 1, (1,): P})
+    a = b.mul(c)
+    products = []
+    mul = CharSeries.mul
+    monkeypatch.setattr(CharSeries, "mul", lambda *args: products.append(1) or mul(*args))
+    assert product_holds(a, b, c)
+    assert not product_holds(a - CharSeries(2, 1, {(2,): P}), b, c)
+    assert not products
+    # past 2^1279 - 1, the last prime, the product is formed
+    b = CharSeries(2, 1, {(0,): 1, (1,): 2**1279})
+    a = mul(b, c)
+    assert product_holds(a, b, c)
+    assert not product_holds(a - CharSeries(2, 1, {(2,): 1}), b, c)
+    assert len(products) == 2
+    # the same for a multiplicity past the last prime, where denominator_R
+    # decides
+    d = validate_datum([[-2]], [1])
+    table = RootTable(2, {(1,): RootEntry(2**1279, 0, False)})
+    product = denominator_R(d, table, 2)
+    assert denominator_residual_terms(d, table, product) == 0
+    assert denominator_residual_terms(d, table, product - CharSeries(2, 1, {(2,): 1})) == 1

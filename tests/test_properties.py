@@ -8,7 +8,8 @@ the all-word Gram rank and the formula on small windows (about half of
 the data with an infinite real Weyl group), and of the
 generic (Verma) dimensions with the inverted denominator, and of the
 root table, the character and both oracle modes with themselves under a
-relabelling of the simple indices."""
+relabelling of the simple indices, and of the flat JSON writers with the
+canonical rendering of the dict builders."""
 from math import lcm
 from unittest.mock import patch
 
@@ -16,10 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbsuper import roots
-from bbsuper.charformula import irreducible_character, numerator_series
+from bbsuper.charformula import character_result_to_json, irreducible_character, numerator_series
+from bbsuper.cli import _COMMANDS, _render
 from bbsuper.datum import Weight, validate_datum
-from bbsuper.roots import RootEntry, RootTable, solve_multiplicities
-from bbsuper.series import CharSeries, denominator_R
+from bbsuper.roots import RootEntry, RootTable, roots_to_json, solve_multiplicities
+from bbsuper.series import CharSeries, denominator_R, series_to_json
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
@@ -269,6 +271,51 @@ def test_generic_dims_bound_irreducible_dims(datum, levels):
     for beta, d in irreducible.items():
         assert generic[beta] >= d, beta
 
+
+
+@PROPERTY
+@given(datums(), st.integers(0, 6), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+# height 0: no root, an empty list
+@example(validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1]), 0, [1, 0, 0])
+def test_flat_writers_match_render(datum, bound, levels):
+    # roots, denom-check and char write root rows and series terms straight
+    # from the table and the series: each document must be what _render
+    # makes of the dict builders
+    def document(command, lam=None):
+        doc, _, _ = _COMMANDS[command][0](datum, lam, bound)
+        return _render(doc)
+
+    table = solve_multiplicities(datum, bound)
+    assert document("roots") == _render(roots_to_json(table))
+    zero = datum.zero_weight()
+    residual = denominator_R(datum, table, bound) - numerator_series(datum, zero, bound)
+    assert document("denom-check") == _render({
+        "height": bound,
+        "residual_terms": len(residual.terms),
+        "ok": not residual.terms,
+        "roots": roots_to_json(table),
+    })
+    lam = dominant(datum, levels)
+    result = irreducible_character(datum, lam, bound)
+    assert document("char", lam) == _render(character_result_to_json(result))
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_flat_writers_match_render_on_drawn_values(rank, bound, data):
+    # negative and many-digit coefficients and multiplicities, and an
+    # empty series
+    terms = data.draw(st.dictionaries(exponents(rank, bound), st.integers(-10**30, 10**30),
+                                      max_size=8))
+    s = CharSeries(bound, rank, terms)
+    assert _render(series_to_json(s, flat=True)) == _render(series_to_json(s))
+    rows = data.draw(st.dictionaries(
+        exponents(rank, bound).filter(any),
+        st.tuples(st.integers(1, 10**30), st.integers(0, 1), st.booleans()),
+        max_size=8,
+    )) if bound else {}
+    table = RootTable(bound, {e: RootEntry(*row) for e, row in rows.items()})
+    assert _render(table.rows_json) == _render(roots_to_json(table))
 
 
 def relabel(datum, lam, perm):

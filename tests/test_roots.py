@@ -229,7 +229,9 @@ def test_non_integral_multiplicity_aborts(monkeypatch):
     ]
     for rank, log, message in cases:
         d = validate_datum([[0] * rank for _ in range(rank)], [1] * rank)
-        monkeypatch.setattr(CharSeries, "divide", lambda self, other: CharSeries(3, rank, log))
+        monkeypatch.setattr(
+            CharSeries, "log_derivative", lambda self: CharSeries(3, rank, log)._pack_layers()
+        )
         with pytest.raises(ValueError, match=re.escape(message)):
             solve_multiplicities(d, 3)
 

@@ -143,17 +143,17 @@ class _Entry:
 
 
 class _Table:
-    def __init__(self, height_bound, rows):
+    # denominator_R reads a table through these two attributes alone
+    def __init__(self, height_bound, entries):
         self.height_bound = height_bound
-        self.rows = rows
-
-    def items_sorted(self):
-        return sorted(self.rows.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        self.entries = entries
 
 
 def test_denominator_even_single_root():
     d = validate_datum([[2]], [1])
-    table = _Table(6, {(1,): _Entry(1, 0)})
+    # a table deeper than the window: its roots past height 6 add nothing,
+    # wherever they come in the unsorted walk
+    table = _Table(9, {(8,): _Entry(5, 0), (1,): _Entry(1, 0), (7,): _Entry(2, 1)})
     r = denominator_R(d, table, 6)
     assert r.terms == {(0,): 1, (1,): -1}
     ch = CharSeries.one(6, 1).divide(r)
