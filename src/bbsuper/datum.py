@@ -38,6 +38,12 @@ def unit_root(n: int, i: int) -> tuple:
 _BLOCKS = ("Lambda", "delta", "alpha")
 
 
+def _echo(x, form=repr) -> str:
+    """form(x) as a refusal message shows it: cut after 40 characters."""
+    text = form(x)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _fraction(v):
     from fractions import Fraction
 
@@ -78,7 +84,7 @@ def _rational(x, block, k):
                 raise ValueError(too_long)
             return 0
     if isinstance(x, bool) or x != x:
-        raise ValueError(f"non-numeric value {x!r} {where}")
+        raise ValueError(f"non-numeric value {_echo(x)} {where}")
     if isinstance(x, float):
         if isinf(x):
             raise ValueError(f"infinite value {where}")
@@ -88,7 +94,7 @@ def _rational(x, block, k):
     except ZeroDivisionError:
         raise ValueError(f"zero denominator {where}") from None
     except (TypeError, ValueError):  # null, a list or an object, text
-        raise ValueError(f"non-numeric value {x!r} {where}") from None
+        raise ValueError(f"non-numeric value {_echo(x)} {where}") from None
     try:
         str(v)  # as weight_to_json writes it
     except ValueError:
@@ -104,7 +110,7 @@ def _integer(x, what) -> int:
     except (OverflowError, ValueError, TypeError):  # inf, nan, text, null
         n = None
     if isinstance(x, bool) or n is None or n != x:
-        raise ValueError(f"{what} = {x!r} is not an integer")
+        raise ValueError(f"{what} = {_echo(x)} is not an integer")
     return n
 
 
@@ -198,33 +204,36 @@ class OddCartanDatum(_Value):
         # odd indices are named as the JSON form lists them, from one
         for i in sorted(self.odd):
             if i not in range(n):
-                raise ValueError(f"odd index {i + 1} out of range 1..{n}")
+                raise ValueError(f"odd index {_echo(i + 1)} out of range 1..{n}")
         for i in range(n):
             aii = self.a[i][i]
             if aii != 2 and (aii > 0 or aii % 2 != 0):
                 raise ValueError(
-                    f"a[{i}][{i}] = {aii}: a diagonal entry must be 2 or a nonpositive even integer"
+                    f"a[{i}][{i}] = {_echo(aii)}: a diagonal entry must be 2 or a nonpositive "
+                    "even integer"
                 )
             for j in range(n):
                 if i != j and self.a[i][j] > 0:
                     raise ValueError(
-                        f"a[{i}][{j}] = {self.a[i][j]}: an off-diagonal entry must be nonpositive"
+                        f"a[{i}][{j}] = {_echo(self.a[i][j])}: an off-diagonal entry must be "
+                        "nonpositive"
                     )
         if any(di <= 0 for di in self.d):
-            raise ValueError(f"symmetrizer D = {list(self.d)}: every entry must be positive")
+            raise ValueError(f"symmetrizer D = {_echo(list(self.d))}: every entry must be positive")
         for i in range(n):
             for j in range(i + 1, n):
                 if self.d[i] * self.a[i][j] != self.d[j] * self.a[j][i]:
                     raise ValueError(
-                        f"d[{i}]*a[{i}][{j}] = {self.d[i] * self.a[i][j]} "
-                        f"!= d[{j}]*a[{j}][{i}] = {self.d[j] * self.a[j][i]}: D*A must be symmetric"
+                        f"d[{i}]*a[{i}][{j}] = {_echo(self.d[i] * self.a[i][j])} != "
+                        f"d[{j}]*a[{j}][{i}] = {_echo(self.d[j] * self.a[j][i])}: D*A must be "
+                        "symmetric"
                     )
         for i in self.odd:
             if self.a[i][i] == 2:
                 for j in range(n):
                     if self.a[i][j] % 2 != 0:
-                        raise ValueError(f"a[{i}][{j}] = {self.a[i][j]}: odd index {i + 1} is "
-                                         "real, so its row must be even")
+                        raise ValueError(f"a[{i}][{j}] = {_echo(self.a[i][j])}: odd index {i + 1} "
+                                         "is real, so its row must be even")
 
     # ---- index classes ----
 
@@ -315,17 +324,17 @@ def datum_from_json(obj) -> OddCartanDatum:
         raise ValueError("datum JSON needs at least the matrix under 'A'")
     for key in obj:
         if key not in ("A", "D", "odd"):
-            raise ValueError(f"unknown datum field {key!r}: use A, D or odd")
+            raise ValueError(f"unknown datum field {_echo(key)}: use A, D or odd")
     a = obj["A"]
     if not isinstance(a, list):
-        raise ValueError(f"datum field 'A' must be a list of rows, got {a!r}")
+        raise ValueError(f"datum field 'A' must be a list of rows, got {_echo(a)}")
     for row in a:
         if not isinstance(row, list):
-            raise ValueError(f"datum field 'A' must be a list of rows, got row {row!r}")
+            raise ValueError(f"datum field 'A' must be a list of rows, got row {_echo(row)}")
     d, odd = obj.get("D"), obj.get("odd")
     for name, value in (("D", d), ("odd", odd)):
         if value is not None and not isinstance(value, list):
-            raise ValueError(f"datum field {name!r} must be a list, got {value!r}")
+            raise ValueError(f"datum field {name!r} must be a list, got {_echo(value)}")
     if d is None:
         d = [1] * len(a)
     odd = [_integer(i, "odd index") - 1 for i in odd or ()]
@@ -345,7 +354,7 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
         raise ValueError("a weight must be an object of Lambda, delta and alpha blocks")
     for key in obj:
         if key not in _BLOCKS:
-            raise ValueError(f"unknown weight block {key!r}: use Lambda, delta or alpha")
+            raise ValueError(f"unknown weight block {_echo(key)}: use Lambda, delta or alpha")
 
     def block(name):
         entries = obj.get(name)
@@ -359,10 +368,10 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
                 i = int(key) - 1
             except ValueError:
                 raise ValueError(
-                    f"index {key!r} is not an integer in weight block {name!r}"
+                    f"index {_echo(key)} is not an integer in weight block {name!r}"
                 ) from None
             if i not in range(n):
-                raise ValueError(f"index {key} out of range in weight block {name!r}")
+                raise ValueError(f"index {_echo(key, str)} out of range in weight block {name!r}")
             if i in given:  # "1" and "01"
                 raise ValueError(f"index {i + 1} given twice in weight block {name!r}")
             given[i] = value

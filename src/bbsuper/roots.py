@@ -1,23 +1,30 @@
-"""Root multiplicities solved from the logarithm of the denominator identity.
+"""Root tables: multiplicities solved from the logarithm of the
+denominator identity, and the denominator built back from a table.
 
 The specialized numerator N_0 at highest weight zero equals the product
 over positive roots of (1-e^{-beta})^m for even beta and (1+e^{-beta})^{-m}
 for odd beta.  With D the height derivation, which scales e^{-gamma} by
 ht(gamma), the log-derivative L = D(N_0) / N_0 is an integer series, the
-sum of series.root_log_terms over the roots.  The solver peels it in
-graded order: at gamma, what the roots found below ht(gamma) leave of
-L_gamma is -ht(gamma) m_gamma, and a new root subtracts its own terms
-from the heights above, which also reaches every multiple of it where L
+sum of root_log_terms over the roots.  The solver peels it in graded
+order: at gamma, what the roots found below ht(gamma) leave of L_gamma
+is -ht(gamma) m_gamma, and a new root subtracts its own terms from the
+heights above, which also reaches every multiple of it where L
 vanishes.  A negative or non-integral multiplicity aborts: neither can
-happen for a valid datum, and rounding or clamping would silently corrupt
-every later height.
+happen for a valid datum, and rounding or clamping would silently
+corrupt every later height.
+
+The way back also starts from root_log_terms: table_log sums them over
+a table, denominator_R turns that sum into the product through
+CharSeries.from_log_derivative, and denominator_residual_terms checks
+D(N_0) = N_0 L through series.product_holds.  This is the only module
+that reads a table's records.
 """
 
 from collections import defaultdict, namedtuple
 
 from .charformula import numerator_series
 from .datum import OddCartanDatum, graded_key
-from .series import denominator_R, graded_check, json_list, root_log_terms, table_log_terms, unpack
+from .series import CharSeries, json_list, product_holds, unpack
 
 
 class RootEntry(namedtuple("RootEntry", "mult parity is_real")):
@@ -83,30 +90,48 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=Non
     return RootTable(height_bound, entries)
 
 
-def denominator_residual_terms(datum, table, numerator) -> int:
-    """Terms of series.denominator_R(datum, table, H) - numerator, at the
-    numerator's height bound H.
+def root_log_terms(h, entry, height_bound) -> list:
+    """[c_1, c_2, ...]: a root beta of height h and multiplicity m adds
+    c_k = -eps_k m h to the log-derivative L = D(R)/R of the denominator
+    at k beta, for every k >= 1 with k beta in the window; eps_k = -1 for
+    an odd root at even k and 1 otherwise."""
+    coef = -entry.mult * h
+    return [-coef if entry.parity and k % 2 == 0 else coef
+            for k in range(1, height_bound // h + 1)]
 
-    Both series have constant term 1, so they agree exactly when
-    D(numerator) = numerator L, L the sum of the table's root_log_terms.
-    That is checked as series.product_holds checks a product; every
-    coefficient of L is at most H times the sum of the multiplicities in
-    size.  denominator_R runs only when the check fails or cannot be made.
-    A failed check proves the residual nonzero, so the count is then at
-    least 1, even where a faulty product finds no term.
-    """
+
+def table_log(datum, table, height_bound) -> CharSeries:
+    """L = D(R)/R of the table's denominator R, the sum of its roots'
+    root_log_terms.  The table is read only through entries and
+    height_bound, unsorted; a root past the window adds nothing."""
+    if table.height_bound < height_bound:
+        raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
+    log = defaultdict(int)
+    for beta, entry in table.entries.items():
+        for k, coef in enumerate(root_log_terms(sum(beta), entry, height_bound), 1):
+            log[beta if k == 1 else tuple([k * x for x in beta])] += coef
+    return CharSeries(height_bound, datum.rank, log)
+
+
+def denominator_R(datum, table, height_bound) -> CharSeries:
+    """Product over the root table of (1-e^{-beta})^m for even roots and
+    (1+e^{-beta})^{-m} for odd ones, built from its log-derivative."""
+    return CharSeries.from_log_derivative(table_log(datum, table, height_bound))
+
+
+def denominator_residual_terms(datum, table, numerator) -> int:
+    """Terms of denominator_R(datum, table, H) - numerator, H the
+    numerator's height bound.  Both have constant term 1, so they agree
+    exactly when D(numerator) = numerator L, L the table_log, which
+    series.product_holds checks; denominator_R runs only when it fails.
+    The count is then at least 1, even where a faulty product finds no
+    term."""
     h_max = numerator.height_bound
-    holds = None
     if numerator.coefficient((0,) * datum.rank) == 1:
-        sizes = list(map(abs, numerator.terms.values()))
-        mults = sum(abs(entry.mult) for entry in table.entries.values())
-        derived = ((e, sum(e) * c) for e, c in numerator.terms.items())
-        holds = graded_check(h_max * (max(sizes) + mults * sum(sizes)), datum.rank, h_max,
-                             derived, table_log_terms(table, h_max), numerator.terms.items())
-    if holds:
-        return 0
-    residual = len((denominator_R(datum, table, h_max) - numerator).terms)
-    return residual if residual or holds is None else 1
+        derived = CharSeries(h_max, datum.rank, {e: sum(e) * c for e, c in numerator.terms.items()})
+        if product_holds(derived, numerator, table_log(datum, table, h_max)):
+            return 0
+    return max(len((denominator_R(datum, table, h_max) - numerator).terms), 1)
 
 
 def roots_to_json(table: RootTable) -> list:

@@ -16,13 +16,12 @@ module only as the layers of log_derivative, which
 roots.solve_multiplicities peels; terms, coefficient() and the JSON form
 keep exponent tuples.
 
-root_log_terms is the one expansion of a root into the log-derivative
-of the denominator: table_log_terms lists it over a root table, whose
-sum denominator_R expands, and roots.solve_multiplicities peels it off
-L = D(N_0)/N_0 to find the table.
+log_derivative and from_log_derivative map a series N with constant
+term 1 to L = D(N)/N and back, D the height derivation, which scales
+e^{-gamma} by ht(gamma).  The kernel knows no root table: roots.py
+expands a table into its L and builds the denominator from it.
 
-graded_check checks a product without forming it (product_holds for
-series, roots.denominator_residual_terms for D(N_0) = N_0 L), by graded
+product_holds checks a product a == b c without forming it, by graded
 evaluation: e^{-beta} maps to x^{ht beta} z_1^{beta_1} ... z_r^{beta_r}
 in F_p[x]/(x^{H+1}), at one fixed point z.  The height grading makes
 this a ring homomorphism of the truncated series, so a == b c implies
@@ -32,10 +31,11 @@ h <= H in z; if one of its coefficients is not divisible by p, a
 uniformly random point is a root of it with probability at most H/p
 (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979), the idea of
 Freivalds' product check.  p is the least of the Mersenne primes
-2^61 - 1, 2^127 - 1, 2^521 - 1 and 2^1279 - 1 above a bound on the size
-of the coefficients of a - b c, so a nonzero one is not a multiple of
-p; past the last of them the product is formed.  The point is fixed, so
-every run prints the same output.
+2^61 - 1, 2^127 - 1, 2^521 - 1 and 2^1279 - 1 above
+max|a| + max|b| sum|c|, a bound on the size of the coefficients of
+a - b c, so a nonzero one is not a multiple of p; past the last of them
+the product is formed.  The point is fixed, so every run prints the
+same output.
 """
 
 from collections import defaultdict
@@ -144,6 +144,27 @@ class CharSeries:
         num = self._pack_layers()
         return self._solve({h: {e: h * c for e, c in layer.items()} for h, layer in num.items()})
 
+    @classmethod
+    def from_log_derivative(cls, log) -> "CharSeries":
+        """The R with constant term 1 and D(R) / R == log, the inverse of
+        log_derivative.  D(R) = R log fixes R layer by layer from R_0 = 1,
+        since ht(gamma) R_gamma is the sum of R_delta log_{gamma-delta} over
+        delta of smaller height; a division with a remainder raises."""
+        base = log.height_bound + 1
+        log_layers = log._pack_layers()
+        layers = {0: {0: 1}}
+        for h in range(1, base):
+            layer = {}
+            for e, v in _layer_convolution(log_layers, layers, h).items():
+                coef, rest = divmod(v, h)
+                if rest:
+                    exp = unpack(e, log.rank, base)
+                    raise ValueError(f"coefficient {v}/{h} at {exp} is not an integer")
+                if coef:
+                    layer[e] = coef
+            layers[h] = layer
+        return _unpack_layers(layers, log.height_bound, log.rank)
+
     def terms_json(self, indent="") -> str:
         """cli._render of series_to_json(self)["terms"] at indent, written
         straight from the terms."""
@@ -214,102 +235,40 @@ def _layer_convolution(a, b, h) -> dict:
     return layer
 
 
-def root_log_terms(h, entry, height_bound) -> list:
-    """[c_1, c_2, ...]: a root beta of height h and multiplicity m adds
-    c_k = -eps_k m h to the log-derivative L = D(R)/R of the denominator
-    at k beta, for every k >= 1 with k beta in the window; eps_k = -1 for
-    an odd root at even k and 1 otherwise."""
-    coef = -entry.mult * h
-    return [-coef if entry.parity and k % 2 == 0 else coef
-            for k in range(1, height_bound // h + 1)]
-
-
-def table_log_terms(table, height_bound):
-    """(k beta, c_k) over the root_log_terms of the table's roots: the
-    terms of L, unsummed.  The table is read only through entries and
-    height_bound; it is walked unsorted, and a root past the window adds
-    nothing."""
-    if table.height_bound < height_bound:
-        raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
-    for beta, entry in table.entries.items():
-        for k, coef in enumerate(root_log_terms(sum(beta), entry, height_bound), 1):
-            yield (beta if k == 1 else tuple([k * x for x in beta])), coef
-
-
-def denominator_R(datum, table, height_bound) -> CharSeries:
-    """Product over the root table in one pass: even roots contribute
-    (1-e^{-beta})^m, odd roots (1+e^{-beta})^{-m}.
-
-    The log-derivative L = D(R)/R is the sum of every root's
-    root_log_terms.  Then D(R) = R L fixes R layer by layer from R_0 = 1,
-    since ht(gamma) R_gamma is the sum of R_delta L_{gamma-delta} over
-    delta of smaller height.  Every division is exact for integer
-    multiplicities; a remainder raises.
-    """
-    base = height_bound + 1
-    log_layers = defaultdict(lambda: defaultdict(int))
-    for e, coef in table_log_terms(table, height_bound):
-        log_layers[sum(e)][_pack(e, base)] += coef
-    layers = {0: {0: 1}}
-    for h in range(1, base):
-        layer = {}
-        for e, v in _layer_convolution(log_layers, layers, h).items():
-            coef, rest = divmod(v, h)
-            if rest:
-                exp = unpack(e, datum.rank, base)
-                raise ValueError(f"coefficient {v}/{h} at {exp} is not an integer")
-            if coef:
-                layer[e] = coef
-        layers[h] = layer
-    return _unpack_layers(layers, height_bound, datum.rank)
-
-
 # ---- graded evaluation ----
 
 # Mersenne primes; a check works mod the least one above its size bound
 _PRIMES = tuple((1 << e) - 1 for e in (61, 127, 521, 1279))
 
 
-def graded_check(size, rank, height_bound, x, y, w):
-    """Whether X == Y W for the truncated series given by the
-    (exponent, coefficient) iterables x, y and w, by graded evaluation
-    mod p, the least prime of _PRIMES above size, a bound on every
-    coefficient of X - Y W; None, with nothing read, when size reaches
-    them all."""
+def product_holds(a, b, c) -> bool:
+    """Whether a == b c, by graded evaluation (see the module docstring):
+    True on every exact product, and on any other False except with
+    probability at most H/p over the point.  The product is formed only
+    when the size bound max|a| + max|b| sum|c| reaches every prime."""
+    sizes = [list(map(abs, s.terms.values())) or [0] for s in (a, b, c)]
+    size = max(sizes[0]) + max(sizes[1]) * sum(sizes[2])
     p = next((p for p in _PRIMES if p > size), None)
     if p is None:
-        return None
+        return a == b.mul(c)
     # z_i^k mod p for k <= H, at a fixed point z from a linear
     # congruential sequence
     powers, z = [], 1
-    for _ in range(rank):
+    for _ in range(a.rank):
         z = (z * 6364136223846793005 + 1442695040888963407) % p
-        powers.append([pow(z, k, p) for k in range(height_bound + 1)])
+        powers.append([pow(z, k, p) for k in range(a.height_bound + 1)])
     images = []
-    for terms in (x, y, w):
-        image = [0] * (height_bound + 1)
-        for e, c in terms:
+    for s in (a, b, c):
+        image = [0] * (a.height_bound + 1)
+        for e, coef in s.terms.items():
             for row, d in zip(powers, e):
-                c *= row[d]
-            image[sum(e)] += c % p
+                coef *= row[d]
+            image[sum(e)] += coef % p
         images.append(image)
     x, y, w = images
     return all(
         (x[h] - sum(y[k] * w[h - k] for k in range(h + 1))) % p == 0 for h in range(len(x))
     )
-
-
-def product_holds(a, b, c) -> bool:
-    """Whether a == b c, by graded evaluation (see the module docstring):
-    True on every exact product, and on any other False except with
-    probability at most H/p over the point.  Only when the coefficients
-    of a - b c could reach every prime it tries is the product formed,
-    and compared exactly."""
-    sizes = [list(map(abs, s.terms.values())) or [0] for s in (a, b, c)]
-    size = max(sizes[0]) + max(sizes[1]) * sum(sizes[2])
-    holds = graded_check(size, a.rank, a.height_bound,
-                         a.terms.items(), b.terms.items(), c.terms.items())
-    return a == b.mul(c) if holds is None else holds
 
 
 # ---- JSON form ----

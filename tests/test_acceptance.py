@@ -8,8 +8,8 @@ import pytest
 
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import Weight, validate_datum
-from bbsuper.roots import roots_to_json, solve_multiplicities
-from bbsuper.series import CharSeries, denominator_R, series_to_json
+from bbsuper.roots import denominator_R, roots_to_json, solve_multiplicities
+from bbsuper.series import CharSeries, series_to_json
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (

@@ -727,6 +727,45 @@ def test_weight_past_the_digit_limit_rejected(tmp_path, capsys, sl2_files, comma
     assert err == f"error: {lam}: more than 4300 digits at index 1 in weight block {block!r}\n"
 
 
+DIGITS, TEXT = "1" * 5000, "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "datum, lam",
+    [
+        ('{"A": [[2]]}', '{"Lambda": {"1": ["%s"]}}' % DIGITS),
+        ('{"A": [[2]]}', '{"Lambda": {"1": [%s]}}' % DIGITS),
+        ('{"A": [[2]]}', '{"Lambda": {"1": {"k": "%s"}}}' % DIGITS),
+        ('{"A": [[2]]}', '{"Lambda": {"1": {"k": %s}}}' % DIGITS),
+        ('{"A": [[2]]}', '{"Lambda": {"1": "%s"}}' % TEXT),
+        ('{"A": [[2]]}', '{"Lambda": {"%s": 1}}' % TEXT),
+        ('{"A": [[2]]}', '{"Lambda": {"%s": 1}}' % DIGITS[:4000]),
+        ('{"A": [[2]]}', '{"%s": {}}' % TEXT),
+        ('{"A": [[["%s"]]]}' % DIGITS, None),
+        ('{"A": "%s"}' % TEXT, None),
+        ('{"A": [[2]], "odd": ["%s"]}' % TEXT.replace("x", "y"), None),
+        ('{"A": [[2]], "odd": [%s]}' % DIGITS[:4000], None),
+        ('{"A": [[2, %s], [-1, 2]]}' % DIGITS[:4000], None),
+        ('{"A": [[2]], "%s": 1}' % TEXT, None),
+    ],
+    ids=["list", "list-literal", "object", "object-literal", "text", "index", "index-range",
+         "block", "A-entry", "A", "odd", "odd-range", "off-diagonal", "datum-key"],
+)
+def test_long_input_is_cut_in_the_refusal(tmp_path, capsys, monkeypatch, datum, lam):
+    # a refusal names the value it refuses, but not in full: each of these
+    # used to print a stderr line of 4000 to 6000 characters
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.json").write_text(datum)
+    argv = ["validate", "--datum", "d.json"]
+    if lam is not None:
+        (tmp_path / "l.json").write_text(lam)
+        argv = ["char", "--datum", "d.json", "--lambda", "l.json", "--height", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200 and "characters)" in err
+
+
 def test_weight_float_reads_as_its_decimal(tmp_path, capsys):
     # an imaginary index takes any nonnegative pairing, and char echoes the
     # weight it read as the base of the character

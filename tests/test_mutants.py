@@ -13,8 +13,14 @@ import bbsuper.series as series
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.cli import main
 from bbsuper.datum import datum_from_json, validate_datum, weight_from_json
-from bbsuper.roots import RootEntry, RootTable, denominator_residual_terms, solve_multiplicities
-from bbsuper.series import CharSeries, denominator_R, product_holds
+from bbsuper.roots import (
+    RootEntry,
+    RootTable,
+    denominator_R,
+    denominator_residual_terms,
+    solve_multiplicities,
+)
+from bbsuper.series import CharSeries, product_holds
 
 R4 = {"A": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], "odd": [3]}
 R4_LAMBDA = {"Lambda": {"1": "1", "2": "1"}}
@@ -136,3 +142,17 @@ def test_coefficients_past_a_prime(monkeypatch):
     product = denominator_R(d, table, 2)
     assert denominator_residual_terms(d, table, product) == 0
     assert denominator_residual_terms(d, table, product - CharSeries(2, 1, {(2,): 1})) == 1
+    # between the primes on the denominator side: one root of multiplicity
+    # m = 2^30 gives L = -m e^{-1} - m e^{-2} and N_0 = 1 - m e^{-1} +
+    # C(m, 2) e^{-2}, so the bound max|D(N_0)| + max|N_0| sum|L| is about
+    # 2^90 and the check works mod 2^127 - 1
+    m = 2**30
+    table = RootTable(2, {(1,): RootEntry(m, 0, False)})
+    product = CharSeries(2, 1, {(0,): 1, (1,): -m, (2,): m * (m - 1) // 2})
+    monkeypatch.setattr(CharSeries, "mul", refuse)
+    monkeypatch.setattr(roots, "denominator_R", refuse)
+    assert denominator_residual_terms(d, table, product) == 0
+    # N_0 one term off by p = 2^61 - 1 gives D(N_0) - N_0 L = -2 p e^{-2},
+    # which 2^61 - 1 would not see
+    monkeypatch.setattr(roots, "denominator_R", denominator_R)
+    assert denominator_residual_terms(d, table, product - CharSeries(2, 1, {(2,): P})) == 1

@@ -1,6 +1,7 @@
 """Randomized agreement of the series kernel's product, quotient and
 one-pass denominator with term-by-term references on exponent tuples
-(rank at most 4, height at most 6), of the log-derivative solver with
+(rank at most 4, height at most 6), of the kernel's log-derivative with
+its inverse, of the log-derivative solver with
 the denominator it inverts, of the log-derivative solver and the
 character quotient with the naive root-by-root product over small valid
 data (rank at most 3, height at most 6), of the propagated oracle with
@@ -10,9 +11,11 @@ generic (Verma) dimensions with the inverted denominator, and of the
 root table, the character and both oracle modes with themselves under a
 relabelling of the simple indices, and of the flat JSON writers with the
 canonical rendering of the dict builders."""
+import re
 from math import lcm
 from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +23,8 @@ from bbsuper import roots
 from bbsuper.charformula import character_result_to_json, irreducible_character, numerator_series
 from bbsuper.cli import _COMMANDS, _render
 from bbsuper.datum import Weight, validate_datum
-from bbsuper.roots import RootEntry, RootTable, roots_to_json, solve_multiplicities
-from bbsuper.series import CharSeries, denominator_R, series_to_json
+from bbsuper.roots import RootEntry, RootTable, denominator_R, roots_to_json, solve_multiplicities
+from bbsuper.series import CharSeries, series_to_json, unpack
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
@@ -154,6 +157,19 @@ def test_mul_and_divide_match_tuple_reference(case):
     x, y = CharSeries(bound, rank, a), CharSeries(bound, rank, b)
     assert x.mul(y).terms == series_product(x.terms, y.terms, bound)
     assert x.divide(y).terms == series_quotient(x.terms, y.terms, bound, rank)
+    # from_log_derivative inverts log_derivative on n = +-y, whose
+    # constant term is 1
+    n = CharSeries(bound, rank, {e: b[(0,) * rank] * c for e, c in b.items()})
+    log = {unpack(key, rank, bound + 1): c
+           for layer in n.log_derivative().values() for key, c in layer.items()}
+    assert CharSeries.from_log_derivative(CharSeries(bound, rank, log)) == n
+    # 1 more in L at a height-2 exponent leaves an odd 2 R there
+    if bound >= 2:
+        e = (2,) + (0,) * (rank - 1)
+        log[e] = log.get(e, 0) + 1
+        message = f"/2 at {re.escape(str(e))} is not an integer"
+        with pytest.raises(ValueError, match=message):
+            CharSeries.from_log_derivative(CharSeries(bound, rank, log))
 
 
 @PROPERTY

@@ -5,8 +5,8 @@ import pytest
 
 from bbsuper.charformula import numerator_series
 from bbsuper.datum import validate_datum
-from bbsuper.roots import RootEntry, RootTable, roots_to_json, solve_multiplicities
-from bbsuper.series import CharSeries, denominator_R
+from bbsuper.roots import RootEntry, RootTable, denominator_R, roots_to_json, solve_multiplicities
+from bbsuper.series import CharSeries
 
 
 # ---- independent oracle for the rank-one free case ----

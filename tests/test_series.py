@@ -5,7 +5,8 @@ import re
 import pytest
 
 from bbsuper.datum import validate_datum
-from bbsuper.series import CharSeries, denominator_R, series_to_json
+from bbsuper.roots import denominator_R
+from bbsuper.series import CharSeries, series_to_json
 
 from reference import binomial_factor, series_product
 

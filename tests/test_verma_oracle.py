@@ -10,8 +10,8 @@ from bbsuper import exactlinalg, verma_oracle
 from bbsuper.charformula import irreducible_character
 from bbsuper.datum import Weight, graded_key, unit_root, validate_datum, weight_from_json
 from bbsuper.errors import Unreachable
-from bbsuper.roots import solve_multiplicities
-from bbsuper.series import CharSeries, denominator_R
+from bbsuper.roots import denominator_R, solve_multiplicities
+from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import caps_from_env, irreducible_dims, weight_window
 
 from reference import (
