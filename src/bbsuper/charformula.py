@@ -30,8 +30,8 @@ by its defects.
 from collections import deque, namedtuple
 from operator import add
 
-from .datum import OddCartanDatum, Weight, height, weight_to_json
-from .series import CharSeries, product_holds, series_to_json
+from .datum import OddCartanDatum, Weight, height
+from .series import CharSeries, product_holds
 
 
 def _euler_table(bound: int, step: int) -> list:
@@ -163,18 +163,3 @@ def irreducible_character(datum, lam, height_bound) -> CharacterResult:
         support_terms=contributed,
         residual_terms=residual,
     )
-
-
-def character_result_to_json(result: CharacterResult, flat=False) -> dict:
-    """The character document; flat as series_to_json takes it."""
-    return {
-        "character": {
-            "base": weight_to_json(result.highest_weight),
-            **series_to_json(result.series, flat),
-        },
-        "diagnostics": {
-            "orbit_size": result.orbit_size,
-            "support_terms": result.support_terms,
-            "residual_terms": result.residual_terms,
-        },
-    }

@@ -15,10 +15,15 @@ command line, exits 1 with one `error: ...` line before a file is read.
 `-h` or `--help` anywhere prints the help text.  main loads the inputs
 and prints what the handler returns.
 
+Each handler builds its document's rows once, one tuple per JSON object
+with the cells in the order of its keys, and both formats read them:
+_json_rows writes them into the JSON document, one % template per list,
+and _format lines them up as a table.  The engines return data only;
+this module is the one that formats output.
+
 Each call is one short process, so start-up counts: options are read
 from a table (argparse loads gettext and locale too), _render writes the
-JSON (json.dumps with an indent runs the pure-Python encoder) and the
-engines write their long lists themselves, and each
+JSON (json.dumps with an indent runs the pure-Python encoder), and each
 handler imports its engine itself, so validate stops at the datum, the
 formula side never loads the oracle, and the oracle never loads the
 formula side.
@@ -30,7 +35,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from .datum import datum_from_json, weight_from_json
+from .datum import _echo, datum_from_json, weight_from_json, weight_to_json
 from .errors import Unreachable
 
 EXIT_OK = 0
@@ -86,18 +91,47 @@ def _render(obj, indent=""):
             return "{}"
         body = sep.join([f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj)])
         return f"{{\n{inner}{body}\n{indent}}}"
-    if callable(obj):  # such as RootTable.rows_json
+    if callable(obj):  # a writer from _json_rows
         return obj(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _json_rows(columns, rows):
+    """A document value that _render writes as it writes the rows as
+    objects keyed by columns, through one % template.  A row lists its
+    cells in the order of their keys, sorted: one is a nonempty tuple of
+    ints, and each other an int or a str that JSON needs no escape for,
+    of the type that the first row has there."""
+    keys = sorted(columns)
+
+    def write(indent):
+        if not rows:
+            return "[]"
+        inner, field, cell = indent + "  ", indent + "    ", indent + "      "
+        values = []
+        for k, x in enumerate(rows[0]):
+            if type(x) is tuple:
+                ints, j = f",\n{cell}".join(["%d"] * len(x)), k
+                values.append(f"[\n{cell}{ints}\n{field}]")
+            else:
+                values.append('"%s"' if type(x) is str else "%d")
+        fields = ",\n".join([f"{field}{_quote(k)}: {v}" for k, v in zip(keys, values)])
+        template = f"{{\n{fields}\n{inner}}}"
+        body = f",\n{inner}".join([template % (r[:j] + r[j] + r[j + 1:]) for r in rows])
+        return f"[\n{inner}{body}\n{indent}]"
+
+    return write
+
+
 def _format(doc, fmt, columns, rows) -> str:
-    """doc as JSON, or as a table of the given columns over rows(), dicts:
-    a str cell shows as it is, any other as json.dumps."""
+    """doc as JSON, or as a table of the given columns over rows, tuples
+    that list their cells in the order of the sorted columns: a str cell
+    shows as it is, any other as json.dumps."""
     if fmt == "json":
         return _render(doc)
-    rendered = [[row[k] if isinstance(row[k], str) else json.dumps(row[k]) for k in columns]
-                for row in rows()]
+    order = [sorted(columns).index(c) for c in columns]
+    rendered = [[c if type(c) is str else json.dumps(c) for c in map(row.__getitem__, order)]
+                for row in rows]
     widths = [len(h) for h in columns]
     for row in rendered:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
@@ -120,41 +154,60 @@ def _cmd_validate(datum, lam, height):
         "isotropic": _one_based(datum.isotropic_indices),
         "odd": _one_based(sorted(datum.odd)),
     }
-    return doc, ("field", "value"), lambda: [{"field": k, "value": doc[k]} for k in sorted(doc)]
+    return doc, ("field", "value"), [(k, doc[k]) for k in sorted(doc)]
 
 
 _ROOT_COLUMNS = ("root", "mult", "parity", "class")
 
 
-def _cmd_roots(datum, lam, height):
-    from .roots import roots_to_json, solve_multiplicities
+def _root_rows(table):
+    """The rows of roots and denom-check, one per root in graded order:
+    class, mult, parity and root."""
+    return [("real" if e.is_real else "imaginary", e.mult, "odd" if e.parity else "even", beta)
+            for beta, e in table.items_sorted()]
 
-    table = solve_multiplicities(datum, height)
-    return table.rows_json, _ROOT_COLUMNS, lambda: roots_to_json(table)
+
+def _cmd_roots(datum, lam, height):
+    from .roots import solve_multiplicities
+
+    rows = _root_rows(solve_multiplicities(datum, height))
+    return _json_rows(_ROOT_COLUMNS, rows), _ROOT_COLUMNS, rows
 
 
 def _cmd_char(datum, lam, height):
-    from .charformula import character_result_to_json, irreducible_character
+    from .charformula import irreducible_character
 
     result = irreducible_character(datum, lam, height)
-    return (character_result_to_json(result, flat=True), ("exp", "coef"),
-            lambda: character_result_to_json(result)["character"]["terms"])
+    columns = ("exp", "coef")
+    # the document writes each coefficient as a string
+    rows = [(str(c), e) for e, c in result.series.items_sorted()]
+    doc = {
+        "character": {
+            "base": weight_to_json(result.highest_weight),
+            "height_bound": result.series.height_bound,
+            "terms": _json_rows(columns, rows),
+        },
+        "diagnostics": {k: getattr(result, k)
+                        for k in ("orbit_size", "support_terms", "residual_terms")},
+    }
+    return doc, columns, rows
 
 
 def _cmd_denom_check(datum, lam, height):
     from .charformula import numerator_series
-    from .roots import denominator_residual_terms, roots_to_json, solve_multiplicities
+    from .roots import denominator_residual_terms, solve_multiplicities
 
     numerator = numerator_series(datum, datum.zero_weight(), height)
     table = solve_multiplicities(datum, height, numerator)
     residual = denominator_residual_terms(datum, table, numerator)
+    rows = _root_rows(table)
     doc = {
         "height": height,
         "residual_terms": residual,
         "ok": not residual,
-        "roots": table.rows_json,
+        "roots": _json_rows(_ROOT_COLUMNS, rows),
     }
-    return doc, _ROOT_COLUMNS, lambda: roots_to_json(table)
+    return doc, _ROOT_COLUMNS, rows
 
 
 def _oracle_dims(datum, lam, height):
@@ -167,9 +220,9 @@ def _oracle_dims(datum, lam, height):
 
 
 def _cmd_oracle(datum, lam, height):
-    dims = _oracle_dims(datum, lam, height)
-    doc = [{"mu_offset": list(beta), "dim": dim} for beta, dim in dims.items()]
-    return doc, ("mu_offset", "dim"), lambda: doc
+    columns = ("mu_offset", "dim")
+    rows = [(dim, beta) for beta, dim in _oracle_dims(datum, lam, height).items()]
+    return _json_rows(columns, rows), columns, rows
 
 
 def _cmd_compare(datum, lam, height):
@@ -177,27 +230,26 @@ def _cmd_compare(datum, lam, height):
 
     # the oracle first: it checks its cap before any work on either side
     dims = _oracle_dims(datum, lam, height)
-    result = irreducible_character(datum, lam, height)
-    differences = []
+    series = irreducible_character(datum, lam, height).series
+    columns = ("mu_offset", "formula", "oracle")
+    rows = []
     for beta, dim in dims.items():
-        formula = result.series.coefficient(beta)
+        formula = series.coefficient(beta)
         if formula != dim:
-            differences.append(
-                {"mu_offset": list(beta), "formula": int(formula), "oracle": dim}
-            )
+            rows.append((int(formula), beta, dim))
     doc = {
         "height": height,
         "cells": len(dims),
-        "matches": not differences,
-        "differences": differences,
+        "matches": not rows,
+        "differences": _json_rows(columns, rows),
     }
-    return doc, ("mu_offset", "formula", "oracle"), lambda: differences
+    return doc, columns, rows
 
 
 # subcommand -> (handler, the options it reads besides --datum and --format),
 # as README's table of what each subcommand needs says.  A handler takes
 # (datum, weight or None, height or None) and returns (doc, table columns,
-# a function that returns the table rows as dicts).
+# the rows that doc holds or, for validate, lists).
 _COMMANDS = {
     "validate": (_cmd_validate, ()),
     "roots": (_cmd_roots, ("--height",)),
@@ -250,7 +302,7 @@ def _parse_args(argv) -> SimpleNamespace:
     for arg in rest:
         option, eq, value = arg.partition("=")
         if arg != "--symbolic" and option not in _OPTIONS:
-            raise ValueError(f"unrecognized argument {arg!r}")
+            raise ValueError(f"unrecognized argument {_echo(arg)}")
         if option not in reads:
             raise ValueError(f"{command} takes no {option}")
         if arg == "--symbolic":
@@ -264,11 +316,11 @@ def _parse_args(argv) -> SimpleNamespace:
         try:
             setattr(args, name, convert(value))
         except ValueError:
-            raise ValueError(f"{option} needs an integer, got {value!r}") from None
+            raise ValueError(f"{option} needs an integer, got {_echo(value)}") from None
     if args.format not in ("json", "table"):
-        raise ValueError(f"--format must be json or table, got {args.format!r}")
+        raise ValueError(f"--format must be json or table, got {_echo(args.format)}")
     if args.jobs < 1:
-        raise ValueError(f"--jobs must be positive, got {args.jobs}")
+        raise ValueError(f"--jobs must be positive, got {_echo(args.jobs)}")
     if args.symbolic and args.lam is not None:
         raise ValueError(f"{command} --symbolic takes no --lambda")
     if args.datum is None:
@@ -278,7 +330,7 @@ def _parse_args(argv) -> SimpleNamespace:
     if "--height" in reads and args.height is None:
         raise ValueError("--height is required for this subcommand")
     if "--height" in reads and args.height < 0:
-        raise ValueError(f"--height must be nonnegative, got {args.height}")
+        raise ValueError(f"--height must be nonnegative, got {_echo(args.height)}")
     return args
 
 

@@ -16,15 +16,15 @@ corrupt every later height.
 The way back also starts from root_log_terms: table_log sums them over
 a table, denominator_R turns that sum into the product through
 CharSeries.from_log_derivative, and denominator_residual_terms checks
-D(N_0) = N_0 L through series.product_holds.  This is the only module
-that reads a table's records.
+D(N_0) = N_0 L through series.product_holds.  Besides this module, only
+cli._root_rows, which writes the table out, reads a table's records.
 """
 
 from collections import defaultdict, namedtuple
 
 from .charformula import numerator_series
 from .datum import OddCartanDatum, graded_key
-from .series import CharSeries, json_list, product_holds, unpack
+from .series import CharSeries, product_holds, unpack
 
 
 class RootEntry(namedtuple("RootEntry", "mult parity is_real")):
@@ -45,14 +45,6 @@ class RootTable:
 
     def __repr__(self):
         return f"RootTable(H={self.height_bound}, {len(self.entries)} roots)"
-
-    def rows_json(self, indent="") -> str:
-        """cli._render of roots_to_json(self) at indent, written straight
-        from the table."""
-        rows = [("real" if e.is_real else "imaginary", e.mult, "odd" if e.parity else "even") + beta
-                for beta, e in self.items_sorted()]
-        keys = ('"class": "%s"', '"mult": %d', '"parity": "%s"', '"root"')
-        return json_list(indent, keys, rows)
 
 
 def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=None) -> RootTable:
@@ -103,14 +95,28 @@ def root_log_terms(h, entry, height_bound) -> list:
 def table_log(datum, table, height_bound) -> CharSeries:
     """L = D(R)/R of the table's denominator R, the sum of its roots'
     root_log_terms.  The table is read only through entries and
-    height_bound, unsorted; a root past the window adds nothing."""
+    height_bound, unsorted; a root past the window or of multiplicity 0
+    adds nothing.  Each other root is checked once, as CharSeries checks
+    an exponent; its multiples then need no check."""
     if table.height_bound < height_bound:
         raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
     log = defaultdict(int)
     for beta, entry in table.entries.items():
-        for k, coef in enumerate(root_log_terms(sum(beta), entry, height_bound), 1):
-            log[beta if k == 1 else tuple([k * x for x in beta])] += coef
-    return CharSeries(height_bound, datum.rank, log)
+        h = sum(beta)
+        if not entry.mult or h > height_bound:
+            continue
+        if len(beta) != datum.rank:
+            raise ValueError("exponent length does not match the rank")
+        if min(beta) < 0:
+            raise ValueError(f"exponent {beta} leaves the cone")
+        log[beta] -= entry.mult * h
+        # as in the solver, only a root with 2 h <= H has terms past k = 1
+        if 2 * h <= height_bound:
+            for k, coef in enumerate(root_log_terms(h, entry, height_bound)[1:], 2):
+                log[tuple([k * x for x in beta])] += coef
+    out = CharSeries(height_bound, datum.rank)
+    out.terms = {e: c for e, c in log.items() if c}
+    return out
 
 
 def denominator_R(datum, table, height_bound) -> CharSeries:
@@ -133,14 +139,3 @@ def denominator_residual_terms(datum, table, numerator) -> int:
             return 0
     return max(len((denominator_R(datum, table, h_max) - numerator).terms), 1)
 
-
-def roots_to_json(table: RootTable) -> list:
-    return [
-        {
-            "root": list(beta),
-            "mult": entry.mult,
-            "parity": "odd" if entry.parity else "even",
-            "class": "real" if entry.is_real else "imaginary",
-        }
-        for beta, entry in table.items_sorted()
-    ]

@@ -13,8 +13,8 @@ coordinate of an exponent in the window is at most H, and the loop only
 adds pairs whose sum still has height at most H, so no digit carries and
 adding two keys packs the sum of their exponents.  Keys leave this
 module only as the layers of log_derivative, which
-roots.solve_multiplicities peels; terms, coefficient() and the JSON form
-keep exponent tuples.
+roots.solve_multiplicities peels; terms, coefficient() and
+items_sorted() keep exponent tuples.
 
 log_derivative and from_log_derivative map a series N with constant
 term 1 to L = D(N)/N and back, D the height derivation, which scales
@@ -165,27 +165,6 @@ class CharSeries:
             layers[h] = layer
         return _unpack_layers(layers, log.height_bound, log.rank)
 
-    def terms_json(self, indent="") -> str:
-        """cli._render of series_to_json(self)["terms"] at indent, written
-        straight from the terms."""
-        rows = [(c,) + e for e, c in self.items_sorted()]
-        return json_list(indent, ('"coef": "%d"', '"exp"'), rows)
-
-
-def json_list(indent, keys, rows) -> str:
-    """cli._render at indent of a list of objects with the same keys, in
-    sorted order: `"key": format` for each key but the last, whose value
-    is a nonempty list of ints.  A row holds the values in key order, the
-    ints last and flat."""
-    if not rows:
-        return "[]"
-    inner, field, cell = indent + "  ", indent + "    ", indent + "      "
-    head = "".join([f"{field}{k},\n" for k in keys[:-1]])
-    ints = f",\n{cell}".join(["%d"] * (len(rows[0]) - len(keys) + 1))
-    template = f"{{\n{head}{field}{keys[-1]}: [\n{cell}{ints}\n{field}]\n{inner}}}"
-    body = f",\n{inner}".join([template % row for row in rows])
-    return f"[\n{inner}{body}\n{indent}]"
-
 
 def _pack(exp, base) -> int:
     """Key of an exponent: coordinate i is the digit of base**(rank - 1 - i)."""
@@ -269,17 +248,3 @@ def product_holds(a, b, c) -> bool:
     return all(
         (x[h] - sum(y[k] * w[h - k] for k in range(h + 1))) % p == 0 for h in range(len(x))
     )
-
-
-# ---- JSON form ----
-
-
-def series_to_json(series: CharSeries, flat=False) -> dict:
-    """The series as a JSON document; with flat, "terms" is the writer
-    series.terms_json, which cli._render calls in its place."""
-    return {
-        "height_bound": series.height_bound,
-        "terms": series.terms_json if flat else [
-            {"exp": list(e), "coef": str(c)} for e, c in series.items_sorted()
-        ],
-    }

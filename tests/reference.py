@@ -31,6 +31,9 @@ compiles only what its subcommands use.
 - numerator_by_images, the alternating numerator formed from one orbit
   of lam + rho with every support of supports_by_brute_force moved by w,
   against which the package's one walk per support is checked.
+- roots_to_json, series_to_json and character_result_to_json, the
+  documents of roots, char and denom-check built as dicts, one key at a
+  time, which the CLI's row writer must render alike.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from itertools import combinations, product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
-from bbsuper.datum import OddCartanDatum, Weight, height, unit_root
+from bbsuper.datum import OddCartanDatum, Weight, height, unit_root, weight_to_json
 from bbsuper.errors import Unreachable
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT
@@ -630,3 +633,39 @@ def is_primitive_candidate(datum, lam, mu) -> bool:
             if a < b and datum.root_bilinear(unit_root(n, a), unit_root(n, b)) != 0:
                 return False
     return True
+
+
+# ---- documents as dicts (cli) ----
+
+
+def roots_to_json(table) -> list:
+    return [
+        {
+            "root": list(beta),
+            "mult": entry.mult,
+            "parity": "odd" if entry.parity else "even",
+            "class": "real" if entry.is_real else "imaginary",
+        }
+        for beta, entry in table.items_sorted()
+    ]
+
+
+def series_to_json(series: CharSeries) -> dict:
+    return {
+        "height_bound": series.height_bound,
+        "terms": [{"exp": list(e), "coef": str(c)} for e, c in series.items_sorted()],
+    }
+
+
+def character_result_to_json(result) -> dict:
+    return {
+        "character": {
+            "base": weight_to_json(result.highest_weight),
+            **series_to_json(result.series),
+        },
+        "diagnostics": {
+            "orbit_size": result.orbit_size,
+            "support_terms": result.support_terms,
+            "residual_terms": result.residual_terms,
+        },
+    }

@@ -8,15 +8,17 @@ import pytest
 
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import Weight, validate_datum
-from bbsuper.roots import denominator_R, roots_to_json, solve_multiplicities
-from bbsuper.series import CharSeries, series_to_json
+from bbsuper.roots import denominator_R, solve_multiplicities
+from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
     casimir_shift,
     character_structure_faults,
     pair_with_cell,
+    roots_to_json,
     s_lambda_series,
+    series_to_json,
     serre_vector,
 )
 

@@ -747,17 +747,30 @@ DIGITS, TEXT = "1" * 5000, "x" * 5000
         ('{"A": [[2]], "odd": [%s]}' % DIGITS[:4000], None),
         ('{"A": [[2, %s], [-1, 2]]}' % DIGITS[:4000], None),
         ('{"A": [[2]], "%s": 1}' % TEXT, None),
+        # refused on the command line, before the files are read
+        ('{"A": [[2]]}', ["roots", "--height", TEXT]),
+        ('{"A": [[2]]}', ["roots", "--height", DIGITS]),
+        ('{"A": [[2]]}', ["roots", "--height", "-" + DIGITS[:4000]]),
+        ('{"A": [[2]]}', ["roots", "--height", "2", "--format", TEXT]),
+        ('{"A": [[2]]}', ["roots", "--height", "2", TEXT]),
+        ('{"A": [[2]]}', ["roots", "--height", "2", "--" + TEXT]),
+        ('{"A": [[2]]}', ["oracle", "--symbolic", "--height", "2", "--jobs", "-" + DIGITS[:4000]]),
     ],
     ids=["list", "list-literal", "object", "object-literal", "text", "index", "index-range",
-         "block", "A-entry", "A", "odd", "odd-range", "off-diagonal", "datum-key"],
+         "block", "A-entry", "A", "odd", "odd-range", "off-diagonal", "datum-key",
+         "height-text", "height-digits", "height-negative", "format", "argument",
+         "option", "jobs-negative"],
 )
 def test_long_input_is_cut_in_the_refusal(tmp_path, capsys, monkeypatch, datum, lam):
     # a refusal names the value it refuses, but not in full: each of these
-    # used to print a stderr line of 4000 to 6000 characters
+    # used to print a stderr line of 4000 to 6000 characters.  lam is the
+    # weight document, or the command line around --datum
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.json").write_text(datum)
     argv = ["validate", "--datum", "d.json"]
-    if lam is not None:
+    if isinstance(lam, list):
+        argv = [lam[0], "--datum", "d.json", *lam[1:]]
+    elif lam is not None:
         (tmp_path / "l.json").write_text(lam)
         argv = ["char", "--datum", "d.json", "--lambda", "l.json", "--height", "2"]
     code, out, err = run(capsys, argv)

@@ -1,13 +1,18 @@
 """Faults planted in one engine function, and the checks that must see
 them: the residual of `char` and the `ok` of `denom-check`, which decide
 by graded evaluation and so share no pair loop with the division they
-check.  Also that those checks form no full product on their success
-path, and that a failing check still counts the exact residual."""
+check; `denom-check`'s `ok` again for a solver that peels only the first
+term of each root, since it sums the table's L apart from the solver;
+and `compare`'s exit 2 for an orbit cut at 8 elements, which the oracle
+sees and the formula's own residual does not.  Also that those checks
+form no full product on their success path, and that a failing check
+still counts the exact residual."""
 import json
 from collections import defaultdict
 
 import pytest
 
+import bbsuper.charformula as charformula
 import bbsuper.roots as roots
 import bbsuper.series as series
 from bbsuper.charformula import irreducible_character, numerator_series
@@ -20,10 +25,12 @@ from bbsuper.roots import (
     denominator_residual_terms,
     solve_multiplicities,
 )
-from bbsuper.series import CharSeries, product_holds
+from bbsuper.series import CharSeries, product_holds, unpack
 
 R4 = {"A": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], "odd": [3]}
 R4_LAMBDA = {"Lambda": {"1": "1", "2": "1"}}
+# real block affine A2^(1): an infinite Weyl group
+AFF = {"A": [[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]]}
 # the first prime of the graded evaluation
 P = 2**61 - 1
 
@@ -156,3 +163,64 @@ def test_coefficients_past_a_prime(monkeypatch):
     # which 2^61 - 1 would not see
     monkeypatch.setattr(roots, "denominator_R", denominator_R)
     assert denominator_residual_terms(d, table, product - CharSeries(2, 1, {(2,): P})) == 1
+
+
+def peel_first_terms(rounding):
+    """solve_multiplicities without the terms at k beta, k >= 2, that a new
+    root beta subtracts from the heights above.  A simple root then leaves
+    half its multiplicity at twice itself, which the solver's own check
+    refuses; with rounding, the remainder is dropped instead."""
+
+    def solve(datum, height_bound, numerator=None):
+        if numerator is None:
+            numerator = numerator_series(datum, datum.zero_weight(), height_bound)
+        log = numerator.log_derivative()
+        entries = {}
+        for h in range(1, height_bound + 1):
+            for key, value in sorted(log.get(h, {}).items()):
+                if not value:
+                    continue
+                gamma = unpack(key, datum.rank, height_bound + 1)
+                m, rest = divmod(-value, h)
+                if rest and not rounding:
+                    raise ValueError(f"multiplicity {-value}/{h} at exponent {gamma} is not an integer")
+                if m < 0:
+                    raise ValueError(f"multiplicity {m} at exponent {gamma} is negative")
+                is_real = datum.root_bilinear(gamma, gamma) > 0
+                entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
+        return RootTable(height_bound, entries)
+
+    return solve
+
+
+def test_first_term_peel_fails_the_denominator_check(capsys, monkeypatch, r4_files):
+    datum, _ = r4_files
+    argv = ["--datum", datum, "--height", "6"]
+    monkeypatch.setattr(roots, "solve_multiplicities", peel_first_terms(rounding=False))
+    assert main(["roots", *argv]) == 1
+    assert "(0, 0, 0, 2) is not an integer" in capsys.readouterr().err
+    # rounded, the peel runs through, and only table_log, which sums every
+    # k of each root, tells the table from N_0
+    monkeypatch.setattr(roots, "solve_multiplicities", peel_first_terms(rounding=True))
+    code, doc = run_json(capsys, ["roots", *argv])
+    assert code == 0 and doc
+    code, doc = run_json(capsys, ["denom-check", *argv])
+    assert (code, doc["ok"]) == (0, False)
+    assert doc["residual_terms"] > 0
+
+
+def test_orbit_cut_fails_compare(capsys, monkeypatch, tmp_path):
+    datum, lam = tmp_path / "aff.json", tmp_path / "lam.json"
+    datum.write_text(json.dumps(AFF))
+    lam.write_text(json.dumps({"Lambda": {"1": "1"}}))
+    argv = ["--datum", str(datum), "--lambda", str(lam), "--height", "8"]
+    walk = charformula.orbit_frontier
+    monkeypatch.setattr(charformula, "orbit_frontier",
+                        lambda *args: dict(list(walk(*args).items())[:8]))
+    monkeypatch.setenv("BBSUPER_CAP", "8")
+    # the character's own residual divides by the same cut N_0 and is blind
+    code, doc = run_json(capsys, ["char", *argv])
+    assert (code, doc["diagnostics"]["residual_terms"]) == (0, 0)
+    code, doc = run_json(capsys, ["compare", *argv])
+    assert (code, doc["matches"]) == (2, False)
+    assert doc["differences"]

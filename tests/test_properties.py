@@ -9,8 +9,11 @@ the all-word Gram rank and the formula on small windows (about half of
 the data with an infinite real Weyl group), and of the
 generic (Verma) dimensions with the inverted denominator, and of the
 root table, the character and both oracle modes with themselves under a
-relabelling of the simple indices, and of the flat JSON writers with the
-canonical rendering of the dict builders."""
+relabelling of the simple indices, of the CLI's row writer with the
+canonical rendering of the reference dict builders, and of the table
+format of roots, char and denom-check with the rows of their JSON
+documents."""
+import json
 import re
 from math import lcm
 from unittest.mock import patch
@@ -19,19 +22,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bbsuper import roots
-from bbsuper.charformula import character_result_to_json, irreducible_character, numerator_series
-from bbsuper.cli import _COMMANDS, _render
+from bbsuper import charformula, roots
+from bbsuper.charformula import CharacterResult, irreducible_character, numerator_series
+from bbsuper.cli import _COMMANDS, _format, _render
 from bbsuper.datum import Weight, validate_datum
-from bbsuper.roots import RootEntry, RootTable, denominator_R, roots_to_json, solve_multiplicities
-from bbsuper.series import CharSeries, series_to_json, unpack
+from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
+from bbsuper.series import CharSeries, unpack
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
+    character_result_to_json,
     character_structure_faults,
     gram_matrix,
     rank_gauss,
     root_product,
+    roots_to_json,
     series_product,
     series_quotient,
 )
@@ -294,9 +299,9 @@ def test_generic_dims_bound_irreducible_dims(datum, levels):
 # height 0: no root, an empty list
 @example(validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1]), 0, [1, 0, 0])
 def test_flat_writers_match_render(datum, bound, levels):
-    # roots, denom-check and char write root rows and series terms straight
-    # from the table and the series: each document must be what _render
-    # makes of the dict builders
+    # roots, denom-check and char write root rows and series terms through
+    # one template per list: each document must be what _render makes of
+    # the dicts that the references build one key at a time
     def document(command, lam=None):
         doc, _, _ = _COMMANDS[command][0](datum, lam, bound)
         return _render(doc)
@@ -316,22 +321,97 @@ def test_flat_writers_match_render(datum, bound, levels):
     assert document("char", lam) == _render(character_result_to_json(result))
 
 
-@PROPERTY
-@given(st.integers(1, 4), st.integers(0, 6), st.data())
-def test_flat_writers_match_render_on_drawn_values(rank, bound, data):
-    # negative and many-digit coefficients and multiplicities, and an
-    # empty series
-    terms = data.draw(st.dictionaries(exponents(rank, bound), st.integers(-10**30, 10**30),
-                                      max_size=8))
-    s = CharSeries(bound, rank, terms)
-    assert _render(series_to_json(s, flat=True)) == _render(series_to_json(s))
+def drawn_values(data, rank, bound):
+    """A series, a root table and oracle dimensions of the given rank and
+    bound, with negative and many-digit coefficients, multiplicities and
+    dimensions, and maybe empty; the dimensions agree with the series on
+    its own terms."""
+    values = st.integers(-10**30, 10**30)
+    terms = data.draw(st.dictionaries(exponents(rank, bound), values, max_size=8))
     rows = data.draw(st.dictionaries(
         exponents(rank, bound).filter(any),
         st.tuples(st.integers(1, 10**30), st.integers(0, 1), st.booleans()),
         max_size=8,
     )) if bound else {}
     table = RootTable(bound, {e: RootEntry(*row) for e, row in rows.items()})
-    assert _render(table.rows_json) == _render(roots_to_json(table))
+    series = CharSeries(bound, rank, terms)
+    dims = {**series.terms, **data.draw(st.dictionaries(exponents(rank, bound), values,
+                                                        max_size=4))}
+    return series, table, dims
+
+
+def drawn_documents(datum, bound, series, table, dims, residual):
+    """{command: (doc, columns, rows)} of char, roots, denom-check and
+    compare, their engines patched to return the drawn values."""
+    zero = datum.zero_weight()
+    result = CharacterResult(series, zero, 1, 1, residual)
+    with patch.object(charformula, "irreducible_character", lambda *args: result), \
+            patch.object(roots, "solve_multiplicities", lambda *args: table), \
+            patch.object(roots, "denominator_residual_terms", lambda *args: residual), \
+            patch("bbsuper.cli._oracle_dims", lambda *args: dims):
+        return {command: _COMMANDS[command][0](datum, zero, bound)
+                for command in ("char", "roots", "denom-check", "compare")}
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_flat_writers_match_render_on_drawn_values(rank, bound, data):
+    # negative and many-digit coefficients and multiplicities, and an
+    # empty series
+    series, table, dims = drawn_values(data, rank, bound)
+    datum = validate_datum([[2 * (i == j) for j in range(rank)] for i in range(rank)], [1] * rank)
+    docs = drawn_documents(datum, bound, series, table, dims, 0)
+    result = CharacterResult(series, datum.zero_weight(), 1, 1, 0)
+    assert _render(docs["char"][0]) == _render(character_result_to_json(result))
+    assert _render(docs["roots"][0]) == _render(roots_to_json(table))
+    # compare's differences hold the vector between two other cells
+    differences = [{"mu_offset": list(beta), "formula": series.coefficient(beta), "oracle": dim}
+                   for beta, dim in dims.items() if series.coefficient(beta) != dim]
+    assert _render(docs["compare"][0]) == _render({
+        "height": bound, "cells": len(dims), "matches": not differences,
+        "differences": differences,
+    })
+
+
+def table_cells(text):
+    """The header and the body cells of a --format table, each line cut
+    at the columns of its rule line."""
+    header, rule, *body = text.split("\n")
+    starts = [m.start() for m in re.finditer("-+", rule)]
+    ends = starts[1:] + [None]
+    return header.split(), [[line[a:b].rstrip() for a, b in zip(starts, ends)] for line in body]
+
+
+# where each document holds its rows
+ROWS_AT = {"roots": (), "denom-check": ("roots",), "char": ("character", "terms"),
+           "compare": ("differences",)}
+
+
+def assert_table_holds_json_rows(command, doc, columns, rows):
+    header, body = table_cells(_format(doc, "table", columns, rows))
+    listed = json.loads(_format(doc, "json", columns, rows))
+    for key in ROWS_AT[command]:
+        listed = listed[key]
+    assert header == list(columns)
+    assert body == [[c if isinstance(c, str) else json.dumps(c) for c in map(row.get, header)]
+                    for row in listed], command
+
+
+@PROPERTY
+@given(datums(), st.integers(0, 6), st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       st.data())
+@example(validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1]), 0, [1, 0, 0], None)
+def test_table_holds_the_json_rows(datum, bound, levels, data):
+    # both formats of roots, denom-check and char read one row list: the
+    # table's body shows the JSON document's rows, in order, cell for cell,
+    # on real data and on drawn values with negative and 30-digit ones
+    lam = dominant(datum, levels)
+    for command in ("roots", "denom-check", "char"):
+        assert_table_holds_json_rows(command, *_COMMANDS[command][0](datum, lam, bound))
+    if data is not None:
+        series, table, dims = drawn_values(data, datum.rank, bound)
+        for command, document in drawn_documents(datum, bound, series, table, dims, 1).items():
+            assert_table_holds_json_rows(command, *document)
 
 
 def relabel(datum, lam, perm):

@@ -5,8 +5,10 @@ import pytest
 
 from bbsuper.charformula import numerator_series
 from bbsuper.datum import validate_datum
-from bbsuper.roots import RootEntry, RootTable, denominator_R, roots_to_json, solve_multiplicities
+from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
+
+from reference import roots_to_json
 
 
 # ---- independent oracle for the rank-one free case ----

@@ -6,9 +6,9 @@ import pytest
 
 from bbsuper.datum import validate_datum
 from bbsuper.roots import denominator_R
-from bbsuper.series import CharSeries, series_to_json
+from bbsuper.series import CharSeries
 
-from reference import binomial_factor, series_product
+from reference import binomial_factor, series_product, series_to_json
 
 
 # ---- independent oracles ----
@@ -174,6 +174,18 @@ def test_denominator_needs_full_table():
     table = _Table(3, {(1,): _Entry(1, 0)})
     with pytest.raises(ValueError, match="root table stops at height 3, need 5"):
         denominator_R(d, table, 5)
+
+
+def test_denominator_checks_each_root_once():
+    # a root of multiplicity 0 or past the window adds nothing; any other
+    # is refused as CharSeries refuses its exponent
+    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    table = _Table(3, {(1, 0): _Entry(1, 0), (-1, 2): _Entry(0, 0), (3, 1): _Entry(1, 0)})
+    assert denominator_R(d, table, 3).terms == {(0, 0): 1, (1, 0): -1}
+    for beta, message in (((2, -1), r"exponent \(2, -1\) leaves the cone"),
+                          ((1, 0, 0), "exponent length does not match the rank")):
+        with pytest.raises(ValueError, match=message):
+            denominator_R(d, _Table(3, {beta: _Entry(1, 0)}), 3)
 
 
 def test_series_json_round_trip():
