@@ -7,19 +7,18 @@ quotients walk height layers, and _layer_convolution is their one pair
 loop: a product merges its layers, a quotient solves them in turn.
 
 Inside that loop an exponent is one integer, sum of e_i (H+1)^(r-1-i)
-at rank r (Kronecker substitution), so the first coordinate is the
-leading digit and keys of one height sort as their exponents do.  Every
-coordinate of an exponent in the window is at most H, and the loop only
-adds pairs whose sum still has height at most H, so no digit carries and
-adding two keys packs the sum of their exponents.  Keys leave this
-module only as the layers of log_derivative, which
-roots.solve_multiplicities peels; terms, coefficient() and
-items_sorted() keep exponent tuples.
+at rank r (Kronecker substitution).  Every coordinate of an exponent in
+the window is at most H, and the loop only adds pairs whose sum still
+has height at most H, so no digit carries and adding two keys packs the
+sum of their exponents.  Keys never leave this module: every series it
+returns, and terms, coefficient() and items_sorted(), hold exponent
+tuples.
 
-log_derivative and from_log_derivative map a series N with constant
-term 1 to L = D(N)/N and back, D the height derivation, which scales
-e^{-gamma} by ht(gamma).  The kernel knows no root table: roots.py
-expands a table into its L and builds the denominator from it.
+derivative() is D, the height derivation, which scales e^{-gamma} by
+ht(gamma).  For a series N with constant term 1, L = D(N)/N is
+N.derivative().divide(N), and from_log_derivative maps L back to N.  The
+kernel knows no root table: roots.py expands a table into its L and
+builds the denominator from it.
 
 product_holds checks a product a == b c without forming it, by graded
 evaluation: e^{-beta} maps to x^{ht beta} z_1^{beta_1} ... z_r^{beta_r}
@@ -117,18 +116,13 @@ class CharSeries:
 
     def divide(self, other) -> "CharSeries":
         """The series q with q * other == self; the constant term of other
-        must be 1 or -1."""
+        must be 1 or -1.  Layer h of q is solved from the layers below it:
+        q_h = c_0 (self_h - sum over k >= 1 of other_k q_{h-k})."""
         self._check_compatible(other)
-        return _unpack_layers(other._solve(self._pack_layers()), self.height_bound, self.rank)
-
-    def _solve(self, num) -> dict:
-        """Packed layers of the q with q * self == num, num given in packed
-        layers.  Layer h of q is solved from the layers below it:
-        q_h = c_0 (num_h - sum over k >= 1 of self_k q_{h-k})."""
-        c0 = self.terms.get((0,) * self.rank, 0)
+        c0 = other.terms.get((0,) * other.rank, 0)
         if c0 not in (1, -1):
             raise ValueError(f"constant term {c0}: a divisor needs constant term 1 or -1")
-        den = self._pack_layers()
+        num, den = self._pack_layers(), other._pack_layers()
         q = {}
         for h in range(self.height_bound + 1):
             # q_h is not in q yet, so the k = 0 term drops out
@@ -136,20 +130,22 @@ class CharSeries:
             for e, c in num.get(h, {}).items():
                 rest[e] -= c
             q[h] = {e: -c0 * v for e, v in rest.items() if v}
-        return q
+        return _unpack_layers(q, self.height_bound, self.rank)
 
-    def log_derivative(self) -> dict:
-        """L = D(self) / self as {height: {packed exponent: coefficient}}
-        for every height in the window; D scales e^{-gamma} by ht(gamma)."""
-        num = self._pack_layers()
-        return self._solve({h: {e: h * c for e, c in layer.items()} for h, layer in num.items()})
+    def derivative(self) -> "CharSeries":
+        """D(self): the term at e^{-gamma} scaled by ht(gamma)."""
+        out = CharSeries(self.height_bound, self.rank)
+        # only the constant term has height 0
+        out.terms = {e: sum(e) * c for e, c in self.terms.items() if any(e)}
+        return out
 
     @classmethod
     def from_log_derivative(cls, log) -> "CharSeries":
         """The R with constant term 1 and D(R) / R == log, the inverse of
-        log_derivative.  D(R) = R log fixes R layer by layer from R_0 = 1,
-        since ht(gamma) R_gamma is the sum of R_delta log_{gamma-delta} over
-        delta of smaller height; a division with a remainder raises."""
+        R.derivative().divide(R).  D(R) = R log fixes R layer by layer from
+        R_0 = 1, since ht(gamma) R_gamma is the sum of R_delta
+        log_{gamma-delta} over delta of smaller height; a division with a
+        remainder raises."""
         base = log.height_bound + 1
         log_layers = log._pack_layers()
         layers = {0: {0: 1}}
@@ -158,7 +154,7 @@ class CharSeries:
             for e, v in _layer_convolution(log_layers, layers, h).items():
                 coef, rest = divmod(v, h)
                 if rest:
-                    exp = unpack(e, log.rank, base)
+                    exp = _unpack(e, log.rank, base)
                     raise ValueError(f"coefficient {v}/{h} at {exp} is not an integer")
                 if coef:
                     layer[e] = coef
@@ -174,7 +170,7 @@ def _pack(exp, base) -> int:
     return key
 
 
-def unpack(key, rank, base) -> tuple:
+def _unpack(key, rank, base) -> tuple:
     """Exponent of a key, the inverse of _pack."""
     exp = []
     for _ in range(rank):
@@ -189,7 +185,7 @@ def _unpack_layers(layers, height_bound, rank) -> CharSeries:
     base = height_bound + 1
     out = CharSeries(height_bound, rank)
     out.terms = {
-        unpack(key, rank, base): c
+        _unpack(key, rank, base): c
         for layer in layers.values()
         for key, c in layer.items()
         if c

@@ -3,16 +3,18 @@ them: the residual of `char` and the `ok` of `denom-check`, which decide
 by graded evaluation and so share no pair loop with the division they
 check; `denom-check`'s `ok` again for a solver that peels only the first
 term of each root, since it sums the table's L apart from the solver;
-and `compare`'s exit 2 for an orbit cut at 8 elements, which the oracle
-sees and the formula's own residual does not.  Also that those checks
-form no full product on their success path, and that a failing check
-still counts the exact residual."""
+and `compare`'s exit 2 for an orbit cut at 8 elements, for a wrong sign
+at an odd isotropic level and for an elimination step of the oracle that
+adds where it should subtract, which the oracle sees, or makes, apart
+from the formula.  Also that those checks form no full product on their
+success path, and that a failing check still counts the exact residual."""
 import json
 from collections import defaultdict
 
 import pytest
 
 import bbsuper.charformula as charformula
+import bbsuper.exactlinalg as exactlinalg
 import bbsuper.roots as roots
 import bbsuper.series as series
 from bbsuper.charformula import irreducible_character, numerator_series
@@ -25,22 +27,30 @@ from bbsuper.roots import (
     denominator_residual_terms,
     solve_multiplicities,
 )
-from bbsuper.series import CharSeries, product_holds, unpack
+from bbsuper.series import CharSeries, product_holds
 
 R4 = {"A": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], "odd": [3]}
 R4_LAMBDA = {"Lambda": {"1": "1", "2": "1"}}
+R3 = {"A": [[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], "odd": [2]}
+R2 = {"A": [[2, -1], [-1, 0]], "odd": [2]}
+LAMBDA_1 = {"Lambda": {"1": "1"}}
 # real block affine A2^(1): an infinite Weyl group
 AFF = {"A": [[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]]}
 # the first prime of the graded evaluation
 P = 2**61 - 1
 
 
+def write_pair(tmp_path, name, datum, lam):
+    """Paths of the datum and weight files, as --datum and --lambda read them."""
+    paths = tmp_path / f"{name}.json", tmp_path / f"{name}-lambda.json"
+    paths[0].write_text(json.dumps(datum))
+    paths[1].write_text(json.dumps(lam))
+    return tuple(map(str, paths))
+
+
 @pytest.fixture
 def r4_files(tmp_path):
-    datum, lam = tmp_path / "r4.json", tmp_path / "lam.json"
-    datum.write_text(json.dumps(R4))
-    lam.write_text(json.dumps(R4_LAMBDA))
-    return str(datum), str(lam)
+    return write_pair(tmp_path, "r4", R4, R4_LAMBDA)
 
 
 def run_json(capsys, argv):
@@ -174,13 +184,10 @@ def peel_first_terms(rounding):
     def solve(datum, height_bound, numerator=None):
         if numerator is None:
             numerator = numerator_series(datum, datum.zero_weight(), height_bound)
-        log = numerator.log_derivative()
+        log = numerator.derivative().divide(numerator).terms
         entries = {}
         for h in range(1, height_bound + 1):
-            for key, value in sorted(log.get(h, {}).items()):
-                if not value:
-                    continue
-                gamma = unpack(key, datum.rank, height_bound + 1)
+            for gamma, value in sorted((e, c) for e, c in log.items() if sum(e) == h):
                 m, rest = divmod(-value, h)
                 if rest and not rounding:
                     raise ValueError(f"multiplicity {-value}/{h} at exponent {gamma} is not an integer")
@@ -224,3 +231,32 @@ def test_orbit_cut_fails_compare(capsys, monkeypatch, tmp_path):
     code, doc = run_json(capsys, ["compare", *argv])
     assert (code, doc["matches"]) == (2, False)
     assert doc["differences"]
+
+
+def test_odd_isotropic_sign_fails_compare(capsys, monkeypatch, tmp_path):
+    # an odd isotropic index takes its signs from 1 / prod (1 + q^k); with
+    # the step ignored they come from prod (1 - q^k), wrong from level 2 on
+    table = charformula._euler_table
+    monkeypatch.setattr(charformula, "_euler_table", lambda bound, step: table(bound, 1))
+    for name, datum, lam in (("r2", R2, LAMBDA_1), ("r3", R3, LAMBDA_1), ("r4", R4, R4_LAMBDA)):
+        datum_path, lam_path = write_pair(tmp_path, name, datum, lam)
+        argv = ["--datum", datum_path, "--height", "3"]
+        code, doc = run_json(capsys, ["compare", *argv, "--lambda", lam_path])
+        assert (code, doc["matches"]) == (2, False), name
+        # N_0 and the solver share the numerator, and the character divides
+        # by that N_0, so neither check on the formula side is alarmed
+        code, doc = run_json(capsys, ["denom-check", *argv])
+        assert (code, doc["ok"]) == (0, True), name
+        code, doc = run_json(capsys, ["char", *argv, "--lambda", lam_path])
+        assert (code, doc["diagnostics"]["residual_terms"]) == (0, 0), name
+
+
+def test_adding_elimination_step_fails_compare(capsys, monkeypatch, tmp_path):
+    # row_basis eliminates with u * vec - c * unit; this step adds instead
+    combine = exactlinalg._combine
+    monkeypatch.setattr(exactlinalg, "_combine", lambda u, vec, c, unit: combine(u, vec, -c, unit))
+    for name, datum, lam, height in (("r4", R4, R4_LAMBDA, "3"), ("r2", R2, LAMBDA_1, "4")):
+        datum_path, lam_path = write_pair(tmp_path, name, datum, lam)
+        argv = ["--datum", datum_path, "--lambda", lam_path, "--height", height]
+        code, doc = run_json(capsys, ["compare", *argv])
+        assert (code, doc["matches"]) == (2, False), name

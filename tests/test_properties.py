@@ -27,7 +27,7 @@ from bbsuper.charformula import CharacterResult, irreducible_character, numerato
 from bbsuper.cli import _COMMANDS, _format, _render
 from bbsuper.datum import Weight, validate_datum
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
-from bbsuper.series import CharSeries, unpack
+from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
@@ -162,11 +162,10 @@ def test_mul_and_divide_match_tuple_reference(case):
     x, y = CharSeries(bound, rank, a), CharSeries(bound, rank, b)
     assert x.mul(y).terms == series_product(x.terms, y.terms, bound)
     assert x.divide(y).terms == series_quotient(x.terms, y.terms, bound, rank)
-    # from_log_derivative inverts log_derivative on n = +-y, whose
-    # constant term is 1
+    # from_log_derivative inverts L = D(n)/n on n = +-y, whose constant
+    # term is 1
     n = CharSeries(bound, rank, {e: b[(0,) * rank] * c for e, c in b.items()})
-    log = {unpack(key, rank, bound + 1): c
-           for layer in n.log_derivative().values() for key, c in layer.items()}
+    log = dict(n.derivative().divide(n).terms)
     assert CharSeries.from_log_derivative(CharSeries(bound, rank, log)) == n
     # 1 more in L at a height-2 exponent leaves an odd 2 R there
     if bound >= 2:

@@ -231,9 +231,8 @@ def test_non_integral_multiplicity_aborts(monkeypatch):
     ]
     for rank, log, message in cases:
         d = validate_datum([[0] * rank for _ in range(rank)], [1] * rank)
-        monkeypatch.setattr(
-            CharSeries, "log_derivative", lambda self: CharSeries(3, rank, log)._pack_layers()
-        )
+        # the solver forms L as D(N_0).divide(N_0)
+        monkeypatch.setattr(CharSeries, "divide", lambda self, other: CharSeries(3, rank, log))
         with pytest.raises(ValueError, match=re.escape(message)):
             solve_multiplicities(d, 3)
 

@@ -178,12 +178,13 @@ def test_denominator_needs_full_table():
 
 def test_denominator_checks_each_root_once():
     # a root of multiplicity 0 or past the window adds nothing; any other
-    # is refused as CharSeries refuses its exponent
+    # is refused as CharSeries refuses its exponent, or at height 0
     d = validate_datum([[2, -1], [-1, 2]], [1, 1])
     table = _Table(3, {(1, 0): _Entry(1, 0), (-1, 2): _Entry(0, 0), (3, 1): _Entry(1, 0)})
     assert denominator_R(d, table, 3).terms == {(0, 0): 1, (1, 0): -1}
     for beta, message in (((2, -1), r"exponent \(2, -1\) leaves the cone"),
-                          ((1, 0, 0), "exponent length does not match the rank")):
+                          ((1, 0, 0), "exponent length does not match the rank"),
+                          ((0, 0), r"exponent \(0, 0\) has height 0 and is not a root")):
         with pytest.raises(ValueError, match=message):
             denominator_R(d, _Table(3, {beta: _Entry(1, 0)}), 3)
 
