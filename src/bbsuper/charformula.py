@@ -30,7 +30,7 @@ by its defects.
 from collections import deque, namedtuple
 from operator import add
 
-from .datum import OddCartanDatum, Weight, height
+from .datum import OddCartanDatum, Weight
 from .series import CharSeries, product_holds
 
 
@@ -86,7 +86,7 @@ def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> dict:
     queue = deque([(first, start)])
     while queue:
         defect, pairings = queue.popleft()
-        room = height_bound - height(defect)
+        room = height_bound - sum(defect)
         sign = -seen[defect]
         for i, c in zip(real, pairings):
             # descend only; going up would revisit shorter elements
@@ -112,7 +112,7 @@ def _numerator_with_count(datum, lam, height_bound):
     walks = []
     for s, sign in enumerate_supports(datum, lam, height_bound).items():
         pairings = [p - datum.pair_root(j, s) for j, p in zip(real, start)]
-        walk = orbit_frontier(datum, pairings, height_bound - height(s))
+        walk = orbit_frontier(datum, pairings, height_bound - sum(s))
         for defect, w_sign in walk.items():
             key = tuple(map(add, s, defect))
             acc[key] = acc.get(key, 0) + w_sign * sign

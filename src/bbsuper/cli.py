@@ -81,10 +81,7 @@ def _render(obj, indent=""):
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = sep.join([_render(x, inner) for x in obj])
+        body = sep.join([_render(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict:
         if not obj:

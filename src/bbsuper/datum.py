@@ -20,11 +20,6 @@ from math import isinf
 from operator import mul
 
 
-def height(beta) -> int:
-    """Total of the simple-root coordinates."""
-    return sum(beta)
-
-
 def graded_key(beta) -> tuple:
     """Sort key of the graded order: height first, then lexicographic."""
     return (sum(beta), beta)
@@ -183,7 +178,7 @@ class OddCartanDatum(_Value):
 
     __slots__ = ("a", "d", "odd")
 
-    def __init__(self, a, d, odd):
+    def __init__(self, a, d, odd=()):
         rows = tuple(
             tuple(_integer(x, f"a[{i}][{j}]") for j, x in enumerate(row))
             for i, row in enumerate(a)
@@ -311,11 +306,6 @@ class OddCartanDatum(_Value):
         return True
 
 
-def validate_datum(a, d, odd=()) -> OddCartanDatum:
-    """Build a datum; a ValueError that states the broken rule on failure."""
-    return OddCartanDatum(tuple(tuple(row) for row in a), tuple(d), frozenset(odd))
-
-
 # ---- JSON forms, indices one-based ----
 
 
@@ -338,7 +328,7 @@ def datum_from_json(obj) -> OddCartanDatum:
     if d is None:
         d = [1] * len(a)
     odd = [_integer(i, "odd index") - 1 for i in odd or ()]
-    return validate_datum(a, d, odd)
+    return OddCartanDatum(a, d, odd)
 
 
 def weight_to_json(w: Weight) -> dict:

@@ -54,7 +54,6 @@ class CharSeries:
         if terms:
             for exp, coef in terms.items():
                 if coef and sum(exp) <= height_bound:
-                    exp = tuple(exp)
                     if len(exp) != rank:
                         raise ValueError("exponent length does not match the rank")
                     if min(exp, default=0) < 0:

@@ -44,7 +44,7 @@ from itertools import combinations, product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
-from bbsuper.datum import OddCartanDatum, Weight, height, unit_root, weight_to_json
+from bbsuper.datum import OddCartanDatum, Weight, unit_root, weight_to_json
 from bbsuper.errors import Unreachable
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT
@@ -101,8 +101,8 @@ def enumerate_f_monomials(datum: OddCartanDatum, beta, max_height=DEFAULT_MAX_HE
     beta = tuple(int(b) for b in beta)
     if any(b < 0 for b in beta):
         raise ValueError(f"{beta} is not in the positive cone")
-    if height(beta) > max_height:
-        raise Unreachable(f"height {height(beta)} exceeds cap {max_height}")
+    if sum(beta) > max_height:
+        raise Unreachable(f"height {sum(beta)} exceeds cap {max_height}")
     rank = datum.rank
     out = []
 
@@ -299,7 +299,7 @@ def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> Char
     """
     if sign not in (1, -1) or exponent_sign not in (1, -1):
         raise ValueError("sign arguments must be +1 or -1")
-    h = height(beta)
+    h = sum(beta)
     if h <= 0:
         raise ValueError("factor exponent must have positive height")
     power = exponent_sign * mult

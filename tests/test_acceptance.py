@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from bbsuper.charformula import irreducible_character, numerator_series
-from bbsuper.datum import Weight, validate_datum
+from bbsuper.datum import OddCartanDatum, Weight
 from bbsuper.roots import denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
@@ -60,7 +60,7 @@ def count_distinct_partitions(n, largest=None):
 def test_criterion_1_sl2_family():
     start = time.perf_counter()
     problems = []
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     for m in range(6):
         lam = Weight((m,), (0,), (0,))
         series = irreducible_character(d, lam, 12).series
@@ -77,7 +77,7 @@ def test_criterion_1_sl2_family():
 def test_criterion_2_osp12_family():
     start = time.perf_counter()
     problems = []
-    d = validate_datum([[2]], [1], odd=[0])
+    d = OddCartanDatum([[2]], [1], odd=[0])
     for m in range(4):
         lam = Weight((2 * m,), (0,), (0,))
         series = irreducible_character(d, lam, 12).series
@@ -94,7 +94,7 @@ def test_criterion_2_osp12_family():
 def test_criterion_3_even_isotropic():
     start = time.perf_counter()
     problems = []
-    d = validate_datum([[0]], [1])
+    d = OddCartanDatum([[0]], [1])
     table = solve_multiplicities(d, 10)
     for l in range(1, 11):
         check(problems, table.entries[(l,)].mult == 1, f"mult at {l}")
@@ -121,7 +121,7 @@ def test_criterion_3_even_isotropic():
 def test_criterion_4_even_non_isotropic():
     start = time.perf_counter()
     problems = []
-    d = validate_datum([[-2]], [1])
+    d = OddCartanDatum([[-2]], [1])
     table = solve_multiplicities(d, 8)
     mults = [table.entries[(n,)].mult for n in range(1, 9)]
     check(problems, mults == [1, 1, 2, 3, 6, 9, 18, 30], "multiplicity run")
@@ -142,7 +142,7 @@ def test_criterion_4_even_non_isotropic():
 def test_criterion_5_odd_isotropic():
     start = time.perf_counter()
     problems = []
-    d = validate_datum([[0]], [1], odd=[0])
+    d = OddCartanDatum([[0]], [1], odd=[0])
     # invert the distinct-partition counting series independently
     distinct = [count_distinct_partitions(n) for n in range(6)]
     inverse = [1]
@@ -167,7 +167,7 @@ def test_criterion_5_odd_isotropic():
 def test_criterion_6_rank2_mixed():
     start = time.perf_counter()
     problems = []
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     lam = d.fundamental_weight(0)
     series = irreducible_character(d, lam, 5).series
     for beta, oracle in irreducible_dims(d, lam, 5).items():
@@ -201,7 +201,7 @@ def random_datum(rng):
             s = -k * step
             a[i][j] = s // d[i]
             a[j][i] = s // d[j]
-    return validate_datum(a, d, odd=odd)
+    return OddCartanDatum(a, d, odd=odd)
 
 
 def random_dominant(datum, rng):
@@ -281,7 +281,7 @@ def test_criterion_8_truncation_coherence():
         ([[2, -1], [-1, 0]], [1, 1], [1], [(1, 0)], 5),
     ]
     for a, dd, odd, lams, height in jobs:
-        datum = validate_datum(a, dd, odd=odd)
+        datum = OddCartanDatum(a, dd, odd=odd)
         shallow_table = solve_multiplicities(datum, height)
         deep_table = solve_multiplicities(datum, height + 3)
         check(
@@ -320,7 +320,7 @@ def test_criterion_9_character_structure_past_the_oracle():
     # r4 far beyond the oracle's reach (height 6 by default): the character
     # is W-invariant and lies between 0 and the Verma character, and the
     # Verma character in its place breaks W-invariance
-    datum = validate_datum(
+    datum = OddCartanDatum(
         [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1] * 4, odd=[2]
     )
     lam = Weight((1, 1, 0, 0), (0,) * 4, (0,) * 4)
@@ -352,7 +352,7 @@ INFINITE_W = {
 @pytest.mark.parametrize("name", INFINITE_W)
 def test_criterion_10_infinite_weyl_groups(name):
     a, dd, odd, min_pairs = INFINITE_W[name]
-    datum = validate_datum(a, dd, odd=odd)
+    datum = OddCartanDatum(a, dd, odd=odd)
     lam = datum.fundamental_weight(0)
     problems = []
     series = irreducible_character(datum, lam, 8).series

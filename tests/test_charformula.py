@@ -7,7 +7,7 @@ from bbsuper.charformula import (
     irreducible_character,
     numerator_series,
 )
-from bbsuper.datum import Weight, validate_datum
+from bbsuper.datum import OddCartanDatum, Weight
 
 from reference import (
     BadGeneratorIndex,
@@ -30,7 +30,7 @@ from reference import (
 def level_signs(odd, bound):
     """The sign of level n at the one index of [[0]], 0 where the support
     is absent, for n = 0 .. bound."""
-    d = validate_datum([[0]], [1], odd=[0] if odd else [])
+    d = OddCartanDatum([[0]], [1], odd=[0] if odd else [])
     sups = enumerate_supports(d, d.zero_weight(), bound)
     return [sups.get((n,), 0) for n in range(bound + 1)]
 
@@ -70,33 +70,33 @@ def test_odd_iso_coeffs_match_odd_part_product():
 
 def test_supports_even_isotropic_levels():
     # levels 3 and 4 have sign zero and are left out
-    d = validate_datum([[0]], [1])
+    d = OddCartanDatum([[0]], [1])
     sups = enumerate_supports(d, d.zero_weight(), 4)
     assert list(sups.items()) == [((0,), 1), ((1,), -1), ((2,), -1)]
 
 
 def test_supports_odd_isotropic_levels():
     # level 2 has sign zero and is left out; the levels past it are not
-    d = validate_datum([[0]], [1], odd=[0])
+    d = OddCartanDatum([[0]], [1], odd=[0])
     sups = enumerate_supports(d, d.zero_weight(), 5)
     assert list(sups.items()) == [((0,), 1), ((1,), -1), ((3,), -1), ((4,), 1), ((5,), -1)]
 
 
 def test_supports_non_isotropic_levels_all_minus_one():
-    d = validate_datum([[-2]], [1])
+    d = OddCartanDatum([[-2]], [1])
     sups = enumerate_supports(d, d.zero_weight(), 5)
     assert list(sups.items()) == [((0,), 1)] + [((n,), -1) for n in range(1, 6)]
 
 
 def test_supports_respect_eligibility():
-    d = validate_datum([[0]], [1])
+    d = OddCartanDatum([[0]], [1])
     lam = d.fundamental_weight(0)
     assert eligible_indices(d, lam) == ()
     assert enumerate_supports(d, lam, 6) == {(0,): 1}
 
 
 def test_supports_orthogonal_pair_combines():
-    d = validate_datum([[0, 0], [0, 0]], [1, 1])
+    d = OddCartanDatum([[0, 0], [0, 0]], [1, 1])
     sups = enumerate_supports(d, d.zero_weight(), 3)
     # (0, 3) and (3, 0) have sign zero
     assert len(sups) == 8
@@ -108,7 +108,7 @@ def test_supports_orthogonal_pair_combines():
 
 
 def test_supports_non_orthogonal_pair_excluded():
-    d = validate_datum([[0, -1], [-1, 0]], [1, 1])
+    d = OddCartanDatum([[0, -1], [-1, 0]], [1, 1])
     sups = enumerate_supports(d, d.zero_weight(), 4)
     assert all(min(s) == 0 for s in sups)
 
@@ -134,7 +134,7 @@ ZERO4 = [[0] * 4 for _ in range(4)]
          "zero4-odd-lam"],
 )
 def test_supports_match_brute_force(a, odd, levels, budget):
-    d = validate_datum(a, [1] * len(a), odd=odd)
+    d = OddCartanDatum(a, [1] * len(a), odd=odd)
     zero = (0,) * d.rank
     lam = Weight(levels, zero, zero)
     sups = enumerate_supports(d, lam, budget)
@@ -145,12 +145,12 @@ def test_supports_match_brute_force(a, odd, levels, budget):
 def test_zero4_support_count():
     # every one of the 46376 level vectors of total at most 30 is a
     # support, and 2081 of them have a nonzero sign
-    d = validate_datum(ZERO4, [1] * 4)
+    d = OddCartanDatum(ZERO4, [1] * 4)
     assert len(enumerate_supports(d, d.zero_weight(), 30)) == 2081
 
 
 def test_s_lambda_series_odd_isotropic():
-    d = validate_datum([[0]], [1], odd=[0])
+    d = OddCartanDatum([[0]], [1], odd=[0])
     s = s_lambda_series(d, d.zero_weight(), 5)
     assert [s.coefficient((n,)) for n in range(6)] == [1, -1, 0, -1, 1, -1]
 
@@ -159,14 +159,14 @@ def test_s_lambda_series_odd_isotropic():
 
 
 def test_numerator_sl2():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     assert numerator_series(d, d.zero_weight(), 6).terms == {(0,): 1, (1,): -1}
     lam = Weight((2,), (0,), (0,))
     assert numerator_series(d, lam, 6).terms == {(0,): 1, (3,): -1}
 
 
 def test_numerator_a2_regular():
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     n = numerator_series(d, d.zero_weight(), 6)
     assert n.terms == {
         (0, 0): 1,
@@ -179,7 +179,7 @@ def test_numerator_a2_regular():
 
 
 def test_numerator_mixed_rank2():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     lam = d.zero_weight()
     n = numerator_series(d, lam, 4)
     # identity branch carries the c coefficients on alpha_2 levels, the
@@ -213,7 +213,7 @@ def test_one_walk_per_support_matches_moved_supports(name):
     # the orbit of lam - s for each support s against the orbit of lam
     # with every s moved by w: the same terms, counted the same
     a, dd, odd, levels = WALK_CASES[name]
-    d = validate_datum(a, dd, odd=odd)
+    d = OddCartanDatum(a, dd, odd=odd)
     zero = (0,) * d.rank
     for lam in (Weight(levels, zero, zero), d.zero_weight()):
         for bound in (0, 1, 7, 14):
@@ -226,7 +226,7 @@ def test_one_walk_per_support_matches_moved_supports(name):
 
 
 def test_character_sl2_family():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     for m in range(4):
         lam = Weight((m,), (0,), (0,))
         result = irreducible_character(d, lam, 8)
@@ -237,7 +237,7 @@ def test_character_sl2_family():
 
 
 def test_character_a2_adjoint():
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     lam = Weight((1, 1), (0, 0), (0, 0))
     result = irreducible_character(d, lam, 4)
     expected = {
@@ -255,7 +255,7 @@ def test_character_a2_adjoint():
 
 
 def test_character_trivial_module():
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     result = irreducible_character(d, d.zero_weight(), 5)
     assert result.series.terms == {(0, 0): 1}
 
@@ -272,7 +272,7 @@ MIXED3 = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 0]], [2], (0,))
 )
 def test_character_diagnostics_pinned(case, height_bound, expected):
     a, odd, levels = case
-    d = validate_datum(a, [1] * len(a), odd=odd)
+    d = OddCartanDatum(a, [1] * len(a), odd=odd)
     zero = (0,) * d.rank
     lam = Weight(tuple(int(i in levels) for i in range(d.rank)), zero, zero)
     result = irreducible_character(d, lam, height_bound)
@@ -283,16 +283,16 @@ def test_character_diagnostics_pinned(case, height_bound, expected):
 
 
 def test_casimir_shift_values():
-    d = validate_datum([[-2]], [1])
+    d = OddCartanDatum([[-2]], [1])
     assert casimir_shift(d, 0, 1) == 0
     assert casimir_shift(d, 0, 2) == -4
     assert casimir_shift(d, 0, 3) == -12
-    iso = validate_datum([[0]], [1], odd=[0])
+    iso = OddCartanDatum([[0]], [1], odd=[0])
     assert all(casimir_shift(iso, 0, l) == 0 for l in range(1, 6))
 
 
 def test_casimir_shift_guards():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     assert casimir_shift(d, 0, 1) == 0
     with pytest.raises(BadGeneratorIndex):
         casimir_shift(d, 0, 2)
@@ -303,7 +303,7 @@ def test_casimir_shift_guards():
 
 
 def test_primitive_candidate():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     lam = d.fundamental_weight(0)
 
     def at(root):  # lam + root_0 alpha_0 + root_1 alpha_1

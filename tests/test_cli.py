@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bbsuper.charformula import irreducible_character
 from bbsuper.cli import _render, main
-from bbsuper.datum import Weight, validate_datum, weight_to_json
+from bbsuper.datum import OddCartanDatum, Weight, weight_to_json
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
 
@@ -65,8 +65,11 @@ def test_validate_echoes_classes(tmp_path, capsys):
          "a[0][1] = -1: odd index 1 is real, so its row must be even"),
         ({"A": [[2]], "odd": [0]}, "odd index 0 out of range 1..1"),
         ({"A": [[2]], "odd": [2]}, "odd index 2 out of range 1..1"),
+        ({"A": [[2]], "D": [1, 1]}, "symmetrizer length does not match the matrix"),
+        ({}, "datum JSON needs at least the matrix under 'A'"),
     ],
-    ids=["diagonal", "off-diagonal", "symmetric", "positive-D", "odd-row", "odd-0", "odd-n+1"],
+    ids=["diagonal", "off-diagonal", "symmetric", "positive-D", "odd-row", "odd-0", "odd-n+1",
+         "D-length", "no-A"],
 )
 def test_validate_rejects_bad_datum(tmp_path, capsys, doc, message):
     datum = write_json(tmp_path / "d.json", doc)
@@ -193,7 +196,7 @@ def test_residual_sees_a_wrong_quotient(capsys, sl2_files, monkeypatch):
         return q - CharSeries(q.height_bound, q.rank, {(q.height_bound,) + (0,) * (q.rank - 1): 1})
 
     monkeypatch.setattr(CharSeries, "divide", off_by_one_term)
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     assert irreducible_character(d, Weight((2,), (0,), (0,)), 4).residual_terms > 0
     datum, lam = sl2_files
     code, out, _ = run(
@@ -314,7 +317,7 @@ def test_oracle_cap_env_nonpositive(capsys, sl2_files, monkeypatch, cap):
 
 def test_cap_is_read_only_by_the_cli(capsys, sl2_files, monkeypatch):
     monkeypatch.setenv("BBSUPER_CAP", "1")
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     lam = Weight((2,), (0,), (0,))
     assert irreducible_dims(d, lam, 3) == {(0,): 1, (1,): 1, (2,): 1, (3,): 0}
     datum, lam_path = sl2_files
@@ -326,7 +329,7 @@ def test_cap_is_read_only_by_the_cli(capsys, sl2_files, monkeypatch):
 
 
 def test_only_the_formula_side_needs_dominance(tmp_path, capsys):
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     zero = (0, 0)
     minus_lambda1 = Weight((-1, 0), zero, zero)
     for lam in (

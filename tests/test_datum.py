@@ -14,27 +14,27 @@ from reference import reflect
 
 
 def sl2():
-    return dt.validate_datum([[2]], [1])
+    return dt.OddCartanDatum([[2]], [1])
 
 
 def osp12():
-    return dt.validate_datum([[2]], [1], odd=[0])
+    return dt.OddCartanDatum([[2]], [1], odd=[0])
 
 
 def a2():
-    return dt.validate_datum([[2, -1], [-1, 2]], [1, 1])
+    return dt.OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
 
 
 def mixed_rank2():
-    return dt.validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    return dt.OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
 
 
 def test_valid_data_construct():
     for build in (sl2, osp12, a2, mixed_rank2):
         assert build().rank in (1, 2)
-    dt.validate_datum([[0]], [1])
-    dt.validate_datum([[-2]], [1])
-    dt.validate_datum([[2, -2], [-1, 2]], [1, 2])
+    dt.OddCartanDatum([[0]], [1])
+    dt.OddCartanDatum([[-2]], [1])
+    dt.OddCartanDatum([[2, -2], [-1, 2]], [1, 2])
 
 
 @pytest.mark.parametrize(
@@ -53,49 +53,49 @@ def test_non_integral_entries_rejected(a, d, odd):
     # int() would truncate each of these to a legal datum (the last one
     # it cannot convert at all)
     with pytest.raises(ValueError, match="is not an integer"):
-        dt.validate_datum(a, d, odd)
+        dt.OddCartanDatum(a, d, odd)
 
 
 def test_integral_values_of_other_types_accepted():
-    assert dt.validate_datum([[2.0, Fraction(-1)], [-1, 0]], [1, 1], [1]) == mixed_rank2()
+    assert dt.OddCartanDatum([[2.0, Fraction(-1)], [-1, 0]], [1, 1], [1]) == mixed_rank2()
 
 
 def test_bad_diagonal():
     rule = ": a diagonal entry must be 2 or a nonpositive even integer"
     with pytest.raises(ValueError, match=re.escape("a[0][0] = 3" + rule)):
-        dt.validate_datum([[3]], [1])
+        dt.OddCartanDatum([[3]], [1])
     with pytest.raises(ValueError, match=re.escape("a[0][0] = -1" + rule)):
-        dt.validate_datum([[-1]], [1])
+        dt.OddCartanDatum([[-1]], [1])
     with pytest.raises(ValueError, match=re.escape("a[0][0] = 1" + rule)):
-        dt.validate_datum([[1]], [1])
+        dt.OddCartanDatum([[1]], [1])
 
 
 def test_positive_off_diagonal():
     message = "a[0][1] = 1: an off-diagonal entry must be nonpositive"
     with pytest.raises(ValueError, match=re.escape(message)):
-        dt.validate_datum([[2, 1], [1, 2]], [1, 1])
+        dt.OddCartanDatum([[2, 1], [1, 2]], [1, 1])
 
 
 def test_not_symmetrizable():
     message = "d[0]*a[0][1] = -1 != d[1]*a[1][0] = -2: D*A must be symmetric"
     with pytest.raises(ValueError, match=re.escape(message)):
-        dt.validate_datum([[2, -1], [-2, 2]], [1, 1])
+        dt.OddCartanDatum([[2, -1], [-2, 2]], [1, 1])
     rule = ": every entry must be positive"
     with pytest.raises(ValueError, match=re.escape("symmetrizer D = [0]" + rule)):
-        dt.validate_datum([[2]], [0])
+        dt.OddCartanDatum([[2]], [0])
     with pytest.raises(ValueError, match=re.escape("symmetrizer D = [-1]" + rule)):
-        dt.validate_datum([[2]], [-1])
+        dt.OddCartanDatum([[2]], [-1])
 
 
 def test_odd_real_row_parity():
     # the odd index is named from one, as the JSON form lists it
     rule = " is real, so its row must be even"
     with pytest.raises(ValueError, match=re.escape("a[0][1] = -1: odd index 1" + rule)):
-        dt.validate_datum([[2, -1], [-1, 2]], [1, 1], odd=[0])
+        dt.OddCartanDatum([[2, -1], [-1, 2]], [1, 1], odd=[0])
     # the same matrix is fine when the odd index is the other one only if
     # its row is even as well, so it must fail too
     with pytest.raises(ValueError, match=re.escape("a[1][0] = -1: odd index 2" + rule)):
-        dt.validate_datum([[2, -1], [-1, 2]], [1, 1], odd=[1])
+        dt.OddCartanDatum([[2, -1], [-1, 2]], [1, 1], odd=[1])
     # imaginary odd index with an odd entry in its row is allowed
     mixed_rank2()
 
@@ -106,7 +106,7 @@ def test_index_classes():
     assert d.imaginary_indices == (1,)
     assert d.isotropic_indices == (1,)
     assert d.is_odd(1) and not d.is_odd(0)
-    neg = dt.validate_datum([[-2]], [1])
+    neg = dt.OddCartanDatum([[-2]], [1])
     assert neg.imaginary_indices == (0,) and neg.isotropic_indices == ()
 
 
@@ -121,7 +121,7 @@ def test_pairings_on_basis():
 
 
 def test_bilinear_symmetry():
-    for d in (a2(), dt.validate_datum([[2, -2], [-1, 2]], [1, 2]), mixed_rank2()):
+    for d in (a2(), dt.OddCartanDatum([[2, -2], [-1, 2]], [1, 2]), mixed_rank2()):
         n = d.rank
         for i in range(n):
             for j in range(n):
@@ -160,7 +160,7 @@ def test_dominance_odd_real_needs_even_pairing():
 
 
 def test_dominance_imaginary_rational_pairing_allowed():
-    d = dt.validate_datum([[0]], [1])
+    d = dt.OddCartanDatum([[0]], [1])
     half = dt.Weight((Fraction(1, 2),), (0,), (0,))
     assert d.is_dominant_integral(half)
 
@@ -250,5 +250,4 @@ def test_weight_entry_json_numbers(doc, want):
 
 
 def test_root_vector_helpers():
-    assert dt.height((2, 0, 1)) == 3
     assert dt.unit_root(3, 1) == (0, 1, 0)

@@ -4,10 +4,14 @@ by graded evaluation and so share no pair loop with the division they
 check; `denom-check`'s `ok` again for a solver that peels only the first
 term of each root, since it sums the table's L apart from the solver;
 and `compare`'s exit 2 for an orbit cut at 8 elements, for a wrong sign
-at an odd isotropic level and for an elimination step of the oracle that
-adds where it should subtract, which the oracle sees, or makes, apart
-from the formula.  Also that those checks form no full product on their
-success path, and that a failing check still counts the exact residual."""
+at an odd isotropic level, for a support enumeration that stops at the
+first zero level, for an oracle that commutes odd generators as even
+ones and for an elimination step of the oracle that adds where it should
+subtract, which the oracle sees, or makes, apart from the formula.  The
+equal-height pair skip, which the exact residual cannot see, also fails
+`compare`, the structure checks and the solver's integrality check.
+Also that those checks form no full product on their success path, and
+that a failing check still counts the exact residual."""
 import json
 from collections import defaultdict
 
@@ -17,9 +21,10 @@ import bbsuper.charformula as charformula
 import bbsuper.exactlinalg as exactlinalg
 import bbsuper.roots as roots
 import bbsuper.series as series
+import bbsuper.verma_oracle as verma_oracle
 from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.cli import main
-from bbsuper.datum import datum_from_json, validate_datum, weight_from_json
+from bbsuper.datum import OddCartanDatum, datum_from_json, weight_from_json
 from bbsuper.roots import (
     RootEntry,
     RootTable,
@@ -28,6 +33,7 @@ from bbsuper.roots import (
     solve_multiplicities,
 )
 from bbsuper.series import CharSeries, product_holds
+from reference import character_structure_faults
 
 R4 = {"A": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], "odd": [3]}
 R4_LAMBDA = {"Lambda": {"1": "1", "2": "1"}}
@@ -76,6 +82,7 @@ def test_equal_height_mutant_shows_in_the_residual(capsys, monkeypatch, r4_files
     datum_doc = datum_from_json(R4)
     lam = weight_from_json(datum_doc, R4_LAMBDA)
     honest = irreducible_character(datum_doc, lam, 5).series
+    assert not character_structure_faults(datum_doc, lam, honest)[1]
     monkeypatch.setattr(series, "_layer_convolution", skip_equal_heights)
     numerator = numerator_series(datum_doc, lam, 5)
     denom = numerator_series(datum_doc, datum_doc.zero_weight(), 5)
@@ -83,10 +90,19 @@ def test_equal_height_mutant_shows_in_the_residual(capsys, monkeypatch, r4_files
     assert quotient != honest
     # the exact residual runs through the same faulty pair loop and is blind
     assert not (numerator - quotient.mul(denom)).terms
+    # W-invariance and the Verma bounds see it
+    assert len(character_structure_faults(datum_doc, lam, quotient)[1]) == 147
     datum, lam_path = r4_files
-    code, doc = run_json(capsys, ["char", "--datum", datum, "--lambda", lam_path, "--height", "5"])
+    argv = ["--datum", datum, "--lambda", lam_path, "--height", "5"]
+    code, doc = run_json(capsys, ["char", *argv])
     assert code == 0
     assert doc["diagnostics"]["residual_terms"] > 0
+    code, doc = run_json(capsys, ["compare", *argv])
+    assert (code, doc["matches"]) == (2, False)
+    # the solver's log division misses the pair 2 alpha_4 = alpha_4 + alpha_4
+    assert main(["roots", "--datum", datum, "--height", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "multiplicity 1/2 at exponent (0, 0, 0, 2) is not an integer" in err
 
 
 def refuse(*args, **kwargs):
@@ -154,7 +170,7 @@ def test_coefficients_past_a_prime(monkeypatch):
     assert len(products) == 2
     # the same for a multiplicity past the last prime, where denominator_R
     # decides
-    d = validate_datum([[-2]], [1])
+    d = OddCartanDatum([[-2]], [1])
     table = RootTable(2, {(1,): RootEntry(2**1279, 0, False)})
     product = denominator_R(d, table, 2)
     assert denominator_residual_terms(d, table, product) == 0
@@ -260,3 +276,54 @@ def test_adding_elimination_step_fails_compare(capsys, monkeypatch, tmp_path):
         argv = ["--datum", datum_path, "--lambda", lam_path, "--height", height]
         code, doc = run_json(capsys, ["compare", *argv])
         assert (code, doc["matches"]) == (2, False), name
+
+
+def test_zero_level_break_fails_compare(capsys, monkeypatch, tmp_path):
+    # enumerate_supports skips a level whose sign factor is zero; this
+    # mutant stops the level loop there instead, as a `break` would: every
+    # factor past the first zero level reads zero.  The odd isotropic
+    # index's factors are 1, -1, 0, -1, ..., so its supports at level 3
+    # and above are lost
+    table = charformula._euler_table
+
+    def cut(bound, step):
+        factors = table(bound, step)
+        first = factors.index(0, 1) if 0 in factors[1:] else len(factors)
+        return factors[:first] + [0] * (len(factors) - first)
+
+    monkeypatch.setattr(charformula, "_euler_table", cut)
+    datum_path, lam_path = write_pair(tmp_path, "r4", R4, R4_LAMBDA)
+    argv = ["--datum", datum_path, "--lambda", lam_path, "--height", "3"]
+    assert run_json(capsys, ["compare", *argv])[0] == 0
+    for name, datum, lam in (("r2", R2, LAMBDA_1), ("r4", R4, R4_LAMBDA)):
+        datum_path, lam_path = write_pair(tmp_path, name, datum, lam)
+        argv = ["--datum", datum_path, "--height", "4"]
+        code, doc = run_json(capsys, ["compare", *argv, "--lambda", lam_path])
+        assert (code, doc["matches"]) == (2, False), name
+        # the solver and the character read the same wrong N_0
+        code, doc = run_json(capsys, ["denom-check", *argv])
+        assert (code, doc["ok"]) == (0, True), name
+        code, doc = run_json(capsys, ["char", *argv, "--lambda", lam_path])
+        assert (code, doc["diagnostics"]["residual_terms"]) == (0, 0), name
+
+
+def test_even_commutation_sign_fails_compare(capsys, monkeypatch, tmp_path):
+    # _propagate commutes e_{jk} past f_{il} with the sign -1 when i and j
+    # are both odd; it reads the parity nowhere else, so running it on the
+    # datum with no odd index is the oracle that ignores that sign
+    propagate = verma_oracle._propagate
+
+    def propagate_even(datum, lam, cells):
+        return propagate(OddCartanDatum(datum.a, datum.d), lam, cells)
+
+    monkeypatch.setattr(verma_oracle, "_propagate", propagate_even)
+    for name, datum, lam in (("r2", R2, LAMBDA_1), ("r3", R3, LAMBDA_1), ("r4", R4, R4_LAMBDA)):
+        datum_path, lam_path = write_pair(tmp_path, name, datum, lam)
+        argv = ["--datum", datum_path, "--height", "3"]
+        code, doc = run_json(capsys, ["compare", *argv, "--lambda", lam_path])
+        assert (code, doc["matches"]) == (2, False), name
+        # the formula side runs no oracle code
+        code, doc = run_json(capsys, ["denom-check", *argv])
+        assert (code, doc["ok"]) == (0, True), name
+        code, doc = run_json(capsys, ["char", *argv, "--lambda", lam_path])
+        assert (code, doc["diagnostics"]["residual_terms"]) == (0, 0), name

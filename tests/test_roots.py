@@ -4,7 +4,7 @@ import re
 import pytest
 
 from bbsuper.charformula import numerator_series
-from bbsuper.datum import validate_datum
+from bbsuper.datum import OddCartanDatum
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
 
@@ -38,7 +38,7 @@ def free_rank_one_mult(n):
 
 
 def test_free_rank_one_against_moebius_oracle():
-    d = validate_datum([[-2]], [1])
+    d = OddCartanDatum([[-2]], [1])
     table = solve_multiplicities(d, 8)
     assert [free_rank_one_mult(n) for n in range(1, 9)] == [1, 1, 2, 3, 6, 9, 18, 30]
     for n in range(1, 9):
@@ -53,13 +53,13 @@ def test_free_rank_one_against_moebius_oracle():
 
 
 def test_table_sl2():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     table = solve_multiplicities(d, 8)
     assert table.entries == {(1,): RootEntry(1, 0, True)}
 
 
 def test_table_odd_real_rank_one():
-    d = validate_datum([[2]], [1], odd=[0])
+    d = OddCartanDatum([[2]], [1], odd=[0])
     table = solve_multiplicities(d, 8)
     assert table.entries == {
         (1,): RootEntry(1, 1, True),
@@ -68,7 +68,7 @@ def test_table_odd_real_rank_one():
 
 
 def test_table_even_isotropic():
-    d = validate_datum([[0]], [1])
+    d = OddCartanDatum([[0]], [1])
     table = solve_multiplicities(d, 10)
     assert table.entries == {(l,): RootEntry(1, 0, False) for l in range(1, 11)}
 
@@ -77,7 +77,7 @@ def test_table_odd_isotropic():
     # the flat parity alternates along the ray, so the product matching
     # the signed partition series keeps every fourth level empty:
     # prod_{l odd} (1+q^l)^-1 prod_{l = 2 mod 4} (1-q^l) = prod_{l odd} (1-q^l)
-    d = validate_datum([[0]], [1], odd=[0])
+    d = OddCartanDatum([[0]], [1], odd=[0])
     table = solve_multiplicities(d, 8)
     assert table.entries == {
         (l,): RootEntry(1, l % 2, False) for l in range(1, 9) if l % 4 != 0
@@ -85,7 +85,7 @@ def test_table_odd_isotropic():
 
 
 def test_table_a2():
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     table = solve_multiplicities(d, 4)
     assert table.entries == {
         (1, 0): RootEntry(1, 0, True),
@@ -99,14 +99,14 @@ def test_table_a60_at_height_two():
     # of multiplicity one
     n = 60
     a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
-    table = solve_multiplicities(validate_datum(a, [1] * n), 2)
+    table = solve_multiplicities(OddCartanDatum(a, [1] * n), 2)
     assert len(table.entries) == 119
     assert set(table.entries.values()) == {RootEntry(1, 0, True)}
     assert all(beta.count(1) == sum(beta) for beta in table.entries)
 
 
 def test_table_mixed_rank_two():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     table = solve_multiplicities(d, 4)
     assert table.entries == {
         (1, 0): RootEntry(1, 0, True),
@@ -138,7 +138,7 @@ def test_table_mixed_rank_two():
     ],
 )
 def test_product_reproduces_orbit_sum(a, dd, odd, bound):
-    d = validate_datum(a, dd, odd=odd)
+    d = OddCartanDatum(a, dd, odd=odd)
     table = solve_multiplicities(d, bound)
     lhs = denominator_R(d, table, bound)
     rhs = numerator_series(d, d.zero_weight(), bound)
@@ -154,72 +154,69 @@ def test_classify_norms():
     def is_real(datum, beta):
         return solve_multiplicities(datum, sum(beta)).entries[beta].is_real
 
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     assert is_real(d, (1, 0))
     assert not is_real(d, (0, 1))
     assert not is_real(d, (1, 1))
     assert not is_real(d, (1, 2))
-    free = validate_datum([[-2]], [1])
+    free = OddCartanDatum([[-2]], [1])
     assert not is_real(free, (1,))
-    osp = validate_datum([[2]], [1], odd=[0])
+    osp = OddCartanDatum([[2]], [1], odd=[0])
     assert is_real(osp, (2,))
 
 
 # ---- the peel, on a given numerator ----
 
 
-def solve_from(monkeypatch, datum, numerator):
-    """solve_multiplicities with N_0 replaced by the given series."""
-    import bbsuper.roots as roots_module
-
-    monkeypatch.setattr(roots_module, "numerator_series", lambda *args: numerator)
-    return solve_multiplicities(datum, numerator.height_bound)
+def solve_from(datum, numerator):
+    """solve_multiplicities with the given series as N_0."""
+    return solve_multiplicities(datum, numerator.height_bound, numerator)
 
 
 def mults(table):
     return {beta: entry.mult for beta, entry in table.entries.items()}
 
 
-def test_log_step_divisor_sum(monkeypatch):
+def test_log_step_divisor_sum():
     # N_0 = 1 - q gives L = D(N_0)/N_0 = -q - q^2 - ...: L_1 = -1 makes a
     # root of multiplicity 1 at 1.  If it is even, it accounts for L_2 = -1 and
     # 2 is no root; if it is odd, it feeds q^2 with eps_2 = -1, leaving an
     # even root at 2 (osp(1|2))
     one_minus_q = CharSeries(2, 1, {(0,): 1, (1,): -1})
-    assert mults(solve_from(monkeypatch, validate_datum([[2]], [1]), one_minus_q)) == {(1,): 1}
-    osp = validate_datum([[2]], [1], odd=[0])
-    assert mults(solve_from(monkeypatch, osp, one_minus_q)) == {(1,): 1, (2,): 1}
+    assert mults(solve_from(OddCartanDatum([[2]], [1]), one_minus_q)) == {(1,): 1}
+    osp = OddCartanDatum([[2]], [1], odd=[0])
+    assert mults(solve_from(osp, one_minus_q)) == {(1,): 1, (2,): 1}
     # (1 - e^{-(1,1)})^2 gives L_(1,1) = -4 = -ht(1,1) m
     square = CharSeries(2, 2, {(0, 0): 1, (1, 1): -2})
-    iso = validate_datum([[0, -1], [-1, 0]], [1, 1])
-    assert mults(solve_from(monkeypatch, iso, square)) == {(1, 1): 2}
+    iso = OddCartanDatum([[0, -1], [-1, 0]], [1, 1])
+    assert mults(solve_from(iso, square)) == {(1, 1): 2}
     # a root can sit where L vanishes: an odd root of multiplicity 2 at 1
     # puts +2 at q^2, so L_2 = 0 leaves -2 = -ht(2) m_2, an even root at 2
-    d = validate_datum([[0]], [1], odd=[0])
+    d = OddCartanDatum([[0]], [1], odd=[0])
     rows = {(1,): RootEntry(2, 1, False), (2,): RootEntry(1, 0, False)}
     numerator = denominator_R(d, RootTable(2, rows), 2)
-    assert solve_from(monkeypatch, d, numerator).entries == rows
+    assert solve_from(d, numerator).entries == rows
 
 
-def test_solver_visits_multiples_where_log_vanishes(monkeypatch):
+def test_solver_visits_multiples_where_log_vanishes():
     # an odd root of multiplicity 2 at beta and an even one of multiplicity
     # 1 at 2 beta cancel in L at 2 beta; the solver must still find 2 beta
-    d = validate_datum([[0, -1], [-1, 0]], [1, 1], odd=[0])
+    d = OddCartanDatum([[0, -1], [-1, 0]], [1, 1], odd=[0])
     rows = {(1, 1): RootEntry(2, 1, False), (2, 2): RootEntry(1, 0, False)}
-    table = solve_from(monkeypatch, d, denominator_R(d, RootTable(6, rows), 6))
+    table = solve_from(d, denominator_R(d, RootTable(6, rows), 6))
     assert mults(table) == {(1, 1): 2, (2, 2): 1}
 
 
-def test_negative_multiplicity_aborts(monkeypatch):
-    d = validate_datum([[0]], [1])
+def test_negative_multiplicity_aborts():
+    d = OddCartanDatum([[0]], [1])
     # N_0 = 1 + q gives L_1 = 1
     with pytest.raises(ValueError, match=re.escape("multiplicity -1 at exponent (1,) is negative")):
-        solve_from(monkeypatch, d, CharSeries(1, 1, {(0,): 1, (1,): 1}))
+        solve_from(d, CharSeries(1, 1, {(0,): 1, (1,): 1}))
     # an even root at 1 already accounts for more than L_2 allows
     rows = {(1,): RootEntry(3, 0, False), (2,): RootEntry(-1, 0, False)}
     numerator = denominator_R(d, RootTable(2, rows), 2)
     with pytest.raises(ValueError, match=re.escape("multiplicity -1 at exponent (2,) is negative")):
-        solve_from(monkeypatch, d, numerator)
+        solve_from(d, numerator)
 
 
 def test_non_integral_multiplicity_aborts(monkeypatch):
@@ -230,7 +227,7 @@ def test_non_integral_multiplicity_aborts(monkeypatch):
         (2, {(1, 2): -4}, "multiplicity 4/3 at exponent (1, 2) is not an integer"),
     ]
     for rank, log, message in cases:
-        d = validate_datum([[0] * rank for _ in range(rank)], [1] * rank)
+        d = OddCartanDatum([[0] * rank for _ in range(rank)], [1] * rank)
         # the solver forms L as D(N_0).divide(N_0)
         monkeypatch.setattr(CharSeries, "divide", lambda self, other: CharSeries(3, rank, log))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -238,21 +235,21 @@ def test_non_integral_multiplicity_aborts(monkeypatch):
 
 
 def test_truncate_matches_shallow_solve():
-    d = validate_datum([[-2]], [1])
+    d = OddCartanDatum([[-2]], [1])
     deep = solve_multiplicities(d, 8)
     shallow = solve_multiplicities(d, 5)
     assert {b: e for b, e in deep.entries.items() if sum(b) <= 5} == shallow.entries
 
 
 def test_multiplicity_defaults_to_zero():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     table = solve_multiplicities(d, 4)
     assert table.entries.get((2,)) is None
     assert table.entries.get((0,)) is None
 
 
 def test_roots_json_golden():
-    d = validate_datum([[2]], [1], odd=[0])
+    d = OddCartanDatum([[2]], [1], odd=[0])
     table = solve_multiplicities(d, 6)
     assert roots_to_json(table) == [
         {"root": [1], "mult": 1, "parity": "odd", "class": "real"},

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from bbsuper.datum import validate_datum
+from bbsuper.datum import OddCartanDatum
 from bbsuper.roots import denominator_R
 from bbsuper.series import CharSeries
 
@@ -95,6 +95,8 @@ def test_height_and_rank_guards():
         a.mul(CharSeries.one(3, 2))
     with pytest.raises(ValueError):
         CharSeries(3, 1, {(-1,): 1})
+    with pytest.raises(ValueError, match="exponent length does not match the rank"):
+        CharSeries(2, 2, {(1,): 1})
 
 
 def test_truncate_drops_high_terms():
@@ -151,7 +153,7 @@ class _Table:
 
 
 def test_denominator_even_single_root():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     # a table deeper than the window: its roots past height 6 add nothing,
     # wherever they come in the unsorted walk
     table = _Table(9, {(8,): _Entry(5, 0), (1,): _Entry(1, 0), (7,): _Entry(2, 1)})
@@ -162,7 +164,7 @@ def test_denominator_even_single_root():
 
 
 def test_denominator_odd_root_inverts_factor():
-    d = validate_datum([[2]], [1], odd=[0])
+    d = OddCartanDatum([[2]], [1], odd=[0])
     table = _Table(5, {(1,): _Entry(1, 1), (2,): _Entry(1, 0)})
     r = denominator_R(d, table, 5)
     # (1 - q^2) / (1 + q) = 1 - q
@@ -170,7 +172,7 @@ def test_denominator_odd_root_inverts_factor():
 
 
 def test_denominator_needs_full_table():
-    d = validate_datum([[2]], [1])
+    d = OddCartanDatum([[2]], [1])
     table = _Table(3, {(1,): _Entry(1, 0)})
     with pytest.raises(ValueError, match="root table stops at height 3, need 5"):
         denominator_R(d, table, 5)
@@ -179,7 +181,7 @@ def test_denominator_needs_full_table():
 def test_denominator_checks_each_root_once():
     # a root of multiplicity 0 or past the window adds nothing; any other
     # is refused as CharSeries refuses its exponent, or at height 0
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     table = _Table(3, {(1, 0): _Entry(1, 0), (-1, 2): _Entry(0, 0), (3, 1): _Entry(1, 0)})
     assert denominator_R(d, table, 3).terms == {(0, 0): 1, (1, 0): -1}
     for beta, message in (((2, -1), r"exponent \(2, -1\) leaves the cone"),

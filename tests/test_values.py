@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bbsuper.charformula import CharacterResult
-from bbsuper.datum import OddCartanDatum, Weight, validate_datum
+from bbsuper.datum import OddCartanDatum, Weight
 from bbsuper.roots import RootEntry
 from bbsuper.series import CharSeries
 
@@ -42,6 +42,8 @@ def test_weight_is_a_value():
     too_long = r"^more than 4300 digits at index 1 in weight block 'Lambda'$"
     with pytest.raises(ValueError, match=too_long):
         Weight(("1e5000",), (0,), (0,))
+    with pytest.raises(ValueError, match="^coordinate blocks disagree in length$"):
+        Weight((1,), (0, 0), (0,))
 
 
 def test_weight_exponent_past_the_limit_refused_at_once():
@@ -59,12 +61,12 @@ def test_weight_exponent_past_the_limit_refused_at_once():
 
 
 def test_datum_is_a_value():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     same = OddCartanDatum(((2, -1), (-1, 0)), (1, 1), frozenset({1}))
     assert d == same and hash(d) == hash(same)
     assert {d: "r2"}[same] == "r2"
-    assert d != validate_datum([[2, -1], [-1, 0]], [1, 1])
-    assert repr(validate_datum([[2]], [1])) == "OddCartanDatum(a=((2,),), d=(1,), odd=frozenset())"
+    assert d != OddCartanDatum([[2, -1], [-1, 0]], [1, 1])
+    assert repr(OddCartanDatum([[2]], [1])) == "OddCartanDatum(a=((2,),), d=(1,), odd=frozenset())"
 
 
 def test_datum_validates_on_construction():
@@ -78,7 +80,7 @@ def test_datum_validates_on_construction():
     "value, field",
     [
         (Weight((1,), (0,), (0,)), "root_part"),
-        (validate_datum([[2]], [1]), "a"),
+        (OddCartanDatum([[2]], [1]), "a"),
         (RootEntry(1, 0, True), "mult"),
         (CharacterResult(CharSeries.one(1, 1), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
     ],
@@ -88,10 +90,12 @@ def test_fields_are_read_only(value, field):
         setattr(value, field, 0)
     with pytest.raises(AttributeError):
         value.extra = 0
+    with pytest.raises(AttributeError):
+        delattr(value, field)
 
 
 @pytest.mark.parametrize(
-    "value", [Weight((Fraction(1, 2),), (0,), (1,)), validate_datum([[2]], [1], odd=[0])]
+    "value", [Weight((Fraction(1, 2),), (0,), (1,)), OddCartanDatum([[2]], [1], odd=[0])]
 )
 def test_copy_and_pickle_keep_the_value(value):
     assert copy.copy(value) == value

@@ -8,7 +8,7 @@ import pytest
 
 from bbsuper import exactlinalg, verma_oracle
 from bbsuper.charformula import irreducible_character
-from bbsuper.datum import Weight, graded_key, unit_root, validate_datum, weight_from_json
+from bbsuper.datum import OddCartanDatum, Weight, graded_key, unit_root, weight_from_json
 from bbsuper.errors import Unreachable
 from bbsuper.roots import denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
@@ -52,23 +52,23 @@ def count_distinct_partitions(n, largest=None):
 
 
 def sl2():
-    return validate_datum([[2]], [1])
+    return OddCartanDatum([[2]], [1])
 
 
 def osp12():
-    return validate_datum([[2]], [1], odd=[0])
+    return OddCartanDatum([[2]], [1], odd=[0])
 
 
 def even_iso():
-    return validate_datum([[0]], [1])
+    return OddCartanDatum([[0]], [1])
 
 
 def odd_iso():
-    return validate_datum([[0]], [1], odd=[0])
+    return OddCartanDatum([[0]], [1], odd=[0])
 
 
 def free_imag():
-    return validate_datum([[-2]], [1])
+    return OddCartanDatum([[-2]], [1])
 
 
 # ---- word enumeration ----
@@ -83,13 +83,13 @@ def test_enumerate_counts_and_order():
         ((0, 2), (0, 1)),
         ((0, 3),),
     ]
-    mixed = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    mixed = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     assert len(enumerate_f_monomials(mixed, (2, 3))) == 25
     assert enumerate_f_monomials(sl2(), (0,))[0].factors == ()
 
 
 def test_enumerate_monomial_metadata():
-    mixed = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    mixed = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     for m in enumerate_f_monomials(mixed, (1, 3)):
         rebuilt = FMonomial.from_factors(mixed, m.factors)
         assert rebuilt == m
@@ -207,7 +207,7 @@ def test_gram_generic_weight_rejected():
 
 
 def test_gram_even_symmetric():
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     lam = Weight((1, 1), (0, 0), (0, 0))
     cell = gram_matrix(d, lam, (1, 1))
     assert len(cell.monomials) == 2
@@ -239,7 +239,7 @@ def test_irreducible_dim_degenerate_offsets():
 
 
 def test_dims_are_keyed_by_offset_in_window_order():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     assert list(irreducible_dims(d, d.fundamental_weight(0), 4)) == weight_window(2, 4)
     assert list(irreducible_dims(d, None, 4)) == weight_window(2, 4)
 
@@ -271,15 +271,15 @@ def test_irreducible_dims_deep_windows():
 
 def test_irreducible_dims_agree_with_single_cells():
     # each cell against the rank of its own all-word Gram matrix
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     lam = Weight((1, 1), (0, 0), (0, 0))
     assert irreducible_dims(d, lam, 4) == {
         beta: rank_gauss(gram_matrix(d, lam, beta).gram) for beta in weight_window(d.rank, 4)
     }
 
 
-R2 = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
-R3 = validate_datum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
+R2 = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+R3 = OddCartanDatum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
 
 
 @pytest.mark.parametrize("datum, height", [(R2, 5), (R3, 3)], ids=["r2", "r3"])
@@ -304,7 +304,7 @@ def test_rational_weights_match_gram_rank(datum, height, doc):
 def test_irreducible_dims_match_formula_rank3_deep():
     # every cell of a rank-3 window two levels deeper than the property tests,
     # where the e-image rows are a few percent nonzero
-    d = validate_datum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
     lam = d.fundamental_weight(0)
     window = weight_window(d.rank, 7)
     assert len(window) == 120
@@ -344,7 +344,7 @@ def test_generic_matches_pbw_series():
         ([[0]], [1], [0]),
         ([[2, -1], [-1, 0]], [1, 1], [1]),
     ]:
-        d = validate_datum(a, dd, odd=odd)
+        d = OddCartanDatum(a, dd, odd=odd)
         table = solve_multiplicities(d, 4)
         verma = CharSeries.one(4, d.rank).divide(denominator_R(d, table, 4))
         for beta, dim in irreducible_dims(d, None, 4).items():
@@ -355,14 +355,14 @@ def test_generic_matches_pbw_series():
 
 
 def test_serre_vector_a2_shape():
-    d = validate_datum([[2, -1], [-1, 2]], [1, 1])
+    d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     combo = serre_vector(d, 0, 1, 1)
     f, g = (0, 1), (1, 1)
     assert combo == {(f, f, g): 1, (f, g, f): -2, (g, f, f): 1}
 
 
 def test_serre_vector_guards():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     with pytest.raises(BadGeneratorIndex):
         serre_vector(d, 1, 0, 1)
     with pytest.raises(BadGeneratorIndex):
@@ -380,7 +380,7 @@ def test_serre_vectors_lie_in_kernel():
         ([[2, -1], [-1, -2]], [1, 1], [], 0, 1, 2),
     ]
     for a, dd, odd, i, j, l in cases:
-        d = validate_datum(a, dd, odd=odd)
+        d = OddCartanDatum(a, dd, odd=odd)
         combo = serre_vector(d, i, j, l)
         beta = [0] * d.rank
         for idx, lvl in next(iter(combo)):
@@ -391,10 +391,10 @@ def test_serre_vectors_lie_in_kernel():
 
 
 def test_orthogonality_vectors_lie_in_kernel():
-    pairs = validate_datum([[0, 0], [0, 0]], [1, 1], odd=[1])
+    pairs = OddCartanDatum([[0, 0], [0, 0]], [1, 1], odd=[1])
     combo = orthogonality_vector(pairs, (0, 1), (1, 2))
     assert combo == {((0, 1), (1, 2)): 1, ((1, 2), (0, 1)): -1}
-    both_odd = validate_datum([[0, 0], [0, 0]], [1, 1], odd=[0, 1])
+    both_odd = OddCartanDatum([[0, 0], [0, 0]], [1, 1], odd=[0, 1])
     anti = orthogonality_vector(both_odd, (0, 1), (1, 1))
     assert anti == {((0, 1), (1, 1)): 1, ((1, 1), (0, 1)): 1}
     for d, combo, beta in [
@@ -407,7 +407,7 @@ def test_orthogonality_vectors_lie_in_kernel():
 
 
 def test_orthogonality_vector_guards():
-    d = validate_datum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+    d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
     with pytest.raises(BadGeneratorIndex):
         orthogonality_vector(d, (0, 1), (1, 1))
 
