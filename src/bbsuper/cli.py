@@ -26,9 +26,17 @@ from a table (argparse loads gettext and locale too), _render writes the
 JSON (json.dumps with an indent runs the pure-Python encoder), and each
 handler imports its engine itself, so validate stops at the datum, the
 formula side never loads the oracle, and the oracle never loads the
-formula side.
+formula side.  Exit costs too: the interpreter collects garbage as it
+shuts down, and walking the cyclic objects that start-up built (modules,
+classes, functions) took most of the shutdown.  So main, when it is the
+process (argv None: `python -m bbsuper.cli` and the installed script),
+first moves them to the permanent generation with gc.freeze, which no
+later collection visits.  A caller that passes argv is a longer-lived
+process, a test run or the benchmark's traced mode, and is left as it is:
+there a freeze would keep its garbage until it exits.
 """
 
+import gc
 import json
 import os
 import sys
@@ -47,18 +55,22 @@ EXIT_CAPPED = 3
 def _load(path, parse, *context, parse_int=None):
     """parse(*context, the JSON document at path, its integer literals read
     by parse_int, int by default), or a ValueError that names path when the
-    file cannot be read or decoded or the document is not valid."""
+    file cannot be read or decoded or the document is not valid.  The
+    message shows at most 120 characters of path, more than a value gets,
+    so that a file deep in a temporary or build directory is still named
+    in full."""
+    name = _echo(path, str, 120)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(*context, json.loads(fh.read(), parse_int=parse_int))
     except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{name}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        raise ValueError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     # not UTF-8, an integer over int's digit limit, arrays nested past the
     # recursion limit, or a document that parse refuses
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _render(obj, indent=""):
@@ -332,7 +344,11 @@ def _parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:
+        # the call is the process, so the collections at exit may skip
+        # what start-up built (see the module docstring)
+        gc.freeze()
+        argv = sys.argv[1:]
     code = EXIT_OK
     try:
         if "-h" in argv or "--help" in argv:

@@ -33,10 +33,10 @@ def unit_root(n: int, i: int) -> tuple:
 _BLOCKS = ("Lambda", "delta", "alpha")
 
 
-def _echo(x, form=repr) -> str:
-    """form(x) as a refusal message shows it: cut after 40 characters."""
+def _echo(x, form=repr, width=40) -> str:
+    """form(x) as a refusal message shows it: cut after width characters."""
     text = form(x)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
 def _fraction(v):

@@ -74,9 +74,11 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=Non
             # a root is real exactly when its norm is positive
             is_real = datum.root_bilinear(gamma, gamma) > 0
             entry = entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
-            # its term at k = 1 is what it explains
-            for multiple, c in root_log_multiples(gamma, h, entry, height_bound):
-                unexplained[sum(multiple)][multiple] -= c
+            # its term at k = 1 is what it explains; a root past H/2 has no
+            # other multiple in the window
+            if 2 * h <= height_bound:
+                for multiple, c in root_log_multiples(gamma, h, entry, height_bound):
+                    unexplained[sum(multiple)][multiple] -= c
     return RootTable(height_bound, entries)
 
 
@@ -85,7 +87,7 @@ def root_log_multiples(beta, h, entry, height_bound):
     root beta of height h > 0 and multiplicity m adds c_k = -eps_k m h to
     the log-derivative L = D(R)/R of the denominator at k beta, for every
     k >= 1; eps_k = -1 for an odd root at even k and 1 otherwise.  A root
-    with 2 h > H yields nothing."""
+    with 2 h > H yields nothing, so both callers skip it."""
     coef = -entry.mult * h
     for k in range(2, height_bound // h + 1):
         yield tuple([k * x for x in beta]), -coef if entry.parity and k % 2 == 0 else coef
@@ -112,8 +114,9 @@ def table_log(datum, table, height_bound) -> CharSeries:
         if not h:
             raise ValueError(f"exponent {beta} has height 0 and is not a root")
         log[beta] -= entry.mult * h
-        for multiple, coef in root_log_multiples(beta, h, entry, height_bound):
-            log[multiple] += coef
+        if 2 * h <= height_bound:
+            for multiple, coef in root_log_multiples(beta, h, entry, height_bound):
+                log[multiple] += coef
     out = CharSeries(height_bound, datum.rank)
     out.terms = {e: c for e, c in log.items() if c}
     return out

@@ -65,7 +65,7 @@ class CharSeries:
         return cls(height_bound, rank, {(0,) * rank: 1})
 
     def coefficient(self, exp) -> int:
-        return self.terms.get(tuple(exp), 0)
+        return self.terms.get(exp, 0)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda item: graded_key(item[0]))

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, exit codes, canonical output."""
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -750,6 +751,9 @@ DIGITS, TEXT = "1" * 5000, "x" * 5000
         ('{"A": [[2]], "odd": [%s]}' % DIGITS[:4000], None),
         ('{"A": [[2, %s], [-1, 2]]}' % DIGITS[:4000], None),
         ('{"A": [[2]], "%s": 1}' % TEXT, None),
+        # a file name past the system's limit, which no file can have
+        ('{"A": [[2]]}', ["validate", "--datum", TEXT]),
+        ('{"A": [[2]]}', ["char", "--lambda", TEXT, "--height", "2"]),
         # refused on the command line, before the files are read
         ('{"A": [[2]]}', ["roots", "--height", TEXT]),
         ('{"A": [[2]]}', ["roots", "--height", DIGITS]),
@@ -761,8 +765,8 @@ DIGITS, TEXT = "1" * 5000, "x" * 5000
     ],
     ids=["list", "list-literal", "object", "object-literal", "text", "index", "index-range",
          "block", "A-entry", "A", "odd", "odd-range", "off-diagonal", "datum-key",
-         "height-text", "height-digits", "height-negative", "format", "argument",
-         "option", "jobs-negative"],
+         "datum-path", "lambda-path", "height-text", "height-digits", "height-negative",
+         "format", "argument", "option", "jobs-negative"],
 )
 def test_long_input_is_cut_in_the_refusal(tmp_path, capsys, monkeypatch, datum, lam):
     # a refusal names the value it refuses, but not in full: each of these
@@ -780,6 +784,24 @@ def test_long_input_is_cut_in_the_refusal(tmp_path, capsys, monkeypatch, datum, 
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200 and "characters)" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("[2", "1:3: Expecting"), ('{"A": [[3]]}', "diagonal"), ("\udcff", "codec")],
+    ids=["json", "datum", "utf-8"],
+)
+def test_long_path_is_cut_in_the_refusal(tmp_path, capsys, monkeypatch, text, reason):
+    # a readable file under a 4000-character path: each refusal that names
+    # the file shows 120 characters of its path
+    monkeypatch.chdir(tmp_path)
+    path = Path(*["d" * 199] * 20) / "d.json"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, out, err = run(capsys, ["validate", "--datum", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + "d" * 120 + "... (4006 characters)")
+    assert reason in err and err.count("\n") == 1 and len(err) < 250
 
 
 def test_weight_float_reads_as_its_decimal(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """The CLI as a child process: each subcommand loads only its engine,
-integral input loads no fractions, a reader that closes stdout early
-gets no traceback, nor does a write to a full device, and the package
-defines nothing that it does not use itself and one exception class.
+integral input loads no fractions, only the process entry freezes its
+start-up objects, a reader that closes stdout early gets no traceback,
+nor does a write to a full device, and the package defines nothing that
+it does not use itself and one exception class.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
 """
 import ast
 import builtins
+import gc
 import json
 import os
 import subprocess
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import bbsuper
+from bbsuper.cli import main
 
 # Runs the CLI, then writes the modules that it loaded to the file named
 # by argv[1]; modules the interpreter loaded at start-up do not count.
@@ -80,6 +83,45 @@ def test_validate_loads_no_engine(files):
         "bbsuper", "bbsuper.cli", "bbsuper.datum", "bbsuper.errors",
     }
     assert not modules & FRACTIONS
+
+
+# Runs the CLI as the process does, from sys.argv, then writes how many
+# objects gc.freeze moved to the permanent generation to the file named by
+# argv[1].
+FROZEN_PROBE = """\
+import gc, sys
+from bbsuper.cli import main
+out, sys.argv = sys.argv[1], ["bbsuper", *sys.argv[2:]]
+code = main()
+with open(out, "w") as fh:
+    fh.write(str(gc.get_freeze_count()))
+sys.exit(code)
+"""
+
+
+def test_in_process_main_freezes_nothing(files):
+    # a caller that passes argv lives on after main returns: what main
+    # leaves behind must stay collectable
+    _, datum, lam, _ = files
+    frozen = gc.get_freeze_count()
+    assert main(["char", "--datum", datum, "--lambda", lam, "--height", "3"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_freezes_start_up(files, capsys):
+    # argv None is the process itself, which freezes what start-up built
+    # so that the collections at exit skip it; the output is the same
+    root, datum, _, _ = files
+    argv = ["roots", "--datum", datum, "--height", "5"]
+    out = root / "frozen.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", FROZEN_PROBE, str(out), *argv],
+        env=package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(out.read_text()) > 0
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_module_entry_point_reads_sys_argv(files):
