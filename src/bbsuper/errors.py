@@ -7,4 +7,4 @@ broken rule.
 
 
 class Unreachable(Exception):
-    """An oracle cell lies deeper than the configured height cap."""
+    """An oracle cell past the height cap, or a formula window past its budget."""

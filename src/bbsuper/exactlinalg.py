@@ -39,7 +39,7 @@ def row_basis(rows):
     its smallest nonzero column.
     """
     pivot_rows = []
-    # (column, integer vector positive there and 0 at earlier pivot columns,
+    # (column, integer vector nonzero there and 0 at earlier pivot columns,
     #  minus that vector as a combination of the pivot rows)
     echelon = []
     coords = []
@@ -59,13 +59,12 @@ def row_basis(rows):
                 if g != 1:
                     vec = {k: x // g for k, x in vec.items()}
                     combo = {k: x // g for k, x in combo.items()}
-        if not vec:
-            coords.append((combo, den))
-            continue
-        sign = 1 if vec[min(vec)] > 0 else -1
-        unit_combo = {k: sign * x for k, x in combo.items()}
-        unit_combo[len(pivot_rows)] = -sign * den
-        echelon.append((min(vec), {k: sign * x for k, x in vec.items()}, unit_combo))
-        coords.append(({len(pivot_rows): 1}, 1))
-        pivot_rows.append(row)
+        if vec:
+            combo[len(pivot_rows)] = -den
+            echelon.append((min(vec), vec, combo))
+            combo, den = {len(pivot_rows): 1}, 1
+            pivot_rows.append(row)
+        elif den < 0:
+            combo, den = {k: -x for k, x in combo.items()}, -den
+        coords.append((combo, den))
     return pivot_rows, coords

@@ -22,7 +22,7 @@ polynomial ring is needed.  No multiplicity table and no formula output
 enters either path, which is what makes the result an independent check.
 """
 
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import lcm
 from operator import sub
 
@@ -82,7 +82,7 @@ def _propagate(datum, lam, cells) -> dict:
     holds the coefficient of basis vector c at beta - k alpha_j in part
     `part` of e_{jk} applied to it.  A numeric lam has one part; for lam
     None the image is t_j A + B, stored as part 0 (A) and part 1 (B).
-    f_mat[gamma, (i, l)] holds, for each basis vector at gamma, the
+    f_mat[gamma, i, l] holds, for each basis vector at gamma, the
     coordinates (num, den) of its f_{il}-image in the basis at
     gamma + l alpha_i, as row_basis gives them.  Everything is an integer:
     a candidate row is scaled by the lcm of the denominators it reads.
@@ -94,18 +94,18 @@ def _propagate(datum, lam, cells) -> dict:
         if not any(beta):
             basis[beta] = [{}]
             continue
-        gens = _generators(datum, beta)
         rows = []
-        scales = []
-        for i, l in gens:
+        slots = []
+        for i, l in _generators(datum, beta):
             gamma = _minus(beta, i, l)
+            images = f_mat[gamma, i, l] = []
             odd_i = datum.is_odd(i)
             h_parts, h_den = _h_parts(datum, pairings, i, gamma)
             for b, vec in enumerate(basis[gamma]):
                 # s f_{il} e_{jk} b, through the cell below gamma
                 reads = [
                     (j, k, part, -x if odd_i and datum.is_odd(j) else x,
-                     f_mat[_minus(gamma, j, k), (i, l)][c])
+                     f_mat[_minus(gamma, j, k), i, l][c])
                     for (j, k, part, c), x in vec.items()
                 ]
                 scale = lcm(h_den, *(den for *_, (_, den) in reads))
@@ -119,13 +119,10 @@ def _propagate(datum, lam, cells) -> dict:
                     key = (i, l, part, b)
                     row[key] = row.get(key, 0) + l * h * (scale // h_den)
                 rows.append(row)
-                scales.append(scale)
+                slots.append((images, scale))
         basis[beta], coords = row_basis(rows)
-        coords = iter(zip(coords, scales))
-        for i, l in gens:
-            gamma = _minus(beta, i, l)
-            block = islice(coords, len(basis[gamma]))
-            f_mat[gamma, (i, l)] = [(num, den * scale) for (num, den), scale in block]
+        for (num, den), (images, scale) in zip(coords, slots):
+            images.append((num, den * scale))
     return {beta: len(vecs) for beta, vecs in basis.items()}
 
 

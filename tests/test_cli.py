@@ -270,6 +270,28 @@ def test_cap_checked_before_any_work(capsys, sl2_files, monkeypatch, command, ex
     assert err == "resource cap: height 7 exceeds cap 6; raise BBSUPER_CAP to go deeper\n"
 
 
+@pytest.mark.parametrize("command", ["roots", "char", "denom-check"])
+def test_formula_budget_checked_before_any_work(tmp_path, capsys, monkeypatch, command):
+    import bbsuper.charformula as charformula
+
+    def never(*args, **kwargs):
+        raise AssertionError("called over the budget")
+
+    monkeypatch.setattr(charformula, "enumerate_supports", never)
+    # the A_30 chain at height 10: C(40, 30) * 30 window cells times rank
+    n = 30
+    chain = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    datum = write_json(tmp_path / "chain.json", {"A": chain})
+    lam = write_json(tmp_path / "zero.json", {})
+    argv = [command, "--datum", datum, "--height", "10"]
+    code, out, err = run(capsys, argv + (["--lambda", lam] if command == "char" else []))
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: height 10 at rank 30 spans 25429815840 window cells times rank,"
+        " over the formula budget 10000000\n"
+    )
+
+
 def test_oracle_cap_env_override(tmp_path, capsys, sl2_files, monkeypatch):
     monkeypatch.setenv("BBSUPER_CAP", "12")
     datum, lam = sl2_files

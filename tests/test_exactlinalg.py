@@ -116,6 +116,13 @@ def test_row_basis_picks_first_independent_rows():
     assert pivots == [sparse[0], sparse[2]]
     assert coords == [({0: 1}, 1), ({0: 3}, 2), ({1: 1}, 1), ({0: -3, 1: 1}, 4)]
     assert_reconstructs(sparse, pivots, coords)
+    # a negative pivot entry still gives a positive denominator
+    sparse = [{0: -2}, {0: 1}]
+    assert row_basis(sparse) == ([{0: -2}], [({0: 1}, 1), ({0: -1}, 2)])
+    sparse = [{0: -2, 1: 3}, {0: 1, 1: -1}, {0: 3, 1: -5}, {1: 7}]
+    pivots, coords = row_basis(sparse)
+    assert coords == [({0: 1}, 1), ({1: 1}, 1), ({0: -2, 1: -1}, 1), ({0: 7, 1: 14}, 1)]
+    assert_reconstructs(sparse, pivots, coords)
 
 
 def test_row_basis_zero_and_empty():
