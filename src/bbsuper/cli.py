@@ -17,13 +17,15 @@ and prints what the handler returns.
 
 Each handler builds its document's rows once, one tuple per JSON object
 with the cells in the order of its keys, and both formats read them:
-_json_rows writes them into the JSON document, one % template per list,
-and _format lines them up as a table.  The engines return data only;
+_format lines them up as a table, or writes the document with json.dumps
+and puts them where the document holds the _ROWS marker.  _json_rows
+writes them there through one % template per list, since json.dumps with
+an indent runs the pure-Python encoder, which takes several times as
+long on a list of some hundreds of rows.  The engines return data only;
 this module is the one that formats output.
 
 Each call is one short process, so start-up counts: options are read
-from a table (argparse loads gettext and locale too), _render writes the
-JSON (json.dumps with an indent runs the pure-Python encoder), and each
+from a table (argparse loads gettext and locale too), and each
 handler imports its engine itself, so validate stops at the datum, the
 formula side never loads the oracle, and the oracle never loads the
 formula side.  Exit costs too: the interpreter collects garbage as it
@@ -40,7 +42,6 @@ import gc
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .datum import _echo, datum_from_json, weight_from_json, weight_to_json
@@ -73,71 +74,45 @@ def _load(path, parse, *context, parse_int=None):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _render(obj, indent=""):
-    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts,
-    lists, tuples, str, int, bool and None; a callable writes its own
-    value, given the indent; TypeError on any other type.  Types are
-    matched exactly (bool is not int here), which is quicker than
-    isinstance and refuses subclasses."""
-    kind = type(obj)
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is str:
-        return _quote(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        body = sep.join([_render(x, inner) for x in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        body = sep.join([f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj)])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if callable(obj):  # a writer from _json_rows
-        return obj(indent)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+# The place of a handler's row list in its document.  json.dumps writes
+# it as "\u0000", which no other string in a document can be: each other
+# one is a fixed key, an index or a number written by str().
+_ROWS = "\0"
 
 
-def _json_rows(columns, rows):
-    """A document value that _render writes as it writes the rows as
-    objects keyed by columns, through one % template.  A row lists its
-    cells in the order of their keys, sorted: one is a nonempty tuple of
-    ints, and each other an int or a str that JSON needs no escape for,
-    of the type that the first row has there."""
-    keys = sorted(columns)
-
-    def write(indent):
-        if not rows:
-            return "[]"
-        inner, field, cell = indent + "  ", indent + "    ", indent + "      "
-        values = []
-        for k, x in enumerate(rows[0]):
-            if type(x) is tuple:
-                ints, j = f",\n{cell}".join(["%d"] * len(x)), k
-                values.append(f"[\n{cell}{ints}\n{field}]")
-            else:
-                values.append('"%s"' if type(x) is str else "%d")
-        fields = ",\n".join([f"{field}{_quote(k)}: {v}" for k, v in zip(keys, values)])
-        template = f"{{\n{fields}\n{inner}}}"
-        body = f",\n{inner}".join([template % (r[:j] + r[j] + r[j + 1:]) for r in rows])
-        return f"[\n{inner}{body}\n{indent}]"
-
-    return write
+def _json_rows(columns, rows, indent):
+    """rows as the JSON list that json.dumps writes at indent, of objects
+    keyed by columns, through one % template.  A row lists its cells in
+    the order of their keys, sorted: one is a nonempty tuple of ints, and
+    each other an int or a str that JSON needs no escape for, of the type
+    that the first row has there."""
+    if not rows:
+        return "[]"
+    inner, field, cell = indent + "  ", indent + "    ", indent + "      "
+    values = []
+    for k, x in enumerate(rows[0]):
+        if type(x) is tuple:
+            ints, j = f",\n{cell}".join(["%d"] * len(x)), k
+            values.append(f"[\n{cell}{ints}\n{field}]")
+        else:
+            values.append('"%s"' if type(x) is str else "%d")
+    fields = ",\n".join([f"{field}{json.dumps(k)}: {v}" for k, v in zip(sorted(columns), values)])
+    template = f"{{\n{fields}\n{inner}}}"
+    body = f",\n{inner}".join([template % (r[:j] + r[j] + r[j + 1:]) for r in rows])
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _format(doc, fmt, columns, rows) -> str:
-    """doc as JSON, or as a table of the given columns over rows, tuples
-    that list their cells in the order of the sorted columns: a str cell
-    shows as it is, any other as json.dumps."""
+    """doc as JSON, with rows at its _ROWS marker if it has one, or as a
+    table of the given columns over rows, tuples that list their cells in
+    the order of the sorted columns: a str cell shows as it is, any other
+    as json.dumps."""
     if fmt == "json":
-        return _render(doc)
+        head, marker, tail = json.dumps(doc, indent=2, sort_keys=True).partition(json.dumps(_ROWS))
+        if not marker:
+            return head
+        line = head[head.rfind("\n") + 1:]
+        return head + _json_rows(columns, rows, line[:len(line) - len(line.lstrip())]) + tail
     order = [sorted(columns).index(c) for c in columns]
     rendered = [[c if type(c) is str else json.dumps(c) for c in map(row.__getitem__, order)]
                 for row in rows]
@@ -180,7 +155,7 @@ def _cmd_roots(datum, lam, height):
     from .roots import solve_multiplicities
 
     rows = _root_rows(solve_multiplicities(datum, height))
-    return _json_rows(_ROOT_COLUMNS, rows), _ROOT_COLUMNS, rows
+    return _ROWS, _ROOT_COLUMNS, rows
 
 
 def _cmd_char(datum, lam, height):
@@ -194,7 +169,7 @@ def _cmd_char(datum, lam, height):
         "character": {
             "base": weight_to_json(result.highest_weight),
             "height_bound": result.series.height_bound,
-            "terms": _json_rows(columns, rows),
+            "terms": _ROWS,
         },
         "diagnostics": {k: getattr(result, k)
                         for k in ("orbit_size", "support_terms", "residual_terms")},
@@ -214,7 +189,7 @@ def _cmd_denom_check(datum, lam, height):
         "height": height,
         "residual_terms": residual,
         "ok": not residual,
-        "roots": _json_rows(_ROOT_COLUMNS, rows),
+        "roots": _ROWS,
     }
     return doc, _ROOT_COLUMNS, rows
 
@@ -231,7 +206,7 @@ def _oracle_dims(datum, lam, height):
 def _cmd_oracle(datum, lam, height):
     columns = ("mu_offset", "dim")
     rows = [(dim, beta) for beta, dim in _oracle_dims(datum, lam, height).items()]
-    return _json_rows(columns, rows), columns, rows
+    return _ROWS, columns, rows
 
 
 def _cmd_compare(datum, lam, height):
@@ -245,12 +220,12 @@ def _cmd_compare(datum, lam, height):
     for beta, dim in dims.items():
         formula = series.coefficient(beta)
         if formula != dim:
-            rows.append((int(formula), beta, dim))
+            rows.append((formula, beta, dim))
     doc = {
         "height": height,
         "cells": len(dims),
         "matches": not rows,
-        "differences": _json_rows(columns, rows),
+        "differences": _ROWS,
     }
     return doc, columns, rows
 
@@ -258,7 +233,7 @@ def _cmd_compare(datum, lam, height):
 # subcommand -> (handler, the options it reads besides --datum and --format),
 # as README's table of what each subcommand needs says.  A handler takes
 # (datum, weight or None, height or None) and returns (doc, table columns,
-# the rows that doc holds or, for validate, lists).
+# the rows that doc holds at its _ROWS marker or, for validate, lists).
 _COMMANDS = {
     "validate": (_cmd_validate, ()),
     "roots": (_cmd_roots, ("--height",)),

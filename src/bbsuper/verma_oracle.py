@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 from operator import sub
 
-from .datum import OddCartanDatum, Weight
+from .datum import OddCartanDatum, Weight, _echo
 from .errors import Unreachable
 from .exactlinalg import row_basis
 
@@ -43,9 +43,9 @@ def caps_from_env(env) -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"cannot parse {ENV_CAP}={raw!r}") from None
+        raise ValueError(f"cannot parse {ENV_CAP}={_echo(raw)}") from None
     if cap < 1:
-        raise ValueError(f"{ENV_CAP} takes positive integers, got {raw!r}")
+        raise ValueError(f"{ENV_CAP} takes positive integers, got {_echo(raw)}")
     return cap
 
 

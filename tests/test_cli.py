@@ -4,11 +4,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from bbsuper.charformula import irreducible_character
-from bbsuper.cli import _render, main
+from bbsuper.cli import main
 from bbsuper.datum import OddCartanDatum, Weight, weight_to_json
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
@@ -826,6 +824,21 @@ def test_long_path_is_cut_in_the_refusal(tmp_path, capsys, monkeypatch, text, re
     assert reason in err and err.count("\n") == 1 and len(err) < 250
 
 
+@pytest.mark.parametrize("cap", [DIGITS, TEXT, "-" + DIGITS[:4000]],
+                         ids=["digits", "text", "negative"])
+def test_long_cap_is_cut_in_the_refusal(capsys, sl2_files, monkeypatch, cap):
+    # both refusals of BBSUPER_CAP name the value, but not in full: each
+    # used to print a stderr line of 3000 to 5000 characters
+    monkeypatch.setenv("BBSUPER_CAP", cap)
+    datum, lam = sl2_files
+    code, out, err = run(
+        capsys, ["oracle", "--datum", datum, "--lambda", lam, "--height", "2"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 120 and "characters)" in err
+
+
 def test_weight_float_reads_as_its_decimal(tmp_path, capsys):
     # an imaginary index takes any nonnegative pairing, and char echoes the
     # weight it read as the base of the character
@@ -915,25 +928,37 @@ def test_help_text(capsys, argv):
         assert word in out
 
 
-JSON_DOCS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.text(),
-    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
-    max_leaves=25,
+R2_LAM = ["--lambda", "lam.json", "--height", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, dims",
+    [
+        (["validate"], None),
+        (["roots", "--height", "3"], None),
+        (["roots", "--height", "0"], None),
+        (["char", *R2_LAM], None),
+        (["denom-check", "--height", "3"], None),
+        (["oracle", *R2_LAM], None),
+        (["oracle", "--symbolic", "--height", "3"], None),
+        (["compare", *R2_LAM], None),
+        (["compare", *R2_LAM], {(0, 0): 1, (1, 0): 7, (0, 1): 0}),
+    ],
+    ids=["validate", "roots", "roots-empty", "char", "denom-check", "oracle",
+         "oracle-symbolic", "compare", "compare-differences"],
 )
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(JSON_DOCS)
-@example([])
-@example({"a": [], "b": {}, "c": [[], [{}], {"d": []}]})
-@example({'quote " backslash \\ controls \x00\x1f\t\n\x7f': "\"\\\x01\u2028"})
-@example(["non-BMP \U0001F600", -(2**70), 2**64 + 1])
-@example(("a", 1, (True, [None, 3])))
-def test_render_equals_json_dumps(doc):
-    assert _render(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("doc", [1.5, [0.0], {"x": float("nan")}, Fraction(1, 2), {1: "a"}])
-def test_render_refuses_other_types(doc):
-    with pytest.raises(TypeError):
-        _render(doc)
+def test_stdout_is_canonical_json(tmp_path, capsys, monkeypatch, argv, dims):
+    # each document is json.dumps(doc, indent=2, sort_keys=True), with its
+    # rows at depth 0 (roots, oracle), 1 (denom-check, compare) or 2
+    # (char), or with none (validate); roots at height 0 lists no root, and
+    # a patched oracle gives compare a nonempty list of differences
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
+    write_json(tmp_path / "lam.json", {"Lambda": {"1": "1"}})
+    if dims is not None:
+        monkeypatch.setattr("bbsuper.cli._oracle_dims", lambda *args: dims)
+    code, out, err = run(capsys, [argv[0], "--datum", "r2.json", *argv[1:]])
+    assert (code, err) == (0 if dims is None else 2, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    if dims is not None:
+        assert json.loads(out)["differences"]

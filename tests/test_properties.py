@@ -9,8 +9,8 @@ the all-word Gram rank and the formula on small windows (about half of
 the data with an infinite real Weyl group), and of the
 generic (Verma) dimensions with the inverted denominator, and of the
 root table, the character and both oracle modes with themselves under a
-relabelling of the simple indices, of the CLI's row writer with the
-canonical rendering of the reference dict builders, and of the table
+relabelling of the simple indices, of the CLI's JSON documents with
+json.dumps of the reference dict builders, and of the table
 format of roots, char and denom-check with the rows of their JSON
 documents."""
 import json
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from bbsuper import charformula, roots
 from bbsuper.charformula import CharacterResult, irreducible_character, numerator_series
-from bbsuper.cli import _COMMANDS, _format, _render
+from bbsuper.cli import _COMMANDS, _format
 from bbsuper.datum import OddCartanDatum, Weight
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
@@ -291,6 +291,13 @@ def test_generic_dims_bound_irreducible_dims(datum, levels):
         assert generic[beta] >= d, beta
 
 
+def json_text(doc, columns, rows):
+    return _format(doc, "json", columns, rows)
+
+
+def canonical(reference):
+    return json.dumps(reference, indent=2, sort_keys=True)
+
 
 @PROPERTY
 @given(datums(), st.integers(0, 6), st.lists(st.integers(0, 2), min_size=3, max_size=3))
@@ -298,17 +305,16 @@ def test_generic_dims_bound_irreducible_dims(datum, levels):
 @example(OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1]), 0, [1, 0, 0])
 def test_flat_writers_match_render(datum, bound, levels):
     # roots, denom-check and char write root rows and series terms through
-    # one template per list: each document must be what _render makes of
-    # the dicts that the references build one key at a time
+    # one template per list: each document must be what json.dumps makes
+    # of the dicts that the references build one key at a time
     def document(command, lam=None):
-        doc, _, _ = _COMMANDS[command][0](datum, lam, bound)
-        return _render(doc)
+        return json_text(*_COMMANDS[command][0](datum, lam, bound))
 
     table = solve_multiplicities(datum, bound)
-    assert document("roots") == _render(roots_to_json(table))
+    assert document("roots") == canonical(roots_to_json(table))
     zero = datum.zero_weight()
     residual = denominator_R(datum, table, bound) - numerator_series(datum, zero, bound)
-    assert document("denom-check") == _render({
+    assert document("denom-check") == canonical({
         "height": bound,
         "residual_terms": len(residual.terms),
         "ok": not residual.terms,
@@ -316,7 +322,7 @@ def test_flat_writers_match_render(datum, bound, levels):
     })
     lam = dominant(datum, levels)
     result = irreducible_character(datum, lam, bound)
-    assert document("char", lam) == _render(character_result_to_json(result))
+    assert document("char", lam) == canonical(character_result_to_json(result))
 
 
 def drawn_values(data, rank, bound):
@@ -360,12 +366,12 @@ def test_flat_writers_match_render_on_drawn_values(rank, bound, data):
     datum = OddCartanDatum([[2 * (i == j) for j in range(rank)] for i in range(rank)], [1] * rank)
     docs = drawn_documents(datum, bound, series, table, dims, 0)
     result = CharacterResult(series, datum.zero_weight(), 1, 1, 0)
-    assert _render(docs["char"][0]) == _render(character_result_to_json(result))
-    assert _render(docs["roots"][0]) == _render(roots_to_json(table))
+    assert json_text(*docs["char"]) == canonical(character_result_to_json(result))
+    assert json_text(*docs["roots"]) == canonical(roots_to_json(table))
     # compare's differences hold the vector between two other cells
     differences = [{"mu_offset": list(beta), "formula": series.coefficient(beta), "oracle": dim}
                    for beta, dim in dims.items() if series.coefficient(beta) != dim]
-    assert _render(docs["compare"][0]) == _render({
+    assert json_text(*docs["compare"]) == canonical({
         "height": bound, "cells": len(dims), "matches": not differences,
         "differences": differences,
     })
@@ -387,7 +393,7 @@ ROWS_AT = {"roots": (), "denom-check": ("roots",), "char": ("character", "terms"
 
 def assert_table_holds_json_rows(command, doc, columns, rows):
     header, body = table_cells(_format(doc, "table", columns, rows))
-    listed = json.loads(_format(doc, "json", columns, rows))
+    listed = json.loads(json_text(doc, columns, rows))
     for key in ROWS_AT[command]:
         listed = listed[key]
     assert header == list(columns)

@@ -116,3 +116,16 @@ def test_records_compare_by_field():
         series=series, highest_weight=lam, orbit_size=1, support_terms=1, residual_terms=0
     )
 
+
+
+def test_series_repr_and_equality():
+    # the repr lists the first six terms in graded order, then "..."
+    assert repr(CharSeries.one(2, 1)) == "CharSeries(H=2, 1*q^(0,))"
+    assert repr(CharSeries(2, 1)) == "CharSeries(H=2, 0)"
+    seven = CharSeries(3, 2, {(0, 0): 1, (1, 0): -2, (0, 1): 3, (2, 0): 4, (1, 1): 5,
+                              (0, 2): 6, (3, 0): 7})
+    assert repr(seven) == ("CharSeries(H=3, 1*q^(0, 0) + 3*q^(0, 1) + -2*q^(1, 0)"
+                           " + 6*q^(0, 2) + 5*q^(1, 1) + 4*q^(2, 0) + ...)")
+    # a series equals no other type, not even the dict of its terms
+    assert CharSeries.one(1, 1) != {(0,): 1}
+    assert CharSeries.one(1, 1) == CharSeries(1, 1, {(0,): 1})
