@@ -12,8 +12,9 @@ The subcommand comes first; each option is `--opt value` or
 `--opt=value`, in full, and the last one wins.  _COMMANDS says which
 options each subcommand reads; any other option, like any malformed
 command line, exits 1 with one `error: ...` line before a file is read.
-`-h` or `--help` anywhere prints the help text.  main loads the inputs
-and prints what the handler returns.
+`-h` or `--help` anywhere prints the help text.  cli alone parses argv
+and BBSUPER_CAP, each integer through datum._read_int; main loads the
+inputs and prints what the handler returns.
 
 Each handler builds its document's rows once, one tuple per JSON object
 with the cells in the order of its keys, and both formats read them:
@@ -44,7 +45,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .datum import _echo, datum_from_json, weight_from_json, weight_to_json
+from .datum import _echo, _read_int, datum_from_json, weight_from_json, weight_to_json
 from .errors import Unreachable
 
 EXIT_OK = 0
@@ -198,9 +199,16 @@ def _oracle_dims(datum, lam, height):
     """{offset: dim} over the window in window order, from one in-process
     pass under the BBSUPER_CAP height cap; lam None gives the generic
     (Verma) dimensions."""
-    from .verma_oracle import caps_from_env, irreducible_dims
+    from .verma_oracle import DEFAULT_MAX_HEIGHT, irreducible_dims
 
-    return irreducible_dims(datum, lam, height, caps_from_env(os.environ))
+    raw = os.environ.get("BBSUPER_CAP")
+    try:
+        cap = DEFAULT_MAX_HEIGHT if raw is None else _read_int(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse BBSUPER_CAP={_echo(raw)}") from None
+    if cap < 1:
+        raise ValueError(f"BBSUPER_CAP takes positive integers, got {_echo(raw)}")
+    return irreducible_dims(datum, lam, height, cap)
 
 
 def _cmd_oracle(datum, lam, height):
@@ -267,9 +275,9 @@ subcommand does not read is an error:
 _OPTIONS = {
     "--datum": ("datum", str),
     "--lambda": ("lam", str),
-    "--height": ("height", int),
+    "--height": ("height", _read_int),
     "--format": ("format", str),
-    "--jobs": ("jobs", int),
+    "--jobs": ("jobs", _read_int),
 }
 
 

@@ -39,6 +39,15 @@ def _echo(x, form=repr, width=40) -> str:
     return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
+def _read_int(text) -> int:
+    """int(text) if text is ASCII digits after an optional sign, spaces around
+    allowed; else ValueError, also for the underscores and other digits int() takes."""
+    digits = text.strip().lstrip("+-")  # int() refuses a second sign
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {_echo(text)}")
+    return int(text)
+
+
 def _fraction(v):
     from fractions import Fraction
 
@@ -355,7 +364,7 @@ def weight_from_json(datum: OddCartanDatum, obj) -> Weight:
         given = {}
         for key, value in entries.items():
             try:
-                i = int(key) - 1
+                i = _read_int(key) - 1
             except ValueError:
                 raise ValueError(
                     f"index {_echo(key)} is not an integer in weight block {name!r}"

@@ -71,8 +71,9 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=Non
                 raise ValueError(f"multiplicity {total}/{h} at exponent {gamma} is not an integer")
             if m < 0:
                 raise ValueError(f"multiplicity {m} at exponent {gamma} is negative")
-            # a root is real exactly when its norm is positive
-            is_real = datum.root_bilinear(gamma, gamma) > 0
+            # a root is real iff its norm is positive; a real root, a W-image of
+            # alpha_i or of 2 alpha_i for an odd real i, has multiplicity one
+            is_real = m == 1 and datum.root_bilinear(gamma, gamma) > 0
             entry = entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
             # its term at k = 1 is what it explains; a root past H/2 has no
             # other multiple in the window

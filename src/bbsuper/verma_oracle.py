@@ -26,27 +26,11 @@ from itertools import combinations_with_replacement
 from math import lcm
 from operator import sub
 
-from .datum import OddCartanDatum, Weight, _echo
+from .datum import OddCartanDatum, Weight
 from .errors import Unreachable
 from .exactlinalg import row_basis
 
-ENV_CAP = "BBSUPER_CAP"
 DEFAULT_MAX_HEIGHT = 6
-
-
-def caps_from_env(env) -> int:
-    """The height cap that BBSUPER_CAP sets in env, one positive integer,
-    or DEFAULT_MAX_HEIGHT when it is unset."""
-    raw = env.get(ENV_CAP)
-    if raw is None:
-        return DEFAULT_MAX_HEIGHT
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"cannot parse {ENV_CAP}={_echo(raw)}") from None
-    if cap < 1:
-        raise ValueError(f"{ENV_CAP} takes positive integers, got {_echo(raw)}")
-    return cap
 
 
 def _generators(datum, beta):
@@ -137,7 +121,7 @@ def irreducible_dims(
     if height_bound > max_height:
         # the window is graded, so its first cell over the cap is that deep
         raise Unreachable(
-            f"height {max_height + 1} exceeds cap {max_height}; raise {ENV_CAP} to go deeper"
+            f"height {max_height + 1} exceeds cap {max_height}; raise BBSUPER_CAP to go deeper"
         )
     return _propagate(datum, lam, weight_window(datum.rank, height_bound))
 

@@ -291,13 +291,15 @@ def test_formula_budget_checked_before_any_work(tmp_path, capsys, monkeypatch, c
 
 
 def test_oracle_cap_env_override(tmp_path, capsys, sl2_files, monkeypatch):
-    monkeypatch.setenv("BBSUPER_CAP", "12")
     datum, lam = sl2_files
-    code, out, _ = run(
-        capsys, ["oracle", "--datum", datum, "--lambda", lam, "--height", "7"]
-    )
-    assert code == 0
-    assert [cell["dim"] for cell in json.loads(out)] == [1, 1, 1, 0, 0, 0, 0, 0]
+    # surrounding spaces are allowed
+    for cap in ("12", " 8 "):
+        monkeypatch.setenv("BBSUPER_CAP", cap)
+        code, out, _ = run(
+            capsys, ["oracle", "--datum", datum, "--lambda", lam, "--height", "7"]
+        )
+        assert code == 0
+        assert [cell["dim"] for cell in json.loads(out)] == [1, 1, 1, 0, 0, 0, 0, 0]
 
 
 def test_oracle_symbolic_caps(tmp_path, capsys, monkeypatch):
@@ -313,9 +315,12 @@ def test_oracle_symbolic_caps(tmp_path, capsys, monkeypatch):
     assert [cell["dim"] for cell in json.loads(out)] == [1, 1, 2, 4, 8, 16, 32, 64]
 
 
-@pytest.mark.parametrize("cap", ["eight", "4,0", "10,6", "8,"])
+@pytest.mark.parametrize(
+    "cap", ["eight", "4,0", "10,6", "8,", "5,9", "1,2,3", "a", "10, 6", "1_0", "\u0668"]
+)
 def test_oracle_cap_env_malformed(capsys, sl2_files, monkeypatch, cap):
-    # BBSUPER_CAP is one integer; a two-integer form is not read
+    # BBSUPER_CAP is one integer in ASCII digits; a two-integer form is not
+    # read, nor an underscore or another script's digit, which int() takes
     monkeypatch.setenv("BBSUPER_CAP", cap)
     datum, lam = sl2_files
     code, out, err = run(
@@ -334,6 +339,30 @@ def test_oracle_cap_env_nonpositive(capsys, sl2_files, monkeypatch, cap):
     )
     assert code == 1
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["roots", "--height", " 3 "], ["roots", "--height", "3"]),
+        (["roots", "--height=+3"], ["roots", "--height", "3"]),
+        (["roots", "--height", "-0"], ["roots", "--height", "0"]),
+        (["oracle", "--symbolic", "--height", "2", "--jobs", "+2"],
+         ["oracle", "--symbolic", "--height", "2"]),
+        (["char", "--lambda", "pad.json", "--height", "3"],
+         ["char", "--lambda", "l.json", "--height", "3"]),
+    ],
+    ids=["height-spaces", "height-sign", "height-minus-zero", "jobs-sign", "weight-key-zero"],
+)
+def test_integer_text_keeps_sign_and_spaces(tmp_path, capsys, monkeypatch, argv, plain):
+    # spaces around the digits, one sign and leading zeros still read as
+    # the integer they spell
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "d.json", {"A": [[2]]})
+    write_json(tmp_path / "l.json", {"Lambda": {"1": "2"}})
+    write_json(tmp_path / "pad.json", {"Lambda": {" 01": "2"}})
+    results = [run(capsys, [a[0], "--datum", "d.json", *a[1:]]) for a in (argv, plain)]
+    assert results[0] == results[1] and results[0][0] == 0
 
 
 def test_cap_is_read_only_by_the_cli(capsys, sl2_files, monkeypatch):
@@ -672,11 +701,14 @@ def test_weight_zero_denominator_rejected(tmp_path, capsys, sl2_files, command):
     "doc, message",
     [
         ({"Lambda": {"x": "1"}}, "index 'x' is not an integer in weight block 'Lambda'"),
+        # an Arabic-Indic one, which int() takes
+        ({"Lambda": {"\u0661": "1"}},
+         "index '\u0661' is not an integer in weight block 'Lambda'"),
         # two keys naming one index are refused, whatever their values
         ({"Lambda": {"1": float("nan"), "01": 2}}, "index 1 given twice in weight block 'Lambda'"),
         ({"delta": {"1": 1, "01": 2}}, "index 1 given twice in weight block 'delta'"),
     ],
-    ids=["not-an-integer", "twice-nan", "twice-delta"],
+    ids=["not-an-integer", "arabic-indic-digit", "twice-nan", "twice-delta"],
 )
 @pytest.mark.parametrize("command", ["char", "oracle"])
 def test_weight_key_must_be_an_integer(tmp_path, capsys, sl2_files, command, doc, message):
@@ -888,6 +920,10 @@ def test_argparse_surface(capsys):
         ["roots", "--datum", "{datum}", "--height", "three"],
         ["roots", "--datum", "{datum}", "--height=2.5"],
         ["oracle", "--datum", "{datum}", "--lambda", "{lam}", "--height", "2", "--jobs", "x"],
+        # int() takes these, but an integer is ASCII digits
+        ["roots", "--datum", "{datum}", "--height", "1_0"],
+        ["roots", "--datum", "{datum}", "--height", "\u0662"],
+        ["oracle", "--datum", "{datum}", "--lambda", "{lam}", "--height", "2", "--jobs", "1_0"],
         ["roots", "--datum", "{datum}", "--height", "2", "--format", "xml"],
         ["validate", "--datum", "{datum}", "extra"],
     ],
@@ -895,7 +931,8 @@ def test_argparse_surface(capsys):
         "no-subcommand", "unknown-subcommand", "option-first", "unknown-option",
         "abbreviation", "short-option", "missing-value", "option-as-value",
         "symbolic-with-value", "height-not-int", "height-not-int-equals", "jobs-not-int",
-        "unknown-format", "stray-positional",
+        "height-underscore", "height-arabic-indic", "jobs-underscore", "unknown-format",
+        "stray-positional",
     ],
 )
 def test_malformed_argv_is_one_line_error(capsys, sl2_files, argv):

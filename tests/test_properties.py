@@ -128,16 +128,18 @@ def root_tables(draw):
 @st.composite
 def datum_root_tables(draw):
     """(datum, table): 1 to 6 cone vectors up to height 6 with
-    multiplicities 1 to 3, parity and class taken from the datum; an odd
+    multiplicities 1 to 3, parity and class taken from the datum as the
+    solver takes them (real: multiplicity one and a positive norm); an odd
     root beta may also get a root at 2 beta."""
     datum = draw(datums())
     vectors = exponents(datum.rank, 6).filter(any)
     betas = draw(st.lists(vectors, min_size=1, max_size=6, unique=True))
     doubles = [tuple(2 * x for x in b) for b in betas if datum.parity_of(b) and sum(b) <= 3]
     betas += [d for d in doubles if d not in betas and draw(st.booleans())]
+    mults = {b: draw(st.integers(1, 3)) for b in betas}
     entries = {
-        b: RootEntry(draw(st.integers(1, 3)), datum.parity_of(b), datum.root_bilinear(b, b) > 0)
-        for b in betas
+        b: RootEntry(m, datum.parity_of(b), m == 1 and datum.root_bilinear(b, b) > 0)
+        for b, m in mults.items()
     }
     return datum, RootTable(6, entries)
 

@@ -165,6 +165,30 @@ def test_classify_norms():
     assert is_real(osp, (2,))
 
 
+@pytest.mark.parametrize(
+    "a, dd, odd, bound",
+    [
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1] * 4, [2], 12),
+        ([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1] * 3, [1], 12),
+        ([[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]], [1] * 4, [], 10),
+        ([[2, -1, -1, -2], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, 0]], [1, 1, 1, 2], [3], 10),
+        ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [1] * 3, [], 14),
+        ([[2]], [1], [0], 8),
+        ([[2, -2], [-2, 2]], [1, 1], [1], 16),
+    ],
+    ids=["r4", "r3", "aff", "affodd", "ind3", "osp12", "affA1-odd"],
+)
+def test_positive_norm_roots_have_multiplicity_one(a, dd, odd, bound):
+    # the solver tests the norm of multiplicity-one roots only, since a
+    # real root is a W-image of alpha_i, or of 2 alpha_i for an odd real i
+    d = OddCartanDatum(a, dd, odd=odd)
+    table = solve_multiplicities(d, bound)
+    positive = {beta for beta in table.entries if d.root_bilinear(beta, beta) > 0}
+    assert positive
+    assert {table.entries[beta].mult for beta in positive} == {1}
+    assert {beta for beta, e in table.entries.items() if e.is_real} == positive
+
+
 # ---- the peel, on a given numerator ----
 
 

@@ -287,3 +287,17 @@ def test_one_exception_class():
 
     found = [key for key, names in bases.items() if any(map(is_exception, names))]
     assert found == [("errors", "Unreachable")]
+
+
+def test_only_the_cli_reads_the_environment():
+    # the engines take every setting as a parameter; the CLI alone turns
+    # text from outside the input files, argv and BBSUPER_CAP, into values
+    readers = set()
+    for path in Path(bbsuper.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = set(_references(tree))
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        if names & {"environ", "getenv"}:
+            readers.add(path.name)
+    assert readers == {"cli.py"}

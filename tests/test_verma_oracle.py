@@ -12,7 +12,7 @@ from bbsuper.datum import OddCartanDatum, Weight, graded_key, unit_root, weight_
 from bbsuper.errors import Unreachable
 from bbsuper.roots import denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
-from bbsuper.verma_oracle import caps_from_env, irreducible_dims, weight_window
+from bbsuper.verma_oracle import irreducible_dims, weight_window
 
 from reference import (
     BadGeneratorIndex,
@@ -117,25 +117,6 @@ def test_enumerate_caps():
         enumerate_f_monomials(sl2(), (7,), 6)
     with pytest.raises(ValueError):
         enumerate_f_monomials(sl2(), (-1,))
-
-
-def test_caps_from_env():
-    assert caps_from_env({}) == 6
-    assert caps_from_env({"BBSUPER_CAP": "12"}) == 12
-    assert caps_from_env({"BBSUPER_CAP": " 8 "}) == 8
-    # one integer only: the two-integer form of a deleted length cap is refused
-    with pytest.raises(ValueError, match="cannot parse"):
-        caps_from_env({"BBSUPER_CAP": "10, 6"})
-    with pytest.raises(ValueError, match="cannot parse"):
-        caps_from_env({"BBSUPER_CAP": "5,9"})
-    with pytest.raises(ValueError, match="cannot parse"):
-        caps_from_env({"BBSUPER_CAP": "4,0"})
-    with pytest.raises(ValueError, match="positive"):
-        caps_from_env({"BBSUPER_CAP": "0"})
-    with pytest.raises(ValueError):
-        caps_from_env({"BBSUPER_CAP": "a"})
-    with pytest.raises(ValueError):
-        caps_from_env({"BBSUPER_CAP": "1,2,3"})
 
 
 # ---- raising action ----
