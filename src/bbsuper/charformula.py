@@ -28,16 +28,10 @@ by its defects.
 """
 
 from collections import deque, namedtuple
-from math import comb
 from operator import add
 
 from .datum import OddCartanDatum, Weight
-from .errors import Unreachable
 from .series import CharSeries, product_holds
-
-# window cells times rank that a formula run may span: the A_1100 chain
-# runs at height 1 (1,211,100) and is refused at height 2 (667,316,100)
-MAX_WINDOW_WORK = 10**7
 
 
 def _euler_table(bound: int, step: int) -> list:
@@ -108,14 +102,9 @@ def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> dict:
 
 
 def _numerator_with_count(datum, lam, height_bound):
-    """The numerator, the orbit size of lam and the number of terms.  Every
-    formula path starts here, so the window budget is checked first."""
+    """The numerator, the orbit size of lam and the number of terms."""
     if not datum.is_dominant_integral(lam):
         raise ValueError("orbit expansion needs a dominant integral weight")
-    work = comb(height_bound + datum.rank, datum.rank) * datum.rank
-    if work > MAX_WINDOW_WORK:
-        raise Unreachable(f"height {height_bound} at rank {datum.rank} spans {work} window"
-                          f" cells times rank, over the formula budget {MAX_WINDOW_WORK}")
     real = datum.real_indices
     # <h_j, lam + rho> at the real j, integers for dominant integral lam
     start = [int(datum.pair(j, lam)) + 1 for j in real]

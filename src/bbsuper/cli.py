@@ -5,8 +5,11 @@ one engine entry point and prints a single canonical document, so runs
 are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input or a failed write to stdout, 2 comparison
 mismatch, 3 resource cap hit.  Bad input is any ValueError, from this
-module or an engine, and prints one `error: ...` line; the cap is
-errors.Unreachable and prints one `resource cap: ...` line.
+module or an engine, and prints one `error: ...` line.  _over_cap holds
+every resource rule, the oracle's height cap and the window budget; main
+asks it once the inputs load and before the handler imports an engine,
+so a run over a cap prints one `resource cap: ...` line before any work
+starts.  The engines take only values and raise only ValueError.
 
 The subcommand comes first; each option is `--opt value` or
 `--opt=value`, in full, and the last one wins.  _COMMANDS says which
@@ -43,15 +46,21 @@ import gc
 import json
 import os
 import sys
+from math import comb
 from types import SimpleNamespace
 
 from .datum import _echo, _read_int, datum_from_json, weight_from_json, weight_to_json
-from .errors import Unreachable
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_CAPPED = 3
+
+# the deepest oracle window when BBSUPER_CAP is unset
+DEFAULT_ORACLE_CAP = 6
+# window cells times rank that a run may span: the A_1100 chain runs at
+# height 1 (1,211,100) and is refused at height 2 (667,316,100)
+MAX_WINDOW_WORK = 10**7
 
 
 def _load(path, parse, *context, parse_int=None):
@@ -195,33 +204,19 @@ def _cmd_denom_check(datum, lam, height):
     return doc, _ROOT_COLUMNS, rows
 
 
-def _oracle_dims(datum, lam, height):
-    """{offset: dim} over the window in window order, from one in-process
-    pass under the BBSUPER_CAP height cap; lam None gives the generic
-    (Verma) dimensions."""
-    from .verma_oracle import DEFAULT_MAX_HEIGHT, irreducible_dims
-
-    raw = os.environ.get("BBSUPER_CAP")
-    try:
-        cap = DEFAULT_MAX_HEIGHT if raw is None else _read_int(raw)
-    except ValueError:
-        raise ValueError(f"cannot parse BBSUPER_CAP={_echo(raw)}") from None
-    if cap < 1:
-        raise ValueError(f"BBSUPER_CAP takes positive integers, got {_echo(raw)}")
-    return irreducible_dims(datum, lam, height, cap)
-
-
 def _cmd_oracle(datum, lam, height):
+    from .verma_oracle import irreducible_dims
+
     columns = ("mu_offset", "dim")
-    rows = [(dim, beta) for beta, dim in _oracle_dims(datum, lam, height).items()]
+    rows = [(dim, beta) for beta, dim in irreducible_dims(datum, lam, height).items()]
     return _ROWS, columns, rows
 
 
 def _cmd_compare(datum, lam, height):
     from .charformula import irreducible_character
+    from .verma_oracle import irreducible_dims
 
-    # the oracle first: it checks its cap before any work on either side
-    dims = _oracle_dims(datum, lam, height)
+    dims = irreducible_dims(datum, lam, height)
     series = irreducible_character(datum, lam, height).series
     columns = ("mu_offset", "formula", "oracle")
     rows = []
@@ -326,6 +321,33 @@ def _parse_args(argv) -> SimpleNamespace:
     return args
 
 
+def _over_cap(command, rank, height):
+    """Why a run of command at this rank and height is refused, or None.
+    oracle and compare first meet the oracle's height cap, BBSUPER_CAP or
+    DEFAULT_ORACLE_CAP; then every subcommand that takes --height meets
+    the window budget, C(height + rank, rank) cells times rank at most
+    MAX_WINDOW_WORK."""
+    if command in ("oracle", "compare"):
+        raw = os.environ.get("BBSUPER_CAP")
+        try:
+            cap = DEFAULT_ORACLE_CAP if raw is None else _read_int(raw)
+        except ValueError:
+            raise ValueError(f"cannot parse BBSUPER_CAP={_echo(raw)}") from None
+        if cap < 1:
+            raise ValueError(f"BBSUPER_CAP takes positive integers, got {_echo(raw)}")
+        if height > cap:
+            # the window is graded, so its first cell over the cap is that deep
+            return f"height {cap + 1} exceeds cap {cap}; raise BBSUPER_CAP to go deeper"
+    if height is None:
+        return None
+    # a height past the budget is over it at any rank, so the count need not
+    # grow with the height's digits, and the line does not show it
+    if comb(min(height, MAX_WINDOW_WORK) + rank, rank) * rank > MAX_WINDOW_WORK:
+        return (f"height {_echo(height)} at rank {rank} spans more window cells times rank"
+                f" than the window budget {MAX_WINDOW_WORK}")
+    return None
+
+
 def main(argv=None) -> int:
     if argv is None:
         # the call is the process, so the collections at exit may skip
@@ -343,13 +365,14 @@ def main(argv=None) -> int:
             # digits, so one past int's digit limit is refused like a string
             lam = None if args.lam is None else _load(args.lam, weight_from_json, datum,
                                                       parse_int=str)
+            over = _over_cap(args.subcommand, datum.rank, args.height)
+            if over:
+                print(f"resource cap: {over}", file=sys.stderr)
+                return EXIT_CAPPED
             doc, columns, rows = _COMMANDS[args.subcommand][0](datum, lam, args.height)
             text = _format(doc, args.format, columns, rows)
             if args.subcommand == "compare" and not doc["matches"]:
                 code = EXIT_MISMATCH
-    except Unreachable as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
     except ValueError as exc:
         # every refusal: a malformed command line, an unreadable or invalid
         # file, a bad BBSUPER_CAP, and the engines' own checks

@@ -53,6 +53,9 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=Non
     numerator is N_0 at the same bound, when the caller has it."""
     if numerator is None:
         numerator = numerator_series(datum, datum.zero_weight(), height_bound)
+    if numerator.height_bound != height_bound:
+        raise ValueError(f"numerator has height bound {numerator.height_bound},"
+                         f" need {height_bound}")
     log = numerator.derivative().divide(numerator)
     # unexplained[h] holds what the roots found below height h leave of L there
     unexplained = [defaultdict(int) for _ in range(height_bound + 1)]

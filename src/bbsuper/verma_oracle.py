@@ -27,10 +27,7 @@ from math import lcm
 from operator import sub
 
 from .datum import OddCartanDatum, Weight
-from .errors import Unreachable
 from .exactlinalg import row_basis
-
-DEFAULT_MAX_HEIGHT = 6
 
 
 def _generators(datum, beta):
@@ -110,19 +107,9 @@ def _propagate(datum, lam, cells) -> dict:
     return {beta: len(vecs) for beta, vecs in basis.items()}
 
 
-def irreducible_dims(
-    datum: OddCartanDatum, lam: Weight | None, height_bound: int, max_height=DEFAULT_MAX_HEIGHT
-) -> dict:
+def irreducible_dims(datum: OddCartanDatum, lam: Weight | None, height_bound: int) -> dict:
     """{offset: dim L(lam)} over weight_window, in window order; lam None
-    gives the generic weight, whose L is the Verma module.
-
-    The height bound is checked against max_height before any work starts.
-    """
-    if height_bound > max_height:
-        # the window is graded, so its first cell over the cap is that deep
-        raise Unreachable(
-            f"height {max_height + 1} exceeds cap {max_height}; raise BBSUPER_CAP to go deeper"
-        )
+    gives the generic weight, whose L is the Verma module."""
     return _propagate(datum, lam, weight_window(datum.rank, height_bound))
 
 

@@ -45,13 +45,19 @@ from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
 from bbsuper.datum import OddCartanDatum, Weight, unit_root, weight_to_json
-from bbsuper.errors import Unreachable
 from bbsuper.series import CharSeries
-from bbsuper.verma_oracle import DEFAULT_MAX_HEIGHT
+
+# the deepest cell whose words enumerate_f_monomials lists by default: the
+# all-word Gram matrices grow past thousands of words soon after
+MAX_WORD_HEIGHT = 6
 
 
 class BadGeneratorIndex(ValueError):
     """A generator label (i, l) outside the admissible index set."""
+
+
+class WordCapExceeded(Exception):
+    """A cell deeper than the height cap of enumerate_f_monomials."""
 
 
 # ---- words and Gram matrices (verma_oracle) ----
@@ -91,7 +97,7 @@ def _word_parity(datum, factors):
     return p
 
 
-def enumerate_f_monomials(datum: OddCartanDatum, beta, max_height=DEFAULT_MAX_HEIGHT) -> list:
+def enumerate_f_monomials(datum: OddCartanDatum, beta, max_height=MAX_WORD_HEIGHT) -> list:
     """Every ordered word of generators whose degrees sum to beta.
 
     Order matters and no relations are imposed, so the list spans the
@@ -102,7 +108,7 @@ def enumerate_f_monomials(datum: OddCartanDatum, beta, max_height=DEFAULT_MAX_HE
     if any(b < 0 for b in beta):
         raise ValueError(f"{beta} is not in the positive cone")
     if sum(beta) > max_height:
-        raise Unreachable(f"height {sum(beta)} exceeds cap {max_height}")
+        raise WordCapExceeded(f"height {sum(beta)} exceeds cap {max_height}")
     rank = datum.rank
     out = []
 
@@ -195,7 +201,7 @@ def _pair_against(datum, letters, state, pairing):
     return state.get((), 0)
 
 
-def gram_matrix(datum: OddCartanDatum, lam, beta, max_height=DEFAULT_MAX_HEIGHT) -> GramCell:
+def gram_matrix(datum: OddCartanDatum, lam, beta, max_height=MAX_WORD_HEIGHT) -> GramCell:
     """Pairings of all spanning words at depth beta.
 
     Entry [a][b] pairs word a against word b by raising with a's letters
@@ -214,7 +220,7 @@ def gram_matrix(datum: OddCartanDatum, lam, beta, max_height=DEFAULT_MAX_HEIGHT)
     return GramCell(lam, tuple(beta), tuple(monomials), tuple(rows))
 
 
-def pair_with_cell(datum, lam, beta, combo, max_height=DEFAULT_MAX_HEIGHT) -> list:
+def pair_with_cell(datum, lam, beta, combo, max_height=MAX_WORD_HEIGHT) -> list:
     """Pairing of each spanning word at depth beta against a fixed
     combination of words, given as a mapping from factor tuples (or
     FMonomials) to coefficients."""

@@ -22,8 +22,6 @@ from reference import (
     serre_vector,
 )
 
-DEEP = 12
-
 
 def report(number, name, problems):
     status = "PASS" if not problems else "FAIL"
@@ -64,7 +62,7 @@ def test_criterion_1_sl2_family():
     for m in range(6):
         lam = Weight((m,), (0,), (0,))
         series = irreducible_character(d, lam, 12).series
-        dims = irreducible_dims(d, lam, 12, DEEP)
+        dims = irreducible_dims(d, lam, 12)
         for k in range(13):
             expected = 1 if k <= m else 0
             check(problems, series.coefficient((k,)) == expected, f"coef m={m} k={k}")
@@ -81,7 +79,7 @@ def test_criterion_2_osp12_family():
     for m in range(4):
         lam = Weight((2 * m,), (0,), (0,))
         series = irreducible_character(d, lam, 12).series
-        dims = irreducible_dims(d, lam, 12, DEEP)
+        dims = irreducible_dims(d, lam, 12)
         for k in range(13):
             expected = 1 if k <= 2 * m else 0
             check(problems, series.coefficient((k,)) == expected, f"coef m={m} k={k}")
@@ -356,7 +354,7 @@ def test_criterion_10_infinite_weyl_groups(name):
     lam = datum.fundamental_weight(0)
     problems = []
     series = irreducible_character(datum, lam, 8).series
-    for beta, oracle in irreducible_dims(datum, lam, 8, 8).items():
+    for beta, oracle in irreducible_dims(datum, lam, 8).items():
         check(
             problems,
             series.coefficient(beta) == oracle,

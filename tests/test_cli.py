@@ -268,25 +268,62 @@ def test_cap_checked_before_any_work(capsys, sl2_files, monkeypatch, command, ex
     assert err == "resource cap: height 7 exceeds cap 6; raise BBSUPER_CAP to go deeper\n"
 
 
-@pytest.mark.parametrize("command", ["roots", "char", "denom-check"])
-def test_formula_budget_checked_before_any_work(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, extra, height",
+    [
+        pytest.param("roots", [], 10, id="roots"),
+        pytest.param("char", ["--lambda", "zero.json"], 10, id="char"),
+        pytest.param("denom-check", [], 10, id="denom-check"),
+        # the caps come before the engines, so also before the dominance check
+        pytest.param("char", ["--lambda", "minus.json"], 10, id="char-non-dominant"),
+        # inside the oracle's default height cap
+        pytest.param("oracle", ["--lambda", "zero.json"], 6, id="oracle"),
+        pytest.param("oracle", ["--symbolic"], 6, id="oracle-symbolic"),
+        pytest.param("compare", ["--lambda", "zero.json"], 6, id="compare"),
+    ],
+)
+def test_formula_budget_checked_before_any_work(tmp_path, capsys, monkeypatch, command, extra,
+                                                height):
     import bbsuper.charformula as charformula
+    import bbsuper.verma_oracle as oracle
 
     def never(*args, **kwargs):
         raise AssertionError("called over the budget")
 
     monkeypatch.setattr(charformula, "enumerate_supports", never)
-    # the A_30 chain at height 10: C(40, 30) * 30 window cells times rank
+    monkeypatch.setattr(oracle, "weight_window", never)
+    # the A_30 chain: C(40, 30) * 30 window cells times rank at height 10,
+    # and C(36, 30) * 30 = 58,433,760 at height 6
+    monkeypatch.chdir(tmp_path)
     n = 30
     chain = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
-    datum = write_json(tmp_path / "chain.json", {"A": chain})
-    lam = write_json(tmp_path / "zero.json", {})
-    argv = [command, "--datum", datum, "--height", "10"]
-    code, out, err = run(capsys, argv + (["--lambda", lam] if command == "char" else []))
+    write_json(tmp_path / "chain.json", {"A": chain})
+    write_json(tmp_path / "zero.json", {})
+    write_json(tmp_path / "minus.json", {"Lambda": {"1": "-1"}})
+    argv = [command, "--datum", "chain.json", "--height", str(height), *extra]
+    code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert err == (
-        "resource cap: height 10 at rank 30 spans 25429815840 window cells times rank,"
-        " over the formula budget 10000000\n"
+        f"resource cap: height {height} at rank 30 spans more window cells times rank"
+        " than the window budget 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("digits", ["1" + "0" * 2199, "9" * 4300], ids=["2200", "4300"])
+@pytest.mark.parametrize("command", ["roots", "char", "denom-check"])
+def test_huge_height_gives_one_cap_line(tmp_path, capsys, monkeypatch, command, digits):
+    # every height that --height reads gives one short line: it shows the
+    # height cut and no count, whose digits at rank 2 are about twice the
+    # height's, past int's limit for str()
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
+    write_json(tmp_path / "zero.json", {})
+    argv = [command, "--datum", "r2.json", "--height", digits]
+    code, out, err = run(capsys, argv + (["--lambda", "zero.json"] if command == "char" else []))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource cap: height {digits[:40]}... ({len(digits)} characters) at rank 2 spans"
+        " more window cells times rank than the window budget 10000000\n"
     )
 
 
@@ -425,7 +462,7 @@ def test_compare_match(tmp_path, capsys, sl2_files):
 def test_compare_mismatch_exit(tmp_path, capsys, sl2_files, monkeypatch):
     import bbsuper.verma_oracle as oracle
 
-    def zeros(datum, lam, height, max_height):
+    def zeros(datum, lam, height):
         return dict.fromkeys(oracle.weight_window(datum.rank, height), 0)
 
     monkeypatch.setattr(oracle, "irreducible_dims", zeros)
@@ -993,7 +1030,7 @@ def test_stdout_is_canonical_json(tmp_path, capsys, monkeypatch, argv, dims):
     write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
     write_json(tmp_path / "lam.json", {"Lambda": {"1": "1"}})
     if dims is not None:
-        monkeypatch.setattr("bbsuper.cli._oracle_dims", lambda *args: dims)
+        monkeypatch.setattr("bbsuper.verma_oracle.irreducible_dims", lambda *args: dims)
     code, out, err = run(capsys, [argv[0], "--datum", "r2.json", *argv[1:]])
     assert (code, err) == (0 if dims is None else 2, "")
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

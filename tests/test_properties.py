@@ -247,7 +247,7 @@ FORMULA_HEIGHT = {1: 8, 2: 6, 3: 5, 4: 5}
 def test_oracle_matches_gram_rank_and_formula(datum, levels):
     lam = dominant(datum, levels)
     bound = FORMULA_HEIGHT[datum.rank]
-    dims = irreducible_dims(datum, lam, bound, max_height=bound)
+    dims = irreducible_dims(datum, lam, bound)
     character = irreducible_character(datum, lam, bound).series
     for beta, dim in dims.items():
         assert dim == character.coefficient(beta), beta
@@ -354,7 +354,7 @@ def drawn_documents(datum, bound, series, table, dims, residual):
     with patch.object(charformula, "irreducible_character", lambda *args: result), \
             patch.object(roots, "solve_multiplicities", lambda *args: table), \
             patch.object(roots, "denominator_residual_terms", lambda *args: residual), \
-            patch("bbsuper.cli._oracle_dims", lambda *args: dims):
+            patch("bbsuper.verma_oracle.irreducible_dims", lambda *args: dims):
         return {command: _COMMANDS[command][0](datum, zero, bound)
                 for command in ("char", "roots", "denom-check", "compare")}
 

@@ -2,7 +2,7 @@
 integral input loads no fractions, only the process entry freezes its
 start-up objects, a reader that closes stdout early gets no traceback,
 nor does a write to a full device, and the package defines nothing that
-it does not use itself and one exception class.
+it does not use itself and no exception class.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
@@ -80,7 +80,7 @@ def loaded(files, *argv):
 def test_validate_loads_no_engine(files):
     modules = loaded(files, "validate", "--datum", "{datum}")
     assert {m for m in modules if m.startswith("bbsuper")} == {
-        "bbsuper", "bbsuper.cli", "bbsuper.datum", "bbsuper.errors",
+        "bbsuper", "bbsuper.cli", "bbsuper.datum",
     }
     assert not modules & FRACTIONS
 
@@ -270,8 +270,8 @@ def test_every_definition_is_used_in_the_package():
 
 
 def test_one_exception_class():
-    # every refusal is a ValueError; only the height cap, which exits 3
-    # instead of 1, has a type of its own
+    # every refusal is a ValueError, and the CLI checks the resource caps
+    # itself before any engine runs, so no exception crosses a module
     bases = {}
     for path in Path(bbsuper.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -286,7 +286,7 @@ def test_one_exception_class():
         return isinstance(kind, type) and issubclass(kind, BaseException)
 
     found = [key for key, names in bases.items() if any(map(is_exception, names))]
-    assert found == [("errors", "Unreachable")]
+    assert found == []
 
 
 def test_only_the_cli_reads_the_environment():
