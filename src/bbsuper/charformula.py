@@ -81,6 +81,8 @@ def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> dict:
     one entry per group element w whose defect, the nonnegative integer
     root vector with w(mu) = mu - defect, stays within the height bound."""
     real = datum.real_indices
+    if len(start) != len(real):
+        raise ValueError(f"start has length {len(start)}, need {len(real)}, one per real index")
     first = (0,) * datum.rank
     seen = {first: 1}
     queue = deque([(first, start)])

@@ -6,10 +6,11 @@ are reproducible byte for byte.  Exit codes:
 0 success, 1 bad input or a failed write to stdout, 2 comparison
 mismatch, 3 resource cap hit.  Bad input is any ValueError, from this
 module or an engine, and prints one `error: ...` line.  _over_cap holds
-every resource rule, the oracle's height cap and the window budget; main
-asks it once the inputs load and before the handler imports an engine,
-so a run over a cap prints one `resource cap: ...` line before any work
-starts.  The engines take only values and raise only ValueError.
+every resource rule, the oracle's height cap, the window budget and the
+time budget; main asks it once the inputs load and before the handler
+imports an engine, so a run over a cap prints one `resource cap: ...`
+line before any work starts.  The engines take only values and raise
+only ValueError.
 
 The subcommand comes first; each option is `--opt value` or
 `--opt=value`, in full, and the last one wins.  _COMMANDS says which
@@ -61,6 +62,9 @@ DEFAULT_ORACLE_CAP = 6
 # window cells times rank that a run may span: the A_1100 chain runs at
 # height 1 (1,211,100) and is refused at height 2 (667,316,100)
 MAX_WINDOW_WORK = 10**7
+# window cells times height: r4 runs at height 60 (38,122,560) and a rank-1
+# datum at height 6324, well before its multiplicities pass int's digit limit
+MAX_WINDOW_TIME = 4 * 10**7
 
 
 def _load(path, parse, *context, parse_int=None):
@@ -326,7 +330,8 @@ def _over_cap(command, rank, height):
     oracle and compare first meet the oracle's height cap, BBSUPER_CAP or
     DEFAULT_ORACLE_CAP; then every subcommand that takes --height meets
     the window budget, C(height + rank, rank) cells times rank at most
-    MAX_WINDOW_WORK."""
+    MAX_WINDOW_WORK, and the time budget, those cells times height at
+    most MAX_WINDOW_TIME."""
     if command in ("oracle", "compare"):
         raw = os.environ.get("BBSUPER_CAP")
         try:
@@ -342,9 +347,13 @@ def _over_cap(command, rank, height):
         return None
     # a height past the budget is over it at any rank, so the count need not
     # grow with the height's digits, and the line does not show it
-    if comb(min(height, MAX_WINDOW_WORK) + rank, rank) * rank > MAX_WINDOW_WORK:
+    cells = comb(min(height, MAX_WINDOW_WORK) + rank, rank)
+    if cells * rank > MAX_WINDOW_WORK:
         return (f"height {_echo(height)} at rank {rank} spans more window cells times rank"
                 f" than the window budget {MAX_WINDOW_WORK}")
+    if cells * height > MAX_WINDOW_TIME:
+        return (f"height {height} at rank {rank} spans more window cells times height"
+                f" than the time budget {MAX_WINDOW_TIME}")
     return None
 
 

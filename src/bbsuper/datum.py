@@ -48,13 +48,6 @@ def _read_int(text) -> int:
     return int(text)
 
 
-def _fraction(v):
-    from fractions import Fraction
-
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
 def _rational(x, block, k):
     """Entry k (counted from one) of weight block `block` as Weight keeps
     it.  A string is read as Fraction reads it, through int() when it has
@@ -93,8 +86,10 @@ def _rational(x, block, k):
         if isinf(x):
             raise ValueError(f"infinite value {where}")
         x = repr(x)
+    from fractions import Fraction
+
     try:
-        v = _fraction(x)
+        v = Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator {where}") from None
     except (TypeError, ValueError):  # null, a list or an object, text
@@ -103,7 +98,7 @@ def _rational(x, block, k):
         str(v)  # as weight_to_json writes it
     except ValueError:
         raise ValueError(too_long) from None
-    return v
+    return v.numerator if v.denominator == 1 else v
 
 
 def _integer(x, what) -> int:
@@ -283,11 +278,10 @@ class OddCartanDatum(_Value):
     # ---- pairings ----
 
     def pair(self, i: int, w: Weight):
-        """Evaluate the coroot h_i on a weight, as an int or a Fraction."""
-        acc = w.fundamental_part[i]
-        for j in range(self.rank):
-            acc += self.a[i][j] * w.root_part[j]
-        return acc
+        """Evaluate the coroot h_i on a weight of the rank's length, as an int or a Fraction."""
+        if len(w.root_part) != self.rank:
+            raise ValueError(f"weight has length {len(w.root_part)}, need the rank {self.rank}")
+        return w.fundamental_part[i] + self.pair_root(i, w.root_part)
 
     def pair_root(self, i: int, beta) -> int:
         """Evaluate h_i on a root-lattice vector."""

@@ -50,12 +50,13 @@ class RootTable:
 
 def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=None) -> RootTable:
     """Solve every multiplicity below the bound from L = D(N_0) / N_0.
-    numerator is N_0 at the same bound, when the caller has it."""
+    numerator is N_0 at the same bound and rank, when the caller has it."""
     if numerator is None:
         numerator = numerator_series(datum, datum.zero_weight(), height_bound)
     if numerator.height_bound != height_bound:
         raise ValueError(f"numerator has height bound {numerator.height_bound},"
                          f" need {height_bound}")
+    numerator._check_compatible(CharSeries(height_bound, datum.rank))
     log = numerator.derivative().divide(numerator)
     # unexplained[h] holds what the roots found below height h leave of L there
     unexplained = [defaultdict(int) for _ in range(height_bound + 1)]

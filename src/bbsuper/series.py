@@ -220,6 +220,8 @@ def product_holds(a, b, c) -> bool:
     True on every exact product, and on any other False except with
     probability at most H/p over the point.  The product is formed only
     when the size bound max|a| + max|b| sum|c| reaches every prime."""
+    a._check_compatible(b)
+    a._check_compatible(c)
     sizes = [list(map(abs, s.terms.values())) or [0] for s in (a, b, c)]
     size = max(sizes[0]) + max(sizes[1]) * sum(sizes[2])
     p = next((p for p in _PRIMES if p > size), None)

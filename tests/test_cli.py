@@ -327,6 +327,50 @@ def test_huge_height_gives_one_cap_line(tmp_path, capsys, monkeypatch, command, 
     )
 
 
+@pytest.mark.parametrize(
+    "a, height, rank",
+    [
+        # C(65, 4) * 61 = 41,299,440 window cells times height
+        pytest.param([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], 61, 4,
+                     id="r4"),
+        # 6326 * 6325 = 40,011,950, long before the multiplicities of
+        # free pass int's digit limit near height 14300
+        pytest.param([[-2]], 6325, 1, id="free"),
+    ],
+)
+@pytest.mark.parametrize("command", ["roots", "char", "denom-check"])
+def test_time_budget_checked_before_any_work(tmp_path, capsys, monkeypatch, command, a, height,
+                                             rank):
+    import bbsuper.charformula as charformula
+
+    def never(*args, **kwargs):
+        raise AssertionError("called over the budget")
+
+    monkeypatch.setattr(charformula, "enumerate_supports", never)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "d.json", {"A": a})
+    write_json(tmp_path / "zero.json", {})
+    argv = [command, "--datum", "d.json", "--height", str(height)]
+    code, out, err = run(capsys, argv + (["--lambda", "zero.json"] if command == "char" else []))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource cap: height {height} at rank {rank} spans more window cells times height"
+        " than the time budget 40000000\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["roots", "char", "denom-check", "oracle", "compare"])
+def test_time_budget_lets_the_last_height_run(monkeypatch, command):
+    from bbsuper.cli import _over_cap
+
+    # above both heights, so that the oracle meets the same budgets
+    monkeypatch.setenv("BBSUPER_CAP", "6400")
+    # r4 spans 38,122,560 window cells times height at 60, free 39,999,300 at 6324
+    assert _over_cap(command, 4, 60) is None
+    assert _over_cap(command, 1, 6324) is None
+    assert _over_cap(command, 4, 61) and _over_cap(command, 1, 6325)
+
+
 def test_oracle_cap_env_override(tmp_path, capsys, sl2_files, monkeypatch):
     datum, lam = sl2_files
     # surrounding spaces are allowed

@@ -1,5 +1,6 @@
 """Value semantics of the record types: field-wise equality and hash,
-read-only fields, validation on construction."""
+read-only fields, validation on construction, and the engines' refusal
+of an operand whose shape does not fit its datum or its other operands."""
 import copy
 import pickle
 import time
@@ -7,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from bbsuper.charformula import CharacterResult
+from bbsuper.charformula import (CharacterResult, irreducible_character, numerator_series,
+                                 orbit_frontier)
 from bbsuper.datum import OddCartanDatum, Weight
-from bbsuper.roots import RootEntry
-from bbsuper.series import CharSeries
+from bbsuper.roots import RootEntry, solve_multiplicities
+from bbsuper.series import CharSeries, product_holds
+from bbsuper.verma_oracle import irreducible_dims
 
 
 def test_weight_is_a_value():
@@ -117,7 +120,6 @@ def test_records_compare_by_field():
     )
 
 
-
 def test_series_repr_and_equality():
     # the repr lists the first six terms in graded order, then "..."
     assert repr(CharSeries.one(2, 1)) == "CharSeries(H=2, 1*q^(0,))"
@@ -129,3 +131,42 @@ def test_series_repr_and_equality():
     # a series equals no other type, not even the dict of its terms
     assert CharSeries.one(1, 1) != {(0,): 1}
     assert CharSeries.one(1, 1) == CharSeries(1, 1, {(0,): 1})
+
+
+# ---- operands of another shape ----
+
+R2 = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
+R3 = OddCartanDatum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
+A2 = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
+WEIGHTS = {"short": Weight((1,), (0,), (0,)), "long": Weight((1, 0, 0), (0, 0, 0), (0, 0, 0))}
+N0_R3 = numerator_series(R3, R3.zero_weight(), 3)
+
+
+# each case, where its rule was not checked, raised IndexError, returned
+# True or gave a result cut to the shorter operand
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *(pytest.param(lambda f=f, lam=lam: f(R2, lam, 3),
+                       f"weight has length {len(lam.root_part)}, need the rank 2",
+                       id=f"{f.__name__}-{kind}")
+          for f in (irreducible_character, numerator_series, irreducible_dims)
+          for kind, lam in WEIGHTS.items()),
+        pytest.param(lambda: product_holds(CharSeries.one(2, 1), CharSeries.one(2, 1),
+                                           CharSeries(3, 1, {(0,): 1, (3,): 1})),
+                     "height bounds differ: 2 vs 3", id="product_holds-bound"),
+        pytest.param(lambda: product_holds(CharSeries.one(2, 2), CharSeries.one(2, 2),
+                                           CharSeries.one(2, 1)),
+                     "series ranks differ", id="product_holds-rank"),
+        pytest.param(lambda: solve_multiplicities(R2, 3, N0_R3), "series ranks differ",
+                     id="solve_multiplicities-rank"),
+        pytest.param(lambda: orbit_frontier(A2, (1,), 10),
+                     "start has length 1, need 2, one per real index", id="orbit_frontier-short"),
+        pytest.param(lambda: orbit_frontier(A2, (1, 1, 1), 10),
+                     "start has length 3, need 2, one per real index", id="orbit_frontier-long"),
+    ],
+)
+def test_operand_of_another_shape_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
