@@ -54,6 +54,8 @@ def enumerate_supports(datum, lam, budget) -> dict:
     the support's weight in root coordinates and sign the product of its
     per-index factors; the empty support comes first.  A zero factor ends
     its branch, since the sign of every extension contains it."""
+    if budget < 0:
+        raise ValueError(f"height bound {budget} is negative")
     elig = eligible_indices(datum, lam)
     # factors[k][n]: the factor of level n at elig[k]
     factors = [_euler_table(budget, 2 if datum.is_odd(i) else 1) if datum.is_isotropic(i)

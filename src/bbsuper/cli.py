@@ -67,6 +67,17 @@ MAX_WINDOW_WORK = 10**7
 MAX_WINDOW_TIME = 4 * 10**7
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, or ValueError when a key is given twice,
+    where json.loads would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {_echo(key)} given twice")
+        out[key] = value
+    return out
+
+
 def _load(path, parse, *context, parse_int=None):
     """parse(*context, the JSON document at path, its integer literals read
     by parse_int, int by default), or a ValueError that names path when the
@@ -77,13 +88,14 @@ def _load(path, parse, *context, parse_int=None):
     name = _echo(path, str, 120)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(*context, json.loads(fh.read(), parse_int=parse_int))
+            return parse(*context, json.loads(fh.read(), parse_int=parse_int,
+                                              object_pairs_hook=_unique_keys))
     except OSError as exc:
         raise ValueError(f"{name}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     # not UTF-8, an integer over int's digit limit, arrays nested past the
-    # recursion limit, or a document that parse refuses
+    # recursion limit, a key given twice, or a document that parse refuses
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
@@ -220,8 +232,9 @@ def _cmd_compare(datum, lam, height):
     from .charformula import irreducible_character
     from .verma_oracle import irreducible_dims
 
-    dims = irreducible_dims(datum, lam, height)
+    # the formula side first, so a weight it refuses costs no oracle window
     series = irreducible_character(datum, lam, height).series
+    dims = irreducible_dims(datum, lam, height)
     columns = ("mu_offset", "formula", "oracle")
     rows = []
     for beta, dim in dims.items():

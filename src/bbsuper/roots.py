@@ -28,8 +28,7 @@ from .datum import OddCartanDatum, graded_key
 from .series import CharSeries, product_holds
 
 
-class RootEntry(namedtuple("RootEntry", "mult parity is_real")):
-    __slots__ = ()
+RootEntry = namedtuple("RootEntry", "mult parity is_real")
 
 
 class RootTable:
@@ -53,9 +52,6 @@ def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=Non
     numerator is N_0 at the same bound and rank, when the caller has it."""
     if numerator is None:
         numerator = numerator_series(datum, datum.zero_weight(), height_bound)
-    if numerator.height_bound != height_bound:
-        raise ValueError(f"numerator has height bound {numerator.height_bound},"
-                         f" need {height_bound}")
     numerator._check_compatible(CharSeries(height_bound, datum.rank))
     log = numerator.derivative().divide(numerator)
     # unexplained[h] holds what the roots found below height h leave of L there

@@ -48,6 +48,8 @@ class CharSeries:
     __slots__ = ("height_bound", "rank", "terms")
 
     def __init__(self, height_bound, rank, terms=None):
+        if height_bound < 0:
+            raise ValueError(f"height bound {height_bound} is negative")
         self.height_bound = height_bound
         self.rank = rank
         self.terms = {}

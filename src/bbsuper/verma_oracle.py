@@ -54,9 +54,11 @@ def _h_parts(datum, pairings, i, gamma):
     return (p.numerator - shift * p.denominator,), p.denominator
 
 
-def _propagate(datum, lam, cells) -> dict:
-    """dim L(lam) at every cell, or the generic (Verma) dimension for lam
-    None; cells must be closed under lowering and listed in graded order.
+def irreducible_dims(datum: OddCartanDatum, lam: Weight | None, height_bound: int) -> dict:
+    """{offset: dim L(lam)} over weight_window, in window order; lam None
+    gives the generic weight, whose L is the Verma module.  The window is
+    closed under lowering and graded, so the cells below beta are done
+    when beta is reached.
 
     basis[beta] lists the first independent candidates, integer multiples
     of f_{il} b, each stored as its row of e-images: key (j, k, part, c)
@@ -71,7 +73,7 @@ def _propagate(datum, lam, cells) -> dict:
     pairings = None if lam is None else [datum.pair(i, lam) for i in range(datum.rank)]
     basis = {}
     f_mat = {}
-    for beta in cells:
+    for beta in weight_window(datum.rank, height_bound):
         if not any(beta):
             basis[beta] = [{}]
             continue
@@ -105,12 +107,6 @@ def _propagate(datum, lam, cells) -> dict:
         for (num, den), (images, scale) in zip(coords, slots):
             images.append((num, den * scale))
     return {beta: len(vecs) for beta, vecs in basis.items()}
-
-
-def irreducible_dims(datum: OddCartanDatum, lam: Weight | None, height_bound: int) -> dict:
-    """{offset: dim L(lam)} over weight_window, in window order; lam None
-    gives the generic weight, whose L is the Verma module."""
-    return _propagate(datum, lam, weight_window(datum.rank, height_bound))
 
 
 def weight_window(rank: int, height_bound: int):

@@ -17,7 +17,8 @@ compiles only what its subcommands use.
   a time.
 - supports_by_brute_force, the supports and their signs from every level
   vector on the eligible indices, with the signs counted by
-  signed_distinct_partition_sum and signed_partition_sum.
+  signed_distinct_partition_sum and signed_partition_sum, beside the
+  plain counts count_partitions and count_distinct_partitions.
 - character_structure_faults, W-invariance and the Verma bounds of a
   character series, necessary conditions that reach past the oracle.
 - row_basis_fraction, the elimination that the package's fraction-free
@@ -385,6 +386,24 @@ def signed_distinct_partition_sum(n, largest=None):
 
 
 @cache
+def count_partitions(n, largest=None):
+    """The number of partitions of n into parts at most largest."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        return 1
+    return sum(count_partitions(n - k, k) for k in range(1, min(n, largest) + 1))
+
+
+def count_distinct_partitions(n, largest=None):
+    """The number of partitions of n into distinct parts at most largest."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        return 1
+    return sum(count_distinct_partitions(n - k, k - 1) for k in range(1, min(n, largest) + 1))
+
+
 def signed_partition_sum(n, largest=None):
     """Sum of (-1)^(number of parts) over all partitions of n, expanding
     prod (1 + q^l)^(-1) term by term."""

@@ -15,6 +15,8 @@ from bbsuper.verma_oracle import irreducible_dims
 from reference import (
     casimir_shift,
     character_structure_faults,
+    count_distinct_partitions,
+    count_partitions,
     pair_with_cell,
     roots_to_json,
     s_lambda_series,
@@ -32,27 +34,6 @@ def report(number, name, problems):
 def check(problems, condition, label):
     if not condition:
         problems.append(label)
-
-
-# independent combinatorial references
-
-
-def count_partitions(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    return sum(count_partitions(n - k, min(k, n - k)) for k in range(1, min(n, largest) + 1))
-
-
-def count_distinct_partitions(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    return sum(
-        count_distinct_partitions(n - k, min(k - 1, n - k)) for k in range(1, min(n, largest) + 1)
-    )
 
 
 def test_criterion_1_sl2_family():

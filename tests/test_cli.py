@@ -491,6 +491,42 @@ def test_non_dominant_weight_is_one_line_error(tmp_path, capsys, command, value)
     )
 
 
+def test_compare_refuses_a_non_dominant_weight_before_the_oracle(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the formula side runs first, so the oracle never spends its window
+    def oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr("bbsuper.verma_oracle.irreducible_dims", oracle)
+    datum = write_json(tmp_path / "r2.json", {"A": [[2, -1], [-1, 0]], "odd": [2]})
+    lam = write_json(tmp_path / "lam.json", {"Lambda": {"1": "-1"}})
+    argv = ["compare", "--datum", datum, "--lambda", lam, "--height", "4"]
+    assert run(capsys, argv) == (
+        1, "", "error: orbit expansion needs a dominant integral weight\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "datum_text, lam_text, refused, key",
+    [
+        # json.loads keeps the last value: this validated as r2
+        ('{"A": [[3]], "A": [[2, -1], [-1, 0]], "odd": [2]}', '{}', "datum.json", "A"),
+        # and this ran as 2 Lambda_1
+        ('{"A": [[2, -1], [-1, 0]], "odd": [2]}', '{"Lambda": {"1": "1", "1": "2"}}',
+         "lam.json", "1"),
+    ],
+    ids=["datum", "weight"],
+)
+def test_repeated_json_key_is_refused(tmp_path, capsys, datum_text, lam_text, refused, key):
+    (tmp_path / "datum.json").write_text(datum_text)
+    (tmp_path / "lam.json").write_text(lam_text)
+    argv = ["char", "--datum", str(tmp_path / "datum.json"),
+            "--lambda", str(tmp_path / "lam.json"), "--height", "2"]
+    assert run(capsys, argv) == (
+        1, "", f"error: {tmp_path / refused}: key {key!r} given twice\n"
+    )
+
+
 def test_compare_match(tmp_path, capsys, sl2_files):
     datum, lam = sl2_files
     code, out, _ = run(

@@ -308,15 +308,15 @@ def test_zero_level_break_fails_compare(capsys, monkeypatch, tmp_path):
 
 
 def test_even_commutation_sign_fails_compare(capsys, monkeypatch, tmp_path):
-    # _propagate commutes e_{jk} past f_{il} with the sign -1 when i and j
-    # are both odd; it reads the parity nowhere else, so running it on the
-    # datum with no odd index is the oracle that ignores that sign
-    propagate = verma_oracle._propagate
+    # irreducible_dims commutes e_{jk} past f_{il} with the sign -1 when i
+    # and j are both odd; it reads the parity nowhere else, so running it on
+    # the datum with no odd index is the oracle that ignores that sign
+    dims = verma_oracle.irreducible_dims
 
-    def propagate_even(datum, lam, cells):
-        return propagate(OddCartanDatum(datum.a, datum.d), lam, cells)
+    def dims_even(datum, lam, height_bound):
+        return dims(OddCartanDatum(datum.a, datum.d), lam, height_bound)
 
-    monkeypatch.setattr(verma_oracle, "_propagate", propagate_even)
+    monkeypatch.setattr(verma_oracle, "irreducible_dims", dims_even)
     for name, datum, lam in (("r2", R2, LAMBDA_1), ("r3", R3, LAMBDA_1), ("r4", R4, R4_LAMBDA)):
         datum_path, lam_path = write_pair(tmp_path, name, datum, lam)
         argv = ["--datum", datum_path, "--height", "3"]

@@ -243,18 +243,6 @@ def test_negative_multiplicity_aborts():
         solve_from(d, numerator)
 
 
-@pytest.mark.parametrize("height", [6, 10])
-def test_numerator_of_another_height_is_refused(height):
-    # r4's N_0 at height 8 is refused at a bound below it, whose layers it
-    # overruns, and above it, where its missing layers read as zero
-    a = [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]]
-    d = OddCartanDatum(a, [1] * 4, odd=[2])
-    numerator = numerator_series(d, d.zero_weight(), 8)
-    message = f"numerator has height bound 8, need {height}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        solve_multiplicities(d, height, numerator)
-
-
 def test_non_integral_multiplicity_aborts(monkeypatch):
     # an integer numerator gives an integral L, so L itself is replaced:
     # nothing below gamma explains L_gamma, which ht(gamma) does not divide

@@ -8,18 +8,10 @@ from bbsuper.datum import OddCartanDatum
 from bbsuper.roots import denominator_R
 from bbsuper.series import CharSeries
 
-from reference import binomial_factor, series_product, series_to_json
+from reference import binomial_factor, count_partitions, series_product, series_to_json
 
 
 # ---- independent oracles ----
-
-
-def count_partitions(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    return sum(count_partitions(n - k, k) for k in range(1, min(n, largest) + 1))
 
 
 def random_series(rng, bound, rank, nterms, unit=False):

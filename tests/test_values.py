@@ -11,7 +11,7 @@ import pytest
 from bbsuper.charformula import (CharacterResult, irreducible_character, numerator_series,
                                  orbit_frontier)
 from bbsuper.datum import OddCartanDatum, Weight
-from bbsuper.roots import RootEntry, solve_multiplicities
+from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries, product_holds
 from bbsuper.verma_oracle import irreducible_dims
 
@@ -139,6 +139,8 @@ R2 = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
 R3 = OddCartanDatum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
 A2 = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
 WEIGHTS = {"short": Weight((1,), (0,), (0,)), "long": Weight((1, 0, 0), (0, 0, 0), (0, 0, 0))}
+R4 = OddCartanDatum([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]],
+                    [1] * 4, odd=[2])
 N0_R3 = numerator_series(R3, R3.zero_weight(), 3)
 
 
@@ -160,6 +162,12 @@ N0_R3 = numerator_series(R3, R3.zero_weight(), 3)
                      "series ranks differ", id="product_holds-rank"),
         pytest.param(lambda: solve_multiplicities(R2, 3, N0_R3), "series ranks differ",
                      id="solve_multiplicities-rank"),
+        # r4's N_0 at height 8 is refused at a bound below it, whose layers
+        # it overruns, and above it, where its missing layers read as zero
+        *(pytest.param(lambda h=h: solve_multiplicities(R4, h, numerator_series(
+                           R4, R4.zero_weight(), 8)),
+                       f"height bounds differ: 8 vs {h}", id=f"solve_multiplicities-bound-{h}")
+          for h in (6, 10)),
         pytest.param(lambda: orbit_frontier(A2, (1,), 10),
                      "start has length 1, need 2, one per real index", id="orbit_frontier-short"),
         pytest.param(lambda: orbit_frontier(A2, (1, 1, 1), 10),
@@ -170,3 +178,23 @@ def test_operand_of_another_shape_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# each call, before the bound was checked, raised IndexError or
+# ZeroDivisionError or built an empty series; R2's zero weight has an
+# eligible isotropic index, so its supports read a table of sign factors
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: irreducible_character(R2, R2.zero_weight(), -1),
+                     id="irreducible_character"),
+        pytest.param(lambda: numerator_series(R2, R2.zero_weight(), -1), id="numerator_series"),
+        pytest.param(lambda: solve_multiplicities(R2, -1), id="solve_multiplicities"),
+        pytest.param(lambda: denominator_R(R2, RootTable(2, {}), -1), id="denominator_R"),
+        pytest.param(lambda: CharSeries(-1, 2), id="CharSeries"),
+    ],
+)
+def test_negative_height_bound_is_refused(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "height bound -1 is negative"

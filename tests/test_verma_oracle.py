@@ -17,6 +17,8 @@ from reference import (
     BadGeneratorIndex,
     FMonomial,
     WordCapExceeded,
+    count_distinct_partitions,
+    count_partitions,
     enumerate_f_monomials,
     gram_matrix,
     lower_with_e,
@@ -28,27 +30,6 @@ from reference import (
 )
 
 WIDE = 12
-
-
-# ---- reference counts ----
-
-
-def count_partitions(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    return sum(count_partitions(n - k, min(k, n - k)) for k in range(1, min(n, largest) + 1))
-
-
-def count_distinct_partitions(n, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        return 1
-    return sum(
-        count_distinct_partitions(n - k, min(k - 1, n - k)) for k in range(1, min(n, largest) + 1)
-    )
 
 
 def sl2():
