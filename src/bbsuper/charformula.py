@@ -131,17 +131,14 @@ def numerator_series(datum, lam, height_bound) -> CharSeries:
     return series
 
 
-class CharacterResult(namedtuple(
-    "CharacterResult", "series highest_weight orbit_size support_terms residual_terms"
-)):
-    """Character series below the highest weight plus run diagnostics:
-    the coefficient at beta is the dimension at highest_weight - beta."""
-
-    __slots__ = ()
+CharacterResult = namedtuple("CharacterResult",
+                             "series highest_weight orbit_size support_terms residual_terms")
 
 
 def irreducible_character(datum, lam, height_bound) -> CharacterResult:
-    """Divide the alternating numerator N_lambda by N_0.
+    """Divide the alternating numerator N_lambda by N_0: the character
+    series below the highest weight, whose coefficient at beta is the
+    dimension at highest_weight - beta, plus run diagnostics.
 
     The residual diagnostic counts exponents where N_lambda and the
     character times N_0 disagree, which is zero whenever the arithmetic

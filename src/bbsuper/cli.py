@@ -21,13 +21,11 @@ and BBSUPER_CAP, each integer through datum._read_int; main loads the
 inputs and prints what the handler returns.
 
 Each handler builds its document's rows once, one tuple per JSON object
-with the cells in the order of its keys, and both formats read them:
-_format lines them up as a table, or writes the document with json.dumps
-and puts them where the document holds the _ROWS marker.  _json_rows
-writes them there through one % template per list, since json.dumps with
-an indent runs the pure-Python encoder, which takes several times as
-long on a list of some hundreds of rows.  The engines return data only;
-this module is the one that formats output.
+with the cells in the order of its columns, and both formats read them:
+_format lines them up as a table, or writes each through one % template,
+the text that json.dumps gives the first row: with an indent, json.dumps
+runs the pure-Python encoder, several times slower on hundreds of rows.
+The engines return data only; this module is the one that formats output.
 
 Each call is one short process, so start-up counts: options are read
 from a table (argparse loads gettext and locale too), and each
@@ -48,6 +46,7 @@ import json
 import os
 import sys
 from math import comb
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .datum import _echo, _read_int, datum_from_json, weight_from_json, weight_to_json
@@ -100,54 +99,47 @@ def _load(path, parse, *context, parse_int=None):
         raise ValueError(f"{name}: {exc}") from None
 
 
-# The place of a handler's row list in its document.  json.dumps writes
-# it as "\u0000", which no other string in a document can be: each other
-# one is a fixed key, an index or a number written by str().
-_ROWS = "\0"
-
-
-def _json_rows(columns, rows, indent):
-    """rows as the JSON list that json.dumps writes at indent, of objects
-    keyed by columns, through one % template.  A row lists its cells in
-    the order of their keys, sorted: one is a nonempty tuple of ints, and
-    each other an int or a str that JSON needs no escape for, of the type
-    that the first row has there."""
-    if not rows:
-        return "[]"
-    inner, field, cell = indent + "  ", indent + "    ", indent + "      "
-    values = []
-    for k, x in enumerate(rows[0]):
-        if type(x) is tuple:
-            ints, j = f",\n{cell}".join(["%d"] * len(x)), k
-            values.append(f"[\n{cell}{ints}\n{field}]")
-        else:
-            values.append('"%s"' if type(x) is str else "%d")
-    fields = ",\n".join([f"{field}{json.dumps(k)}: {v}" for k, v in zip(sorted(columns), values)])
-    template = f"{{\n{fields}\n{inner}}}"
-    body = f",\n{inner}".join([template % (r[:j] + r[j] + r[j + 1:]) for r in rows])
-    return f"[\n{inner}{body}\n{indent}]"
+# Where a document holds its rows: json.dumps cannot encode it and asks _format's default
+_ROWS = object()
 
 
 def _format(doc, fmt, columns, rows) -> str:
     """doc as JSON, with rows at its _ROWS marker if it has one, or as a
-    table of the given columns over rows, tuples that list their cells in
-    the order of the sorted columns: a str cell shows as it is, any other
-    as json.dumps."""
-    if fmt == "json":
-        head, marker, tail = json.dumps(doc, indent=2, sort_keys=True).partition(json.dumps(_ROWS))
-        if not marker:
-            return head
-        line = head[head.rfind("\n") + 1:]
-        return head + _json_rows(columns, rows, line[:len(line) - len(line.lstrip())]) + tail
-    order = [sorted(columns).index(c) for c in columns]
-    rendered = [[c if type(c) is str else json.dumps(c) for c in map(row.__getitem__, order)]
-                for row in rows]
-    widths = [len(h) for h in columns]
-    for row in rendered:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    lines = [columns, ["-" * w for w in widths], *rendered]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
-                     for line in lines)
+    table of the given columns over rows: a str cell shows as it is, any
+    other as json.dumps.  A row lists its cells in the order of columns:
+    one a nonempty tuple of ints, each other an int or a str that JSON
+    needs no escape for, of its type in the first row.  That row, written
+    with "\\0" for each int and "\\1" for each str, is the % template."""
+    if fmt == "table":
+        rendered = [[c if type(c) is str else json.dumps(c) for c in row] for row in rows]
+        widths = [len(h) for h in columns]
+        for row in rendered:
+            widths = [max(w, len(c)) for w, c in zip(widths, row)]
+        lines = [columns, ["-" * w for w in widths], *rendered]
+        return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                         for line in lines)
+
+    def rows_at(value):
+        if value is not _ROWS:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return [{k: ("\0",) * len(c) if type(c) is tuple else "\1" if type(c) is str else "\0"
+                 for k, c in zip(columns, rows[0])}] if rows else []
+
+    text = json.dumps(doc, indent=2, sort_keys=True, default=rows_at)
+    first = text.find('"\\u000')
+    if first < 0:
+        return text
+    start = text.rfind("{", 0, first)
+    end = text.find("}", text.rfind('"\\u000')) + 1
+    template = text[start:end].replace('"\\u0000"', "%d").replace("\\u0001", "%s")
+    sort = itemgetter(*map(columns.index, sorted(columns)))
+    j = [type(c) for c in sort(rows[0])].index(tuple)
+    sep = "," + text[text.rfind("\n", 0, start):start]
+    body = [template % (r[:j] + r[j] + r[j + 1:]) for r in map(sort, rows)]
+    # the text around the rows joins the end rows, so the rows are copied once
+    body[0] = text[:start] + body[0]
+    body[-1] += text[end:]
+    return sep.join(body)
 
 
 def _one_based(indices):
@@ -171,9 +163,8 @@ _ROOT_COLUMNS = ("root", "mult", "parity", "class")
 
 
 def _root_rows(table):
-    """The rows of roots and denom-check, one per root in graded order:
-    class, mult, parity and root."""
-    return [("real" if e.is_real else "imaginary", e.mult, "odd" if e.parity else "even", beta)
+    """The rows of roots and denom-check, one per root in graded order."""
+    return [(beta, e.mult, "odd" if e.parity else "even", "real" if e.is_real else "imaginary")
             for beta, e in table.items_sorted()]
 
 
@@ -190,7 +181,7 @@ def _cmd_char(datum, lam, height):
     result = irreducible_character(datum, lam, height)
     columns = ("exp", "coef")
     # the document writes each coefficient as a string
-    rows = [(str(c), e) for e, c in result.series.items_sorted()]
+    rows = [(e, str(c)) for e, c in result.series.items_sorted()]
     doc = {
         "character": {
             "base": weight_to_json(result.highest_weight),
@@ -224,7 +215,7 @@ def _cmd_oracle(datum, lam, height):
     from .verma_oracle import irreducible_dims
 
     columns = ("mu_offset", "dim")
-    rows = [(dim, beta) for beta, dim in irreducible_dims(datum, lam, height).items()]
+    rows = list(irreducible_dims(datum, lam, height).items())
     return _ROWS, columns, rows
 
 
@@ -240,7 +231,7 @@ def _cmd_compare(datum, lam, height):
     for beta, dim in dims.items():
         formula = series.coefficient(beta)
         if formula != dim:
-            rows.append((formula, beta, dim))
+            rows.append((beta, formula, dim))
     doc = {
         "height": height,
         "cells": len(dims),

@@ -114,6 +114,8 @@ def weight_window(rank: int, height_bound: int):
     offset of height h is fixed by its rank - 1 partial sums, a
     nondecreasing run in 0..h (stars and bars), and runs in lex order give
     offsets in lex order."""
+    if height_bound < 0:
+        raise ValueError(f"height bound {height_bound} is negative")
     window = []
     for h in range(height_bound + 1):
         for sums in combinations_with_replacement(range(h + 1), rank - 1):

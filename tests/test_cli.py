@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bbsuper.charformula import irreducible_character
-from bbsuper.cli import main
+from bbsuper.cli import _ROWS, _format, main
 from bbsuper.datum import OddCartanDatum, Weight, weight_to_json
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
@@ -554,6 +554,34 @@ def test_compare_mismatch_exit(tmp_path, capsys, sl2_files, monkeypatch):
     doc = json.loads(out)
     assert doc["matches"] is False
     assert doc["differences"][0] == {"mu_offset": [0], "formula": 1, "oracle": 0}
+
+
+def test_compare_mismatch_table(tmp_path, capsys, monkeypatch):
+    # each difference shows its formula and oracle cells under their own
+    # headers, which a swap of the two would not
+    import bbsuper.verma_oracle as oracle
+
+    def zeros(datum, lam, height):
+        return dict.fromkeys(oracle.weight_window(datum.rank, height), 0)
+
+    monkeypatch.setattr(oracle, "irreducible_dims", zeros)
+    datum = write_json(tmp_path / "r2.json", R2)
+    lam = write_json(tmp_path / "lam.json", {"Lambda": {"1": "1"}})
+    code, out, err = run(capsys, ["compare", "--datum", datum, "--lambda", lam,
+                                  "--height", "2", "--format", "table"])
+    assert (code, out, err) == (2, """\
+mu_offset  formula  oracle
+---------  -------  ------
+[0, 0]     1        0
+[1, 0]     1        0
+[1, 1]     1        0
+""", "")
+
+
+def test_format_refuses_a_value_json_cannot_encode():
+    # only the _ROWS marker is written by _format's default
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        _format({"height": Fraction(1, 2), "rows": _ROWS}, "json", ("n",), [(1,)])
 
 
 def test_jobs_do_not_change_output(tmp_path, capsys, sl2_files):

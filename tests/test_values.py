@@ -13,7 +13,7 @@ from bbsuper.charformula import (CharacterResult, irreducible_character, numerat
 from bbsuper.datum import OddCartanDatum, Weight
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries, product_holds
-from bbsuper.verma_oracle import irreducible_dims
+from bbsuper.verma_oracle import irreducible_dims, weight_window
 
 
 def test_weight_is_a_value():
@@ -181,7 +181,7 @@ def test_operand_of_another_shape_is_refused(call, message):
 
 
 # each call, before the bound was checked, raised IndexError or
-# ZeroDivisionError or built an empty series; R2's zero weight has an
+# ZeroDivisionError or built an empty series or window; R2's zero weight has an
 # eligible isotropic index, so its supports read a table of sign factors
 @pytest.mark.parametrize(
     "call",
@@ -192,6 +192,9 @@ def test_operand_of_another_shape_is_refused(call, message):
         pytest.param(lambda: solve_multiplicities(R2, -1), id="solve_multiplicities"),
         pytest.param(lambda: denominator_R(R2, RootTable(2, {}), -1), id="denominator_R"),
         pytest.param(lambda: CharSeries(-1, 2), id="CharSeries"),
+        pytest.param(lambda: weight_window(2, -1), id="weight_window"),
+        pytest.param(lambda: irreducible_dims(R2, R2.zero_weight(), -1), id="irreducible_dims"),
+        pytest.param(lambda: irreducible_dims(R2, None, -1), id="irreducible_dims-generic"),
     ],
 )
 def test_negative_height_bound_is_refused(call):
