@@ -85,6 +85,8 @@ def orbit_frontier(datum: OddCartanDatum, start, height_bound: int) -> dict:
     real = datum.real_indices
     if len(start) != len(real):
         raise ValueError(f"start has length {len(start)}, need {len(real)}, one per real index")
+    if min(start, default=1) < 1:
+        raise ValueError(f"start pairing {min(start)} is below 1: mu is not regular dominant")
     first = (0,) * datum.rank
     seen = {first: 1}
     queue = deque([(first, start)])

@@ -163,9 +163,9 @@ _ROOT_COLUMNS = ("root", "mult", "parity", "class")
 
 
 def _root_rows(table):
-    """The rows of roots and denom-check, one per root in graded order."""
+    """The rows of roots and denom-check, in the solver's graded order."""
     return [(beta, e.mult, "odd" if e.parity else "even", "real" if e.is_real else "imaginary")
-            for beta, e in table.items_sorted()]
+            for beta, e in table.entries.items()]
 
 
 def _cmd_roots(datum, lam, height):

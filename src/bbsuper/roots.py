@@ -17,34 +17,23 @@ The way back expands each root the same way: table_log sums a table's
 terms, denominator_R turns that sum into the product through
 CharSeries.from_log_derivative, and denominator_residual_terms checks
 D(N_0) = N_0 L through series.product_holds.  Every series here holds
-exponent tuples.  Besides this module, only cli._root_rows, which writes
-the table out, reads a table's records.
+exponent tuples.  Besides this module, only cli._root_rows reads a
+table's records, and writes them in the graded order the solver fills.
 """
 
 from collections import defaultdict, namedtuple
 
 from .charformula import numerator_series
-from .datum import OddCartanDatum, graded_key
+from .datum import OddCartanDatum
 from .series import CharSeries, product_holds
 
 
 RootEntry = namedtuple("RootEntry", "mult parity is_real")
 
 
-class RootTable:
-    """Multiplicities of the positive roots up to a height bound."""
-
-    __slots__ = ("height_bound", "entries")
-
-    def __init__(self, height_bound, entries):
-        self.height_bound = height_bound
-        self.entries = dict(entries)
-
-    def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: graded_key(kv[0]))
-
-    def __repr__(self):
-        return f"RootTable(H={self.height_bound}, {len(self.entries)} roots)"
+# solve_multiplicities fills entries in graded order, the order the rows
+# of roots and denom-check are written in
+RootTable = namedtuple("RootTable", "height_bound entries")
 
 
 def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=None) -> RootTable:

@@ -146,7 +146,10 @@ class CharSeries:
         R.derivative().divide(R).  D(R) = R log fixes R layer by layer from
         R_0 = 1, since ht(gamma) R_gamma is the sum of R_delta
         log_{gamma-delta} over delta of smaller height; a division with a
-        remainder raises."""
+        remainder, or a constant term in log, which no D(R) / R has, raises."""
+        c0 = log.coefficient((0,) * log.rank)
+        if c0:
+            raise ValueError(f"constant term {c0} of log: D(R) / R has none")
         base = log.height_bound + 1
         log_layers = log._pack_layers()
         layers = {0: {0: 1}}

@@ -34,7 +34,8 @@ compiles only what its subcommands use.
   against which the package's one walk per support is checked.
 - roots_to_json, series_to_json and character_result_to_json, the
   documents of roots, char and denom-check built as dicts, one key at a
-  time, which the CLI's row writer must render alike.
+  time, which the CLI's row writer must render alike; roots_to_json sorts
+  the table in graded order itself.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from itertools import combinations, product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
-from bbsuper.datum import OddCartanDatum, Weight, unit_root, weight_to_json
+from bbsuper.datum import OddCartanDatum, Weight, graded_key, unit_root, weight_to_json
 from bbsuper.series import CharSeries
 
 # the deepest cell whose words enumerate_f_monomials lists by default: the
@@ -356,7 +357,7 @@ def root_product(table, rank, bound) -> dict:
     """Product over the table of (1 - e^{-beta})^m for even roots and
     (1 + e^{-beta})^{-m} for odd ones, one factor at a time."""
     acc = {(0,) * rank: 1}
-    for beta, entry in table.items_sorted():
+    for beta, entry in table.entries.items():
         sign = 1 if entry.parity else -1
         factor = binomial_factor(beta, entry.mult, sign, -sign, bound, rank)
         acc = series_product(acc, factor.terms, bound)
@@ -671,7 +672,7 @@ def roots_to_json(table) -> list:
             "parity": "odd" if entry.parity else "even",
             "class": "real" if entry.is_real else "imaginary",
         }
-        for beta, entry in table.items_sorted()
+        for beta, entry in sorted(table.entries.items(), key=lambda kv: graded_key(kv[0]))
     ]
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from bbsuper import charformula, roots
 from bbsuper.charformula import CharacterResult, irreducible_character, numerator_series
 from bbsuper.cli import _COMMANDS, _format
-from bbsuper.datum import OddCartanDatum, Weight
+from bbsuper.datum import OddCartanDatum, Weight, graded_key
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
 from bbsuper.verma_oracle import irreducible_dims
@@ -339,7 +339,8 @@ def drawn_values(data, rank, bound):
         st.tuples(st.integers(1, 10**30), st.integers(0, 1), st.booleans()),
         max_size=8,
     )) if bound else {}
-    table = RootTable(bound, {e: RootEntry(*row) for e, row in rows.items()})
+    # the solver fills a table in graded order, which the writer keeps
+    table = RootTable(bound, {e: RootEntry(*rows[e]) for e in sorted(rows, key=graded_key)})
     series = CharSeries(bound, rank, terms)
     dims = {**series.terms, **data.draw(st.dictionaries(exponents(rank, bound), values,
                                                         max_size=4))}

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from bbsuper.charformula import numerator_series
-from bbsuper.datum import OddCartanDatum
+from bbsuper.datum import OddCartanDatum, graded_key
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
 from bbsuper.series import CharSeries
 
@@ -187,6 +187,26 @@ def test_positive_norm_roots_have_multiplicity_one(a, dd, odd, bound):
     assert positive
     assert {table.entries[beta].mult for beta in positive} == {1}
     assert {beta for beta, e in table.entries.items() if e.is_real} == positive
+
+
+@pytest.mark.parametrize(
+    "a, dd, odd, bound",
+    [
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1] * 4, [2], 12),
+        ([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1] * 3, [1], 10),
+        ([[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]], [1] * 4, [], 10),
+        ([[2, -1, -1, -2], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, 0]], [1, 1, 1, 2], [3], 10),
+        ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [1] * 3, [], 10),
+        ([[-2]], [1], [], 40),
+        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], [1] * 4, [], 6),
+    ],
+    ids=["r4", "r3", "aff", "affodd", "ind3", "free", "A_4"],
+)
+def test_solver_fills_the_table_in_graded_order(a, dd, odd, bound):
+    # roots and denom-check write the rows in the order of entries
+    table = solve_multiplicities(OddCartanDatum(a, dd, odd=odd), bound)
+    assert len(table.entries) > 1
+    assert list(table.entries) == sorted(table.entries, key=graded_key)
 
 
 # ---- the peel, on a given numerator ----

@@ -76,6 +76,17 @@ def test_invert_requires_unit():
         one.divide(CharSeries(3, 1, {(0,): 2}))
 
 
+def test_from_log_derivative_refuses_a_constant_term():
+    # D(R) / R has no constant term, so no R has this log; the rest of it
+    # is D(R) / R of R = 1 - q
+    log = CharSeries(3, 1, {(0,): 5, (1,): -1, (2,): -1, (3,): -1})
+    with pytest.raises(ValueError) as info:
+        CharSeries.from_log_derivative(log)
+    assert str(info.value) == "constant term 5 of log: D(R) / R has none"
+    del log.terms[(0,)]
+    assert CharSeries.from_log_derivative(log) == CharSeries(3, 1, {(0,): 1, (1,): -1})
+
+
 def test_height_and_rank_guards():
     a = CharSeries.one(3, 1)
     b = CharSeries.one(4, 1)

@@ -86,6 +86,7 @@ def test_datum_validates_on_construction():
         (OddCartanDatum([[2]], [1]), "a"),
         (RootEntry(1, 0, True), "mult"),
         (CharacterResult(CharSeries.one(1, 1), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
+        (RootTable(2, {}), "entries"),
     ],
 )
 def test_fields_are_read_only(value, field):
@@ -113,6 +114,10 @@ def test_records_compare_by_field():
     entry = RootEntry(mult=3, parity=1, is_real=False)
     assert (entry.mult, entry.parity, entry.is_real) == (3, 1, False)
     assert repr(entry) == "RootEntry(mult=3, parity=1, is_real=False)"
+    rows = {(1,): RootEntry(1, 1, True), (2,): RootEntry(1, 0, True)}
+    assert RootTable(2, rows) == RootTable(height_bound=2, entries=dict(rows))
+    assert RootTable(2, rows) != RootTable(3, rows)
+    assert RootTable(2, rows) != RootTable(2, {(1,): RootEntry(1, 1, True)})
     series = CharSeries.one(2, 1)
     lam = Weight((1,), (0,), (0,))
     assert CharacterResult(series, lam, 1, 1, 0) == CharacterResult(
@@ -172,6 +177,11 @@ N0_R3 = numerator_series(R3, R3.zero_weight(), 3)
                      "start has length 1, need 2, one per real index", id="orbit_frontier-short"),
         pytest.param(lambda: orbit_frontier(A2, (1, 1, 1), 10),
                      "start has length 3, need 2, one per real index", id="orbit_frontier-long"),
+        # a pairing below 1 would walk 3 of the 6 elements of A2's group
+        *(pytest.param(lambda start=start: orbit_frontier(A2, start, 10),
+                       f"start pairing {low} is below 1: mu is not regular dominant",
+                       id=f"orbit_frontier-pairing-{low}")
+          for start, low in (((0, 1), 0), ((-1, 2), -1))),
     ],
 )
 def test_operand_of_another_shape_is_refused(call, message):

@@ -24,6 +24,12 @@ def test_sl2_orbit_of_shifted_weight():
     assert orbit_frontier(d, (3,), 2) == {(0,): 1}
 
 
+def test_orbit_without_real_index_is_mu_alone():
+    # free and zero4 have no real index, so start is empty
+    for d in (OddCartanDatum([[-2]], [1]), OddCartanDatum([[0] * 4] * 4, [1] * 4)):
+        assert orbit_frontier(d, (), 6) == {(0,) * d.rank: 1}
+
+
 def test_a2_orbit_is_the_full_group():
     orbit = orbit_frontier(A2, (1, 1), 10)
     assert orbit == {
