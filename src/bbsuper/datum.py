@@ -20,15 +20,6 @@ from math import isinf
 from operator import mul
 
 
-def graded_key(beta) -> tuple:
-    """Sort key of the graded order: height first, then lexicographic."""
-    return (sum(beta), beta)
-
-
-def unit_root(n: int, i: int) -> tuple:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 # the JSON names of Weight's blocks, in field order
 _BLOCKS = ("Lambda", "delta", "alpha")
 
@@ -265,15 +256,11 @@ class OddCartanDatum(_Value):
         """Parity of a root-lattice vector, 0 even or 1 odd."""
         return sum(beta[i] for i in self.odd) % 2
 
-    # ---- weight constructors ----
+    # ---- weight constructor ----
 
     def zero_weight(self) -> Weight:
         zero = (0,) * self.rank
         return Weight(zero, zero, zero)
-
-    def fundamental_weight(self, i: int) -> Weight:
-        zero = (0,) * self.rank
-        return Weight(unit_root(self.rank, i), zero, zero)
 
     # ---- pairings ----
 

@@ -39,7 +39,10 @@ same output.
 
 from collections import defaultdict
 
-from .datum import graded_key
+
+def graded_key(beta) -> tuple:
+    """Sort key of the graded order: height first, then lexicographic."""
+    return (sum(beta), beta)
 
 
 class CharSeries:
@@ -61,10 +64,6 @@ class CharSeries:
                     if min(exp, default=0) < 0:
                         raise ValueError(f"exponent {exp} leaves the cone")
                     self.terms[exp] = coef
-
-    @classmethod
-    def one(cls, height_bound, rank):
-        return cls(height_bound, rank, {(0,) * rank: 1})
 
     def coefficient(self, exp) -> int:
         return self.terms.get(exp, 0)

@@ -8,10 +8,11 @@ compiles only what its subcommands use.
   brute-force oracle over every ordered word of lowering generators.
 - The relation vectors serre_vector and orthogonality_vector, which the
   defining relations kill.
-- binomial_factor, one factor of the denominator product expanded alone,
-  and series_product, series_quotient and root_product, the truncated
-  product, quotient and denominator product on exponent tuples, one term
-  at a time, without the package's packed layers.
+- one_series, the series 1; binomial_factor, one factor of the
+  denominator product expanded alone; and series_product, series_quotient
+  and root_product, the truncated product, quotient and denominator
+  product on exponent tuples, one term at a time, without the package's
+  packed layers.
 - casimir_shift, depth_below, is_primitive_candidate and
   s_lambda_series, the ingredients of the character formula taken one at
   a time.
@@ -24,8 +25,9 @@ compiles only what its subcommands use.
 - row_basis_fraction, the elimination that the package's fraction-free
   row_basis replaced, over Fraction, and rank_gauss, the rank of dense
   rows such as a Gram matrix by that elimination.
-- weight_difference, rho and reflect: weight arithmetic that the package
-  leaves out, since its engines read a weight only through its pairings.
+- unit_root, fundamental_weight, weight_difference, rho and reflect:
+  root vectors and weight arithmetic that the package leaves out, since
+  its engines read a weight only through its pairings.
 - orbit_words and act_on_root: a shortest reflection word for each orbit
   element, found by reflecting lam + rho itself, and its replay on root
   coordinates.
@@ -46,8 +48,8 @@ from itertools import combinations, product
 from math import comb
 
 from bbsuper.charformula import enumerate_supports, eligible_indices, numerator_series
-from bbsuper.datum import OddCartanDatum, Weight, graded_key, unit_root, weight_to_json
-from bbsuper.series import CharSeries
+from bbsuper.datum import OddCartanDatum, Weight, weight_to_json
+from bbsuper.series import CharSeries, graded_key
 
 # the deepest cell whose words enumerate_f_monomials lists by default: the
 # all-word Gram matrices grow past thousands of words soon after
@@ -299,6 +301,11 @@ def orthogonality_vector(datum: OddCartanDatum, first, second) -> dict:
 # ---- series (series) ----
 
 
+def one_series(height_bound, rank) -> CharSeries:
+    """The series 1, e^0 alone."""
+    return CharSeries(height_bound, rank, {(0,) * rank: 1})
+
+
 def binomial_factor(beta, mult, sign, exponent_sign, height_bound, rank) -> CharSeries:
     """Expansion of (1 + sign*e^{-beta})^(exponent_sign*mult).
 
@@ -485,7 +492,7 @@ def character_structure_faults(datum, lam, series) -> tuple:
             if series.coefficient(mirror) != coef:
                 faults.append(f"W: {coef} at {beta}, {series.coefficient(mirror)} at {mirror}")
     n0 = numerator_series(datum, datum.zero_weight(), bound)
-    verma = CharSeries.one(bound, rank).divide(n0)
+    verma = one_series(bound, rank).divide(n0)
     for beta, coef in series.terms.items():
         if not 0 <= coef <= verma.coefficient(beta):
             faults.append(f"bounds: {coef} at {beta}, Verma {verma.coefficient(beta)}")
@@ -552,6 +559,17 @@ def rank_gauss(rows) -> int:
 
 
 # ---- weight arithmetic (datum) ----
+
+
+def unit_root(n: int, i: int) -> tuple:
+    """The unit vector i of length n, as alpha_i in root coordinates."""
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def fundamental_weight(datum, i: int) -> Weight:
+    """Lambda_i at the datum's rank."""
+    zero = (0,) * datum.rank
+    return Weight(unit_root(datum.rank, i), zero, zero)
 
 
 def weight_difference(lam: Weight, mu: Weight) -> Weight:

@@ -12,6 +12,7 @@ from bbsuper.datum import OddCartanDatum, Weight
 from reference import (
     BadGeneratorIndex,
     casimir_shift,
+    fundamental_weight,
     is_primitive_candidate,
     numerator_by_images,
     s_lambda_series,
@@ -90,7 +91,7 @@ def test_supports_non_isotropic_levels_all_minus_one():
 
 def test_supports_respect_eligibility():
     d = OddCartanDatum([[0]], [1])
-    lam = d.fundamental_weight(0)
+    lam = fundamental_weight(d, 0)
     assert eligible_indices(d, lam) == ()
     assert enumerate_supports(d, lam, 6) == {(0,): 1}
 
@@ -304,7 +305,7 @@ def test_casimir_shift_guards():
 
 def test_primitive_candidate():
     d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
-    lam = d.fundamental_weight(0)
+    lam = fundamental_weight(d, 0)
 
     def at(root):  # lam + root_0 alpha_0 + root_1 alpha_1
         return Weight(lam.fundamental_part, lam.aux_part, root)
@@ -316,5 +317,5 @@ def test_primitive_candidate():
     assert not is_primitive_candidate(d, lam, at((-1, -1)))
     assert not is_primitive_candidate(d, lam, at((0, 1)))
     # an eligible index stops being one when lam moves
-    mu = d.fundamental_weight(1)
+    mu = fundamental_weight(d, 1)
     assert not is_primitive_candidate(d, mu, Weight(mu.fundamental_part, mu.aux_part, (0, -1)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bbsuper import datum as dt
 
-from reference import reflect
+from reference import fundamental_weight, reflect, unit_root
 
 
 def sl2():
@@ -114,8 +114,8 @@ def test_pairings_on_basis():
     d = a2()
     for i in range(2):
         for j in range(2):
-            assert d.pair(i, d.fundamental_weight(j)) == (1 if i == j else 0)
-            assert d.pair(i, dt.Weight((0, 0), (0, 0), dt.unit_root(2, j))) == d.a[i][j]
+            assert d.pair(i, fundamental_weight(d, j)) == (1 if i == j else 0)
+            assert d.pair(i, dt.Weight((0, 0), (0, 0), unit_root(2, j))) == d.a[i][j]
     delta = dt.Weight((0, 0), (1, 0), (0, 0))
     assert d.pair(0, delta) == 0 and d.pair(1, delta) == 0
 
@@ -125,8 +125,8 @@ def test_bilinear_symmetry():
         n = d.rank
         for i in range(n):
             for j in range(n):
-                ei = dt.unit_root(n, i)
-                ej = dt.unit_root(n, j)
+                ei = unit_root(n, i)
+                ej = unit_root(n, j)
                 assert d.root_bilinear(ei, ej) == d.d[i] * d.a[i][j]
                 assert d.root_bilinear(ei, ej) == d.root_bilinear(ej, ei)
 
@@ -154,7 +154,7 @@ def test_dominance():
 
 def test_dominance_odd_real_needs_even_pairing():
     d = osp12()
-    assert not d.is_dominant_integral(d.fundamental_weight(0))
+    assert not d.is_dominant_integral(fundamental_weight(d, 0))
     two = dt.Weight((2,), (0,), (0,))
     assert d.is_dominant_integral(two)
 
@@ -247,7 +247,3 @@ def test_weight_entry_json_numbers(doc, want):
     else:
         got = entry(value)
         assert got == want and type(got) is type(want)
-
-
-def test_root_vector_helpers():
-    assert dt.unit_root(3, 1) == (0, 1, 0)

@@ -25,15 +25,16 @@ from hypothesis import strategies as st
 from bbsuper import charformula, roots
 from bbsuper.charformula import CharacterResult, irreducible_character, numerator_series
 from bbsuper.cli import _COMMANDS, _format
-from bbsuper.datum import OddCartanDatum, Weight, graded_key
+from bbsuper.datum import OddCartanDatum, Weight
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
-from bbsuper.series import CharSeries
+from bbsuper.series import CharSeries, graded_key
 from bbsuper.verma_oracle import irreducible_dims
 
 from reference import (
     character_result_to_json,
     character_structure_faults,
     gram_matrix,
+    one_series,
     rank_gauss,
     root_product,
     roots_to_json,
@@ -278,7 +279,7 @@ def test_generic_dims_match_inverted_denominator(datum):
     # the oracle reads no table; the reference here is the formula side
     bound = ORACLE_HEIGHT[datum.rank]
     denominator = denominator_R(datum, solve_multiplicities(datum, bound), bound)
-    verma = CharSeries.one(bound, datum.rank).divide(denominator)
+    verma = one_series(bound, datum.rank).divide(denominator)
     dims = irreducible_dims(datum, None, bound)
     assert dims == {beta: verma.coefficient(beta) for beta in dims}
 

@@ -4,9 +4,9 @@ import re
 import pytest
 
 from bbsuper.charformula import numerator_series
-from bbsuper.datum import OddCartanDatum, graded_key
+from bbsuper.datum import OddCartanDatum
 from bbsuper.roots import RootEntry, RootTable, denominator_R, solve_multiplicities
-from bbsuper.series import CharSeries
+from bbsuper.series import CharSeries, graded_key
 
 from reference import roots_to_json
 

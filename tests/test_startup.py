@@ -1,8 +1,9 @@
 """The CLI as a child process: each subcommand loads only its engine,
 integral input loads no fractions, only the process entry freezes its
 start-up objects, a reader that closes stdout early gets no traceback,
-nor does a write to a full device, and the package defines nothing that
-it does not use itself and no exception class.
+nor does a write to a full device, the package defines nothing that it
+does not use itself and no exception class, and the kernels, series.py
+and exactlinalg.py, import nothing from the package.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
@@ -227,10 +228,9 @@ def test_fractional_weight_entry_still_runs(files, command):
     assert "fractions" in modules
 
 
-# Names a caller outside the package uses by design: the console-script
-# entry point, and the fixture constructors the tests build weights and
-# series from.
-USED_FROM_OUTSIDE = {"main", "OddCartanDatum.fundamental_weight", "CharSeries.one"}
+# The one name a caller outside the package uses by design: the
+# console-script entry point.
+USED_FROM_OUTSIDE = {"main"}
 
 
 def _definitions(node, prefix=""):
@@ -267,6 +267,22 @@ def test_every_definition_is_used_in_the_package():
         and total[node.name] == _references(node)[node.name]
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", ["series", "exactlinalg"])
+def test_kernel_imports_nothing_from_the_package(module):
+    # the series and linear-algebra kernels sit below the datum and the
+    # engines; they read only exponent tuples and rows
+    tree = ast.parse((Path(bbsuper.__file__).parent / f"{module}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported  # the walk saw the module's own imports
+    assert [name for name in imported
+            if name.startswith(".") or name.split(".")[0] == "bbsuper"] == []
 
 
 def test_one_exception_class():

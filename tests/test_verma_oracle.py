@@ -8,9 +8,9 @@ import pytest
 
 from bbsuper import exactlinalg, verma_oracle
 from bbsuper.charformula import irreducible_character
-from bbsuper.datum import OddCartanDatum, Weight, graded_key, unit_root, weight_from_json
+from bbsuper.datum import OddCartanDatum, Weight, weight_from_json
 from bbsuper.roots import denominator_R, solve_multiplicities
-from bbsuper.series import CharSeries
+from bbsuper.series import graded_key
 from bbsuper.verma_oracle import irreducible_dims, weight_window
 
 from reference import (
@@ -20,13 +20,16 @@ from reference import (
     count_distinct_partitions,
     count_partitions,
     enumerate_f_monomials,
+    fundamental_weight,
     gram_matrix,
     lower_with_e,
+    one_series,
     orthogonality_vector,
     pair_with_cell,
     rank_gauss,
     rho,
     serre_vector,
+    unit_root,
 )
 
 WIDE = 12
@@ -117,7 +120,7 @@ def test_lower_with_e_sl2():
 def test_lower_with_e_level_mismatch_vanishes():
     d = even_iso()
     word = FMonomial.from_factors(d, [(0, 2)])
-    assert lower_with_e(d, 0, 1, word, d.fundamental_weight(0)) == {}
+    assert lower_with_e(d, 0, 1, word, fundamental_weight(d, 0)) == {}
 
 
 def test_lower_with_e_odd_sign():
@@ -149,7 +152,7 @@ def test_gram_sl2_singular_vector():
 
 def test_gram_odd_iso_level_blocks():
     d = odd_iso()
-    lam = d.fundamental_weight(0)
+    lam = fundamental_weight(d, 0)
     cell = gram_matrix(d, lam, (2,))
     assert cell.gram == (
         (Fraction(0), Fraction(0)),
@@ -196,36 +199,36 @@ def test_irreducible_dim_degenerate_offsets():
     # the height-0 window is the highest weight alone; the trivial module
     # is zero below it
     d = sl2()
-    assert irreducible_dims(d, d.fundamental_weight(0), 0) == {(0,): 1}
+    assert irreducible_dims(d, fundamental_weight(d, 0), 0) == {(0,): 1}
     assert irreducible_dims(d, d.zero_weight(), 3) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
 
 
 def test_dims_are_keyed_by_offset_in_window_order():
     d = OddCartanDatum([[2, -1], [-1, 0]], [1, 1], odd=[1])
-    assert list(irreducible_dims(d, d.fundamental_weight(0), 4)) == weight_window(2, 4)
+    assert list(irreducible_dims(d, fundamental_weight(d, 0), 4)) == weight_window(2, 4)
     assert list(irreducible_dims(d, None, 4)) == weight_window(2, 4)
 
 
 def test_even_iso_dims_are_partitions():
     d = even_iso()
-    dims = irreducible_dims(d, d.fundamental_weight(0), 6)
+    dims = irreducible_dims(d, fundamental_weight(d, 0), 6)
     assert values(dims) == [count_partitions(n) for n in range(7)]
 
 
 def test_odd_iso_dims():
     d = odd_iso()
     assert values(irreducible_dims(d, d.zero_weight(), 6)) == [1] + [0] * 6
-    dims = irreducible_dims(d, d.fundamental_weight(0), 6)
+    dims = irreducible_dims(d, fundamental_weight(d, 0), 6)
     assert values(dims) == [count_distinct_partitions(n) for n in range(7)]
 
 
 def test_irreducible_dims_deep_windows():
     # deep enough that the all-word Gram matrices would hold thousands of words
     d = even_iso()
-    lam = d.fundamental_weight(0)
+    lam = fundamental_weight(d, 0)
     assert values(irreducible_dims(d, lam, 12)) == [count_partitions(n) for n in range(13)]
     o = odd_iso()
-    lam = o.fundamental_weight(0)
+    lam = fundamental_weight(o, 0)
     assert values(irreducible_dims(o, lam, 12)) == [
         count_distinct_partitions(n) for n in range(13)
     ]
@@ -267,7 +270,7 @@ def test_irreducible_dims_match_formula_rank3_deep():
     # every cell of a rank-3 window two levels deeper than the property tests,
     # where the e-image rows are a few percent nonzero
     d = OddCartanDatum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
-    lam = d.fundamental_weight(0)
+    lam = fundamental_weight(d, 0)
     window = weight_window(d.rank, 7)
     assert len(window) == 120
     character = irreducible_character(d, lam, 7).series
@@ -277,7 +280,7 @@ def test_irreducible_dims_match_formula_rank3_deep():
 def test_irreducible_dims_caps():
     # the engine takes any height; the CLI holds the cap
     d = sl2()
-    lam = d.fundamental_weight(0)
+    lam = fundamental_weight(d, 0)
     assert values(irreducible_dims(d, lam, 7)) == [1, 1] + [0] * 6
 
 
@@ -297,7 +300,7 @@ def test_generic_matches_pbw_series():
     ]:
         d = OddCartanDatum(a, dd, odd=odd)
         table = solve_multiplicities(d, 4)
-        verma = CharSeries.one(4, d.rank).divide(denominator_R(d, table, 4))
+        verma = one_series(4, d.rank).divide(denominator_R(d, table, 4))
         for beta, dim in irreducible_dims(d, None, 4).items():
             assert dim == verma.coefficient(beta), (a, odd, beta)
 
@@ -336,7 +339,7 @@ def test_serre_vectors_lie_in_kernel():
         beta = [0] * d.rank
         for idx, lvl in next(iter(combo)):
             beta[idx] += lvl
-        for lam in (d.zero_weight(), d.fundamental_weight(0), rho(d)):
+        for lam in (d.zero_weight(), fundamental_weight(d, 0), rho(d)):
             values = pair_with_cell(d, lam, tuple(beta), combo)
             assert all(v == 0 for v in values), (a, odd, i, j, l)
 
@@ -352,7 +355,7 @@ def test_orthogonality_vectors_lie_in_kernel():
         (pairs, combo, (1, 2)),
         (both_odd, anti, (1, 1)),
     ]:
-        for lam in (d.zero_weight(), rho(d), d.fundamental_weight(1)):
+        for lam in (d.zero_weight(), rho(d), fundamental_weight(d, 1)):
             values = pair_with_cell(d, lam, beta, combo)
             assert all(v == 0 for v in values)
 

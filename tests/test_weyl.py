@@ -5,9 +5,9 @@ from math import comb
 import pytest
 
 from bbsuper.charformula import numerator_series, orbit_frontier
-from bbsuper.datum import OddCartanDatum, Weight, unit_root
+from bbsuper.datum import OddCartanDatum, Weight
 
-from reference import act_on_root, orbit_words
+from reference import act_on_root, orbit_words, unit_root
 
 A2 = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
 B2 = OddCartanDatum([[2, -2], [-1, 2]], [1, 2])
