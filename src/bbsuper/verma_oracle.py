@@ -54,11 +54,48 @@ def _h_parts(datum, pairings, i, gamma):
     return (p.numerator - shift * p.denominator,), p.denominator
 
 
+def _cell_rows(datum, pairings, basis, f_mat, beta):
+    """The candidate rows at beta, one per f_{il} b with b in the basis at
+    gamma = beta - l alpha_i, each with its slot (images, scale): images is
+    f_mat[gamma, i, l], opened here, and scale the lcm of the denominators
+    the row reads, which keeps it integer.  The row holds the e-images of
+    f_{il} b by e_{jk} f_{il} = s f_{il} e_{jk} + [(j, k) = (i, l)] l h_i."""
+    rows = []
+    slots = []
+    for i, l in _generators(datum, beta):
+        gamma = _minus(beta, i, l)
+        images = f_mat[gamma, i, l] = []
+        odd_i = datum.is_odd(i)
+        h_parts, h_den = _h_parts(datum, pairings, i, gamma)
+        for b, vec in enumerate(basis[gamma]):
+            # s f_{il} e_{jk} b, through the cell below gamma
+            reads = [
+                (j, k, part, -x if odd_i and datum.is_odd(j) else x,
+                 f_mat[_minus(gamma, j, k), i, l][c])
+                for (j, k, part, c), x in vec.items()
+            ]
+            scale = lcm(h_den, *(den for *_, (_, den) in reads))
+            row = {}
+            for j, k, part, x, (num, den) in reads:
+                x *= scale // den
+                for t, y in num.items():
+                    key = (j, k, part, t)
+                    row[key] = row.get(key, 0) + x * y
+            for part, h in enumerate(h_parts):
+                key = (i, l, part, b)
+                row[key] = row.get(key, 0) + l * h * (scale // h_den)
+            rows.append(row)
+            slots.append((images, scale))
+    return rows, slots
+
+
 def irreducible_dims(datum: OddCartanDatum, lam: Weight | None, height_bound: int) -> dict:
     """{offset: dim L(lam)} over weight_window, in window order; lam None
     gives the generic weight, whose L is the Verma module.  The window is
     closed under lowering and graded, so the cells below beta are done
-    when beta is reached.
+    when beta is reached.  At each nonzero cell _cell_rows builds the
+    candidate rows, row_basis keeps the first independent ones and gives
+    the coordinates of all, and those fill the f matrices.
 
     basis[beta] lists the first independent candidates, integer multiples
     of f_{il} b, each stored as its row of e-images: key (j, k, part, c)
@@ -67,8 +104,7 @@ def irreducible_dims(datum: OddCartanDatum, lam: Weight | None, height_bound: in
     None the image is t_j A + B, stored as part 0 (A) and part 1 (B).
     f_mat[gamma, i, l] holds, for each basis vector at gamma, the
     coordinates (num, den) of its f_{il}-image in the basis at
-    gamma + l alpha_i, as row_basis gives them.  Everything is an integer:
-    a candidate row is scaled by the lcm of the denominators it reads.
+    gamma + l alpha_i: row_basis's, with den times the row's scale.
     """
     pairings = None if lam is None else [datum.pair(i, lam) for i in range(datum.rank)]
     basis = {}
@@ -77,32 +113,7 @@ def irreducible_dims(datum: OddCartanDatum, lam: Weight | None, height_bound: in
         if not any(beta):
             basis[beta] = [{}]
             continue
-        rows = []
-        slots = []
-        for i, l in _generators(datum, beta):
-            gamma = _minus(beta, i, l)
-            images = f_mat[gamma, i, l] = []
-            odd_i = datum.is_odd(i)
-            h_parts, h_den = _h_parts(datum, pairings, i, gamma)
-            for b, vec in enumerate(basis[gamma]):
-                # s f_{il} e_{jk} b, through the cell below gamma
-                reads = [
-                    (j, k, part, -x if odd_i and datum.is_odd(j) else x,
-                     f_mat[_minus(gamma, j, k), i, l][c])
-                    for (j, k, part, c), x in vec.items()
-                ]
-                scale = lcm(h_den, *(den for *_, (_, den) in reads))
-                row = {}
-                for j, k, part, x, (num, den) in reads:
-                    x *= scale // den
-                    for t, y in num.items():
-                        key = (j, k, part, t)
-                        row[key] = row.get(key, 0) + x * y
-                for part, h in enumerate(h_parts):
-                    key = (i, l, part, b)
-                    row[key] = row.get(key, 0) + l * h * (scale // h_den)
-                rows.append(row)
-                slots.append((images, scale))
+        rows, slots = _cell_rows(datum, pairings, basis, f_mat, beta)
         basis[beta], coords = row_basis(rows)
         for (num, den), (images, scale) in zip(coords, slots):
             images.append((num, den * scale))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from bbsuper import exactlinalg, verma_oracle
-from bbsuper.charformula import irreducible_character
+from bbsuper.charformula import irreducible_character, numerator_series
 from bbsuper.datum import OddCartanDatum, Weight, weight_from_json
 from bbsuper.roots import denominator_R, solve_multiplicities
 from bbsuper.series import graded_key
@@ -277,6 +277,32 @@ def test_irreducible_dims_match_formula_rank3_deep():
     assert irreducible_dims(d, lam, 7) == {beta: character.coefficient(beta) for beta in window}
 
 
+R4 = OddCartanDatum(
+    [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1, 1, 1, 1], odd=[2]
+)
+
+
+@pytest.mark.parametrize(
+    "datum, lam, height, cells",
+    [(R4, Weight((1, 1, 0, 0), (0,) * 4, (0,) * 4), 8, 495), (R3, None, 7, 120)],
+    ids=["numeric-r4-h8", "generic-r3-h7"],
+)
+def test_oracle_matches_formula_at_depth(datum, lam, height, cells):
+    # every cell at the depths the oracle's elimination is timed at: the
+    # irreducible character for a numeric weight, the inverted N_0 for the
+    # generic one
+    if lam is None:
+        n0 = numerator_series(datum, datum.zero_weight(), height)
+        series = one_series(height, datum.rank).divide(n0)
+    else:
+        series = irreducible_character(datum, lam, height).series
+    window = weight_window(datum.rank, height)
+    assert len(window) == cells
+    assert irreducible_dims(datum, lam, height) == {
+        beta: series.coefficient(beta) for beta in window
+    }
+
+
 def test_irreducible_dims_caps():
     # the engine takes any height; the CLI holds the cap
     d = sl2()
@@ -292,7 +318,9 @@ def test_generic_dims_free_case():
 
 def test_generic_matches_pbw_series():
     # the generic dimensions must reproduce the inverted denominator, which
-    # ties the solved table to the defining relations
+    # ties the product R of the solved table to the defining relations; a
+    # table with the other parity split at an odd imaginary index gives the
+    # same R, so the table itself is not tied
     for a, dd, odd in [
         ([[-2]], [1], []),
         ([[0]], [1], [0]),
