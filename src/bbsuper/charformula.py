@@ -134,13 +134,13 @@ def numerator_series(datum, lam, height_bound) -> CharSeries:
 
 
 CharacterResult = namedtuple("CharacterResult",
-                             "series highest_weight orbit_size support_terms residual_terms")
+                             "series orbit_size support_terms residual_terms")
 
 
 def irreducible_character(datum, lam, height_bound) -> CharacterResult:
     """Divide the alternating numerator N_lambda by N_0: the character
     series below the highest weight, whose coefficient at beta is the
-    dimension at highest_weight - beta, plus run diagnostics.
+    dimension at lam - beta, plus run diagnostics.
 
     The residual diagnostic counts exponents where N_lambda and the
     character times N_0 disagree, which is zero whenever the arithmetic
@@ -161,7 +161,6 @@ def irreducible_character(datum, lam, height_bound) -> CharacterResult:
         residual = len((numerator - quotient.mul(denom)).terms) or 1
     return CharacterResult(
         series=quotient,
-        highest_weight=lam,
         orbit_size=orbit_size,
         support_terms=contributed,
         residual_terms=residual,

@@ -169,9 +169,11 @@ def _root_rows(table):
 
 
 def _cmd_roots(datum, lam, height):
+    from .charformula import numerator_series
     from .roots import solve_multiplicities
 
-    rows = _root_rows(solve_multiplicities(datum, height))
+    numerator = numerator_series(datum, datum.zero_weight(), height)
+    rows = _root_rows(solve_multiplicities(datum, numerator))
     return _ROWS, _ROOT_COLUMNS, rows
 
 
@@ -184,7 +186,7 @@ def _cmd_char(datum, lam, height):
     rows = [(e, str(c)) for e, c in result.series.items_sorted()]
     doc = {
         "character": {
-            "base": weight_to_json(result.highest_weight),
+            "base": weight_to_json(lam),
             "height_bound": result.series.height_bound,
             "terms": _ROWS,
         },
@@ -199,7 +201,7 @@ def _cmd_denom_check(datum, lam, height):
     from .roots import denominator_residual_terms, solve_multiplicities
 
     numerator = numerator_series(datum, datum.zero_weight(), height)
-    table = solve_multiplicities(datum, height, numerator)
+    table = solve_multiplicities(datum, numerator)
     residual = denominator_residual_terms(datum, table, numerator)
     rows = _root_rows(table)
     doc = {

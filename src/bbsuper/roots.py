@@ -6,12 +6,12 @@ over positive roots of (1-e^{-beta})^m for even beta and (1+e^{-beta})^{-m}
 for odd beta.  With D the height derivation, which scales e^{-gamma} by
 ht(gamma), the log-derivative L = D(N_0) / N_0 is an integer series: a
 root beta of height h adds -m h at beta and root_log_multiples at k beta
-for k >= 2.  The solver peels L in graded order: at gamma, what the roots
-found below ht(gamma) leave of L_gamma is -ht(gamma) m_gamma, and a new
-root subtracts its multiples from the heights above, which also reaches
-every multiple of it where L vanishes.  A negative or non-integral
-multiplicity aborts: neither can happen for a valid datum, and rounding
-or clamping would silently corrupt every later height.
+for k >= 2.  The solver peels L of the N_0 its caller passes, in graded
+order: at gamma, what the roots below ht(gamma) leave of L_gamma is
+-ht(gamma) m_gamma, and a new root subtracts its multiples from the
+heights above, reaching every multiple of it where L vanishes too.  A
+negative or non-integral multiplicity aborts: neither can happen for a
+valid datum, and rounding or clamping would corrupt every later height.
 
 The way back expands each root the same way: table_log sums a table's
 terms, denominator_R turns that sum into the product through
@@ -23,7 +23,6 @@ table's records, and writes them in the graded order the solver fills.
 
 from collections import defaultdict, namedtuple
 
-from .charformula import numerator_series
 from .datum import OddCartanDatum
 from .series import CharSeries, product_holds
 
@@ -36,12 +35,12 @@ RootEntry = namedtuple("RootEntry", "mult parity is_real")
 RootTable = namedtuple("RootTable", "height_bound entries")
 
 
-def solve_multiplicities(datum: OddCartanDatum, height_bound: int, numerator=None) -> RootTable:
-    """Solve every multiplicity below the bound from L = D(N_0) / N_0.
-    numerator is N_0 at the same bound and rank, when the caller has it."""
-    if numerator is None:
-        numerator = numerator_series(datum, datum.zero_weight(), height_bound)
-    numerator._check_compatible(CharSeries(height_bound, datum.rank))
+def solve_multiplicities(datum: OddCartanDatum, numerator: CharSeries) -> RootTable:
+    """Solve every multiplicity within the height bound of numerator, the
+    caller's N_0 at the datum's rank, from L = D(N_0) / N_0."""
+    if numerator.rank != datum.rank:
+        raise ValueError("series ranks differ")
+    height_bound = numerator.height_bound
     log = numerator.derivative().divide(numerator)
     # unexplained[h] holds what the roots found below height h leave of L there
     unexplained = [defaultdict(int) for _ in range(height_bound + 1)]

@@ -701,10 +701,10 @@ def series_to_json(series: CharSeries) -> dict:
     }
 
 
-def character_result_to_json(result) -> dict:
+def character_result_to_json(result, lam) -> dict:
     return {
         "character": {
-            "base": weight_to_json(result.highest_weight),
+            "base": weight_to_json(lam),
             **series_to_json(result.series),
         },
         "diagnostics": {

@@ -125,7 +125,7 @@ def test_checks_run_no_pair_loop(monkeypatch):
     numerator = numerator_series(d, lam, 8)
     denom = numerator_series(d, d.zero_weight(), 8)
     quotient = numerator.divide(denom)
-    table = solve_multiplicities(d, 8)
+    table = solve_multiplicities(d, denom)
     monkeypatch.setattr(series, "_layer_convolution", refuse)
     assert product_holds(numerator, quotient, denom)
     assert denominator_residual_terms(d, table, denom) == 0
@@ -133,8 +133,8 @@ def test_checks_run_no_pair_loop(monkeypatch):
 
 def test_failed_checks_count_the_exact_residual(monkeypatch):
     d = datum_from_json(R4)
-    table = solve_multiplicities(d, 6)
     denom = numerator_series(d, d.zero_weight(), 6)
+    table = solve_multiplicities(d, denom)
     # one multiplicity one too large
     beta, entry = next(iter(table.entries.items()))
     wrong = RootTable(6, {**table.entries, beta: entry._replace(mult=entry.mult + 1)})
@@ -197,9 +197,8 @@ def peel_first_terms(rounding):
     half its multiplicity at twice itself, which the solver's own check
     refuses; with rounding, the remainder is dropped instead."""
 
-    def solve(datum, height_bound, numerator=None):
-        if numerator is None:
-            numerator = numerator_series(datum, datum.zero_weight(), height_bound)
+    def solve(datum, numerator):
+        height_bound = numerator.height_bound
         log = numerator.derivative().divide(numerator).terms
         entries = {}
         for h in range(1, height_bound + 1):

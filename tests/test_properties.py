@@ -182,8 +182,8 @@ def test_mul_and_divide_match_tuple_reference(case):
 @PROPERTY
 @given(datums(), st.integers(1, 6))
 def test_solved_table_multiplies_out_to_numerator(datum, bound):
-    table = solve_multiplicities(datum, bound)
     numerator = numerator_series(datum, datum.zero_weight(), bound)
+    table = solve_multiplicities(datum, numerator)
     assert root_product(table, datum.rank, bound) == numerator.terms
 
 
@@ -210,7 +210,7 @@ def test_solver_inverts_denominator(case):
     # back into the table
     datum, table = case
     product = denominator_R(datum, table, table.height_bound)
-    assert solve_multiplicities(datum, table.height_bound, product).entries == table.entries
+    assert solve_multiplicities(datum, product).entries == table.entries
 
 
 @PROPERTY
@@ -219,7 +219,7 @@ def test_character_quotient_has_no_residual(datum, bound, levels):
     lam = dominant(datum, levels)
     result = irreducible_character(datum, lam, bound)
     assert result.residual_terms == 0
-    table = solve_multiplicities(datum, bound)
+    table = solve_multiplicities(datum, numerator_series(datum, datum.zero_weight(), bound))
     numerator = numerator_series(datum, lam, bound)
     assert result.series.mul(denominator_R(datum, table, bound)).terms == numerator.terms
 
@@ -227,8 +227,9 @@ def test_character_quotient_has_no_residual(datum, bound, levels):
 @PROPERTY
 @given(datums(), st.integers(1, 4))
 def test_solve_truncation_coherent(datum, bound):
-    deep = solve_multiplicities(datum, bound + 2).entries
-    shallow = solve_multiplicities(datum, bound).entries
+    zero = datum.zero_weight()
+    deep = solve_multiplicities(datum, numerator_series(datum, zero, bound + 2)).entries
+    shallow = solve_multiplicities(datum, numerator_series(datum, zero, bound)).entries
     assert {b: e for b, e in deep.items() if sum(b) <= bound} == shallow
 
 
@@ -278,7 +279,8 @@ def test_character_structure_past_the_oracle(datum, bound, levels):
 def test_generic_dims_match_inverted_denominator(datum):
     # the oracle reads no table; the reference here is the formula side
     bound = ORACLE_HEIGHT[datum.rank]
-    denominator = denominator_R(datum, solve_multiplicities(datum, bound), bound)
+    table = solve_multiplicities(datum, numerator_series(datum, datum.zero_weight(), bound))
+    denominator = denominator_R(datum, table, bound)
     verma = one_series(bound, datum.rank).divide(denominator)
     dims = irreducible_dims(datum, None, bound)
     assert dims == {beta: verma.coefficient(beta) for beta in dims}
@@ -313,10 +315,10 @@ def test_flat_writers_match_render(datum, bound, levels):
     def document(command, lam=None):
         return json_text(*_COMMANDS[command][0](datum, lam, bound))
 
-    table = solve_multiplicities(datum, bound)
+    numerator = numerator_series(datum, datum.zero_weight(), bound)
+    table = solve_multiplicities(datum, numerator)
     assert document("roots") == canonical(roots_to_json(table))
-    zero = datum.zero_weight()
-    residual = denominator_R(datum, table, bound) - numerator_series(datum, zero, bound)
+    residual = denominator_R(datum, table, bound) - numerator
     assert document("denom-check") == canonical({
         "height": bound,
         "residual_terms": len(residual.terms),
@@ -325,7 +327,7 @@ def test_flat_writers_match_render(datum, bound, levels):
     })
     lam = dominant(datum, levels)
     result = irreducible_character(datum, lam, bound)
-    assert document("char", lam) == canonical(character_result_to_json(result))
+    assert document("char", lam) == canonical(character_result_to_json(result, lam))
 
 
 def drawn_values(data, rank, bound):
@@ -352,7 +354,7 @@ def drawn_documents(datum, bound, series, table, dims, residual):
     """{command: (doc, columns, rows)} of char, roots, denom-check and
     compare, their engines patched to return the drawn values."""
     zero = datum.zero_weight()
-    result = CharacterResult(series, zero, 1, 1, residual)
+    result = CharacterResult(series, 1, 1, residual)
     with patch.object(charformula, "irreducible_character", lambda *args: result), \
             patch.object(roots, "solve_multiplicities", lambda *args: table), \
             patch.object(roots, "denominator_residual_terms", lambda *args: residual), \
@@ -369,8 +371,9 @@ def test_flat_writers_match_render_on_drawn_values(rank, bound, data):
     series, table, dims = drawn_values(data, rank, bound)
     datum = OddCartanDatum([[2 * (i == j) for j in range(rank)] for i in range(rank)], [1] * rank)
     docs = drawn_documents(datum, bound, series, table, dims, 0)
-    result = CharacterResult(series, datum.zero_weight(), 1, 1, 0)
-    assert json_text(*docs["char"]) == canonical(character_result_to_json(result))
+    result = CharacterResult(series, 1, 1, 0)
+    base = datum.zero_weight()
+    assert json_text(*docs["char"]) == canonical(character_result_to_json(result, base))
     assert json_text(*docs["roots"]) == canonical(roots_to_json(table))
     # compare's differences hold the vector between two other cells
     differences = [{"mu_offset": list(beta), "formula": series.coefficient(beta), "oracle": dim}
@@ -452,8 +455,9 @@ def test_relabelling_maps_back(datum, data):
     lam = dominant(datum, data.draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
     bound = ORACLE_HEIGHT[datum.rank] + 1
     other, other_lam = relabel(datum, lam, perm)
-    assert unrelabel(perm, solve_multiplicities(other, bound).entries) == (
-        solve_multiplicities(datum, bound).entries
+    numerators = [numerator_series(d, d.zero_weight(), bound) for d in (other, datum)]
+    assert unrelabel(perm, solve_multiplicities(other, numerators[0]).entries) == (
+        solve_multiplicities(datum, numerators[1]).entries
     )
     assert unrelabel(perm, irreducible_character(other, other_lam, bound).series.terms) == (
         irreducible_character(datum, lam, bound).series.terms

@@ -2,8 +2,9 @@
 integral input loads no fractions, only the process entry freezes its
 start-up objects, a reader that closes stdout early gets no traceback,
 nor does a write to a full device, the package defines nothing that it
-does not use itself and no exception class, and the kernels, series.py
-and exactlinalg.py, import nothing from the package.
+does not use itself and no exception class, the kernels, series.py and
+exactlinalg.py, import nothing from the package, and roots.py imports
+only datum.py and series.py.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
@@ -269,10 +270,9 @@ def test_every_definition_is_used_in_the_package():
     assert unused == []
 
 
-@pytest.mark.parametrize("module", ["series", "exactlinalg"])
-def test_kernel_imports_nothing_from_the_package(module):
-    # the series and linear-algebra kernels sit below the datum and the
-    # engines; they read only exponent tuples and rows
+def package_imports(module):
+    """What the package module imports from the package, a relative name
+    with its leading dots, after checking that the walk saw any import."""
     tree = ast.parse((Path(bbsuper.__file__).parent / f"{module}.py").read_text())
     imported = []
     for node in ast.walk(tree):
@@ -281,8 +281,20 @@ def test_kernel_imports_nothing_from_the_package(module):
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert imported  # the walk saw the module's own imports
-    assert [name for name in imported
-            if name.startswith(".") or name.split(".")[0] == "bbsuper"] == []
+    return [name for name in imported if name.startswith(".") or name.split(".")[0] == "bbsuper"]
+
+
+@pytest.mark.parametrize("module", ["series", "exactlinalg"])
+def test_kernel_imports_nothing_from_the_package(module):
+    # the series and linear-algebra kernels sit below the datum and the
+    # engines; they read only exponent tuples and rows
+    assert package_imports(module) == []
+
+
+def test_root_solver_imports_only_the_datum_and_series():
+    # the caller passes the N_0 that the solver peels, so roots.py needs
+    # nothing of charformula, which builds it
+    assert sorted(package_imports("roots")) == [".datum", ".series"]
 
 
 def test_one_exception_class():

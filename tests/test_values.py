@@ -85,7 +85,7 @@ def test_datum_validates_on_construction():
         (Weight((1,), (0,), (0,)), "root_part"),
         (OddCartanDatum([[2]], [1]), "a"),
         (RootEntry(1, 0, True), "mult"),
-        (CharacterResult(CharSeries(1, 1, {(0,): 1}), Weight((1,), (0,), (0,)), 1, 1, 0), "series"),
+        (CharacterResult(CharSeries(1, 1, {(0,): 1}), 1, 1, 0), "series"),
         (RootTable(2, {}), "entries"),
     ],
 )
@@ -119,10 +119,11 @@ def test_records_compare_by_field():
     assert RootTable(2, rows) != RootTable(3, rows)
     assert RootTable(2, rows) != RootTable(2, {(1,): RootEntry(1, 1, True)})
     series = CharSeries(2, 1, {(0,): 1})
-    lam = Weight((1,), (0,), (0,))
-    assert CharacterResult(series, lam, 1, 1, 0) == CharacterResult(
-        series=series, highest_weight=lam, orbit_size=1, support_terms=1, residual_terms=0
+    assert CharacterResult(series, 1, 1, 0) == CharacterResult(
+        series=series, orbit_size=1, support_terms=1, residual_terms=0
     )
+    # the caller holds the highest weight it passed; the result does not echo it
+    assert CharacterResult._fields == ("series", "orbit_size", "support_terms", "residual_terms")
 
 
 def test_series_repr_and_equality():
@@ -167,14 +168,8 @@ N0_R3 = numerator_series(R3, R3.zero_weight(), 3)
                                            CharSeries(2, 2, {(0, 0): 1}),
                                            CharSeries(2, 1, {(0,): 1})),
                      "series ranks differ", id="product_holds-rank"),
-        pytest.param(lambda: solve_multiplicities(R2, 3, N0_R3), "series ranks differ",
+        pytest.param(lambda: solve_multiplicities(R2, N0_R3), "series ranks differ",
                      id="solve_multiplicities-rank"),
-        # r4's N_0 at height 8 is refused at a bound below it, whose layers
-        # it overruns, and above it, where its missing layers read as zero
-        *(pytest.param(lambda h=h: solve_multiplicities(R4, h, numerator_series(
-                           R4, R4.zero_weight(), 8)),
-                       f"height bounds differ: 8 vs {h}", id=f"solve_multiplicities-bound-{h}")
-          for h in (6, 10)),
         pytest.param(lambda: orbit_frontier(A2, (1,), 10),
                      "start has length 1, need 2, one per real index", id="orbit_frontier-short"),
         pytest.param(lambda: orbit_frontier(A2, (1, 1, 1), 10),
@@ -192,6 +187,16 @@ def test_operand_of_another_shape_is_refused(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bound", [6, 10])
+def test_solved_table_has_the_height_bound_of_its_numerator(bound):
+    # the solver reads its bound from N_0, so no second bound can disagree
+    # with it: the table reaches as deep as the series it peels
+    numerator = numerator_series(R4, R4.zero_weight(), bound)
+    table = solve_multiplicities(R4, numerator)
+    assert table.height_bound == numerator.height_bound == bound
+    assert max(map(sum, table.entries)) == bound
+
+
 # each call, before the bound was checked, raised IndexError or
 # ZeroDivisionError or built an empty series or window; R2's zero weight has an
 # eligible isotropic index, so its supports read a table of sign factors
@@ -201,7 +206,6 @@ def test_operand_of_another_shape_is_refused(call, message):
         pytest.param(lambda: irreducible_character(R2, R2.zero_weight(), -1),
                      id="irreducible_character"),
         pytest.param(lambda: numerator_series(R2, R2.zero_weight(), -1), id="numerator_series"),
-        pytest.param(lambda: solve_multiplicities(R2, -1), id="solve_multiplicities"),
         pytest.param(lambda: denominator_R(R2, RootTable(2, {}), -1), id="denominator_R"),
         pytest.param(lambda: CharSeries(-1, 2), id="CharSeries"),
         pytest.param(lambda: weight_window(2, -1), id="weight_window"),
