@@ -13,12 +13,13 @@ heights above, reaching every multiple of it where L vanishes too.  A
 negative or non-integral multiplicity aborts: neither can happen for a
 valid datum, and rounding or clamping would corrupt every later height.
 
-The way back expands each root the same way: table_log sums a table's
-terms, denominator_R turns that sum into the product through
-CharSeries.from_log_derivative, and denominator_residual_terms checks
-D(N_0) = N_0 L through series.product_holds.  Every series here holds
-exponent tuples.  Besides this module, only cli._root_rows reads a
-table's records, and writes them in the graded order the solver fills.
+The way back expands each root the same way, up to the table's own
+height bound: table_log sums a table's terms, denominator_R turns that
+sum into the product through CharSeries.from_log_derivative, and
+denominator_residual_terms checks D(N_0) = N_0 L through
+series.product_holds.  Every series here holds exponent tuples.  Besides
+this module, only cli._root_rows reads a table's records, and writes
+them in the graded order the solver fills.
 """
 
 from collections import defaultdict, namedtuple
@@ -63,70 +64,68 @@ def solve_multiplicities(datum: OddCartanDatum, numerator: CharSeries) -> RootTa
             # alpha_i or of 2 alpha_i for an odd real i, has multiplicity one
             is_real = m == 1 and datum.root_bilinear(gamma, gamma) > 0
             entry = entries[gamma] = RootEntry(m, datum.parity_of(gamma), is_real)
-            # its term at k = 1 is what it explains; a root past H/2 has no
-            # other multiple in the window
+            # its k = 1 term is what it explains; past H/2 no multiple is in the window
             if 2 * h <= height_bound:
-                for multiple, c in root_log_multiples(gamma, h, entry, height_bound):
+                for multiple, c in root_log_multiples(gamma, entry, height_bound):
                     unexplained[sum(multiple)][multiple] -= c
     return RootTable(height_bound, entries)
 
 
-def root_log_multiples(beta, h, entry, height_bound):
+def root_log_multiples(beta, entry, height_bound):
     """Yield (k beta, c_k) for every k >= 2 with k beta in the window: a
-    root beta of height h > 0 and multiplicity m adds c_k = -eps_k m h to
-    the log-derivative L = D(R)/R of the denominator at k beta, for every
-    k >= 1; eps_k = -1 for an odd root at even k and 1 otherwise.  A root
-    with 2 h > H yields nothing, so both callers skip it."""
+    root beta of height h = ht(beta) > 0 and multiplicity m adds c_k =
+    -eps_k m h to the log-derivative L = D(R)/R of the denominator at k
+    beta, for every k >= 1; eps_k = -1 for an odd root at even k and 1
+    otherwise.  A root with 2 h > H yields nothing, so both callers skip it."""
+    h = sum(beta)
     coef = -entry.mult * h
     for k in range(2, height_bound // h + 1):
         yield tuple([k * x for x in beta]), -coef if entry.parity and k % 2 == 0 else coef
 
 
-def table_log(datum, table, height_bound) -> CharSeries:
+def table_log(datum, table) -> CharSeries:
     """L = D(R)/R of the table's denominator R, each root's term -m h at
-    itself and its root_log_multiples.  The table is read only through
-    entries and height_bound, unsorted; a root past the window or of
-    multiplicity 0 adds nothing.  Each other root is checked once, as
-    CharSeries checks an exponent, and refused at height 0; its multiples
-    then need no check."""
-    if table.height_bound < height_bound:
-        raise ValueError(f"root table stops at height {table.height_bound}, need {height_bound}")
+    itself and its root_log_multiples, up to the table's height bound.
+    The table is read only through entries and height_bound, unsorted.  A
+    root of multiplicity 0 adds nothing; any other is checked once, as
+    CharSeries checks an exponent, and refused at height 0, before a root
+    past the bound is skipped; its multiples then need no check."""
+    height_bound = table.height_bound
     log = defaultdict(int)
     for beta, entry in table.entries.items():
-        h = sum(beta)
-        if not entry.mult or h > height_bound:
+        if not entry.mult:
             continue
         if len(beta) != datum.rank:
             raise ValueError("exponent length does not match the rank")
         if min(beta) < 0:
             raise ValueError(f"exponent {beta} leaves the cone")
+        h = sum(beta)
         if not h:
             raise ValueError(f"exponent {beta} has height 0 and is not a root")
+        if h > height_bound:
+            continue
         log[beta] -= entry.mult * h
         if 2 * h <= height_bound:
-            for multiple, coef in root_log_multiples(beta, h, entry, height_bound):
+            for multiple, coef in root_log_multiples(beta, entry, height_bound):
                 log[multiple] += coef
     out = CharSeries(height_bound, datum.rank)
     out.terms = {e: c for e, c in log.items() if c}
     return out
 
 
-def denominator_R(datum, table, height_bound) -> CharSeries:
+def denominator_R(datum, table) -> CharSeries:
     """Product over the root table of (1-e^{-beta})^m for even roots and
-    (1+e^{-beta})^{-m} for odd ones, built from its log-derivative."""
-    return CharSeries.from_log_derivative(table_log(datum, table, height_bound))
+    (1+e^{-beta})^{-m} for odd ones, built from its table_log."""
+    return CharSeries.from_log_derivative(table_log(datum, table))
 
 
 def denominator_residual_terms(datum, table, numerator) -> int:
-    """Terms of denominator_R(datum, table, H) - numerator, H the
-    numerator's height bound.  Both have constant term 1, so they agree
+    """Terms of denominator_R(datum, table) - numerator, which must have
+    the table's height bound.  Both have constant term 1, so they agree
     exactly when D(numerator) = numerator L, L the table_log, which
-    series.product_holds checks; denominator_R runs only when it fails.
-    The count is then at least 1, even where a faulty product finds no
-    term."""
-    h_max = numerator.height_bound
+    series.product_holds checks; denominator_R runs only when it fails,
+    and the count is then at least 1, even if a faulty product finds none."""
     if numerator.coefficient((0,) * datum.rank) == 1:
-        if product_holds(numerator.derivative(), numerator, table_log(datum, table, h_max)):
+        if product_holds(numerator.derivative(), numerator, table_log(datum, table)):
             return 0
-    return max(len((denominator_R(datum, table, h_max) - numerator).terms), 1)
-
+    return max(len((denominator_R(datum, table) - numerator).terms), 1)

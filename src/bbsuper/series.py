@@ -58,12 +58,13 @@ class CharSeries:
         self.terms = {}
         if terms:
             for exp, coef in terms.items():
-                if coef and sum(exp) <= height_bound:
+                if coef:
                     if len(exp) != rank:
                         raise ValueError("exponent length does not match the rank")
                     if min(exp, default=0) < 0:
                         raise ValueError(f"exponent {exp} leaves the cone")
-                    self.terms[exp] = coef
+                    if sum(exp) <= height_bound:
+                        self.terms[exp] = coef
 
     def coefficient(self, exp) -> int:
         return self.terms.get(exp, 0)

@@ -80,7 +80,7 @@ def test_criterion_3_even_isotropic():
     table = solve_multiplicities(d, numerator)
     for l in range(1, 11):
         check(problems, table.entries[(l,)].mult == 1, f"mult at {l}")
-    residual = denominator_R(d, table, 10) - numerator
+    residual = denominator_R(d, table) - numerator
     check(problems, not residual.terms, "denominator residual")
 
     zero = d.zero_weight()
@@ -112,7 +112,9 @@ def test_criterion_4_even_non_isotropic():
             dd * table.entries[(dd,)].mult for dd in range(1, bound + 1) if bound % dd == 0
         )
         check(problems, total == 2**bound - 1, f"divisor sum at {bound}")
-    verma = one_series(5, 1).divide(denominator_R(d, table, 5))
+    # the Verma series at the table's bound 8: its coefficients at n <= 5,
+    # the oracle's window, are those of the series at bound 5
+    verma = one_series(8, 1).divide(denominator_R(d, table))
     dims = irreducible_dims(d, None, 5)
     for n in range(6):
         check(problems, dims[(n,)] == verma.coefficient((n,)), f"symbolic rank at {n}")
@@ -207,7 +209,7 @@ def test_criterion_7_property_suite():
         numerator = numerator_series(datum, datum.zero_weight(), height)
         table = solve_multiplicities(datum, numerator)
 
-        residual = denominator_R(datum, table, height) - numerator
+        residual = denominator_R(datum, table) - numerator
         check(problems, not residual.terms, f"seed {seed}: residual")
 
         lam = random_dominant(datum, rng)

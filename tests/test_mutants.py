@@ -138,7 +138,7 @@ def test_failed_checks_count_the_exact_residual(monkeypatch):
     # one multiplicity one too large
     beta, entry = next(iter(table.entries.items()))
     wrong = RootTable(6, {**table.entries, beta: entry._replace(mult=entry.mult + 1)})
-    exact = len((denominator_R(d, wrong, 6) - denom).terms)
+    exact = len((denominator_R(d, wrong) - denom).terms)
     assert exact > 0
     assert denominator_residual_terms(d, wrong, denom) == exact
     lam = weight_from_json(d, R4_LAMBDA)
@@ -172,7 +172,7 @@ def test_coefficients_past_a_prime(monkeypatch):
     # decides
     d = OddCartanDatum([[-2]], [1])
     table = RootTable(2, {(1,): RootEntry(2**1279, 0, False)})
-    product = denominator_R(d, table, 2)
+    product = denominator_R(d, table)
     assert denominator_residual_terms(d, table, product) == 0
     assert denominator_residual_terms(d, table, product - CharSeries(2, 1, {(2,): 1})) == 1
     # between the primes on the denominator side: one root of multiplicity

@@ -194,7 +194,7 @@ def test_denominator_matches_naive_product(rank_and_table):
     n, table = rank_and_table
     d = OddCartanDatum([[2 if i == j else 0 for j in range(n)] for i in range(n)], [1] * n)
     bound = table.height_bound
-    assert denominator_R(d, table, bound).terms == root_product(table, n, bound)
+    assert denominator_R(d, table).terms == root_product(table, n, bound)
 
 
 @PROPERTY
@@ -209,7 +209,7 @@ def test_solver_inverts_denominator(case):
     # solve_multiplicities peels L = D(N)/N of N = denominator_R(table)
     # back into the table
     datum, table = case
-    product = denominator_R(datum, table, table.height_bound)
+    product = denominator_R(datum, table)
     assert solve_multiplicities(datum, product).entries == table.entries
 
 
@@ -221,7 +221,7 @@ def test_character_quotient_has_no_residual(datum, bound, levels):
     assert result.residual_terms == 0
     table = solve_multiplicities(datum, numerator_series(datum, datum.zero_weight(), bound))
     numerator = numerator_series(datum, lam, bound)
-    assert result.series.mul(denominator_R(datum, table, bound)).terms == numerator.terms
+    assert result.series.mul(denominator_R(datum, table)).terms == numerator.terms
 
 
 @PROPERTY
@@ -280,7 +280,7 @@ def test_generic_dims_match_inverted_denominator(datum):
     # the oracle reads no table; the reference here is the formula side
     bound = ORACLE_HEIGHT[datum.rank]
     table = solve_multiplicities(datum, numerator_series(datum, datum.zero_weight(), bound))
-    denominator = denominator_R(datum, table, bound)
+    denominator = denominator_R(datum, table)
     verma = one_series(bound, datum.rank).divide(denominator)
     dims = irreducible_dims(datum, None, bound)
     assert dims == {beta: verma.coefficient(beta) for beta in dims}
@@ -318,7 +318,7 @@ def test_flat_writers_match_render(datum, bound, levels):
     numerator = numerator_series(datum, datum.zero_weight(), bound)
     table = solve_multiplicities(datum, numerator)
     assert document("roots") == canonical(roots_to_json(table))
-    residual = denominator_R(datum, table, bound) - numerator
+    residual = denominator_R(datum, table) - numerator
     assert document("denom-check") == canonical({
         "height": bound,
         "residual_terms": len(residual.terms),

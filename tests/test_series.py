@@ -5,7 +5,7 @@ import re
 import pytest
 
 from bbsuper.datum import OddCartanDatum
-from bbsuper.roots import denominator_R
+from bbsuper.roots import denominator_R, denominator_residual_terms
 from bbsuper.series import CharSeries
 
 from reference import binomial_factor, count_partitions, one_series, series_product, series_to_json
@@ -100,6 +100,11 @@ def test_height_and_rank_guards():
         CharSeries(3, 1, {(-1,): 1})
     with pytest.raises(ValueError, match="exponent length does not match the rank"):
         CharSeries(2, 2, {(1,): 1})
+    # a term past the bound is checked before it is cut
+    with pytest.raises(ValueError, match="exponent length does not match the rank"):
+        CharSeries(2, 2, {(1, 1, 1): 5})
+    with pytest.raises(ValueError, match=r"exponent \(9, -1\) leaves the cone"):
+        CharSeries(2, 2, {(9, -1): 5})
 
 
 def test_truncate_drops_high_terms():
@@ -149,7 +154,8 @@ class _Entry:
 
 
 class _Table:
-    # denominator_R reads a table through these two attributes alone
+    # denominator_R reads a table through these two attributes alone, and
+    # expands it up to its own height bound
     def __init__(self, height_bound, entries):
         self.height_bound = height_bound
         self.entries = entries
@@ -157,10 +163,10 @@ class _Table:
 
 def test_denominator_even_single_root():
     d = OddCartanDatum([[2]], [1])
-    # a table deeper than the window: its roots past height 6 add nothing,
-    # wherever they come in the unsorted walk
-    table = _Table(9, {(8,): _Entry(5, 0), (1,): _Entry(1, 0), (7,): _Entry(2, 1)})
-    r = denominator_R(d, table, 6)
+    # roots past the table's bound 6 add nothing, wherever they come in
+    # the unsorted walk
+    table = _Table(6, {(8,): _Entry(5, 0), (1,): _Entry(1, 0), (7,): _Entry(2, 1)})
+    r = denominator_R(d, table)
     assert r.terms == {(0,): 1, (1,): -1}
     ch = one_series(6, 1).divide(r)
     assert all(ch.coefficient((k,)) == 1 for k in range(7))
@@ -169,29 +175,34 @@ def test_denominator_even_single_root():
 def test_denominator_odd_root_inverts_factor():
     d = OddCartanDatum([[2]], [1], odd=[0])
     table = _Table(5, {(1,): _Entry(1, 1), (2,): _Entry(1, 0)})
-    r = denominator_R(d, table, 5)
+    r = denominator_R(d, table)
     # (1 - q^2) / (1 + q) = 1 - q
     assert r.terms == {(0,): 1, (1,): -1}
 
 
 def test_denominator_needs_full_table():
+    # the table's bound is the bound of its denominator, and an N_0 of
+    # another bound is refused, not compared at the shorter one
     d = OddCartanDatum([[2]], [1])
     table = _Table(3, {(1,): _Entry(1, 0)})
-    with pytest.raises(ValueError, match="root table stops at height 3, need 5"):
-        denominator_R(d, table, 5)
+    assert denominator_R(d, table) == CharSeries(3, 1, {(0,): 1, (1,): -1})
+    with pytest.raises(ValueError, match="height bounds differ: 5 vs 3"):
+        denominator_residual_terms(d, table, CharSeries(5, 1, {(0,): 1, (1,): -1}))
 
 
 def test_denominator_checks_each_root_once():
-    # a root of multiplicity 0 or past the window adds nothing; any other
-    # is refused as CharSeries refuses its exponent, or at height 0
+    # a root of multiplicity 0 adds nothing unchecked, and one past the
+    # bound nothing once checked; any other is refused as CharSeries
+    # refuses its exponent, or at height 0
     d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     table = _Table(3, {(1, 0): _Entry(1, 0), (-1, 2): _Entry(0, 0), (3, 1): _Entry(1, 0)})
-    assert denominator_R(d, table, 3).terms == {(0, 0): 1, (1, 0): -1}
+    assert denominator_R(d, table).terms == {(0, 0): 1, (1, 0): -1}
     for beta, message in (((2, -1), r"exponent \(2, -1\) leaves the cone"),
+                          ((9, -1), r"exponent \(9, -1\) leaves the cone"),
                           ((1, 0, 0), "exponent length does not match the rank"),
                           ((0, 0), r"exponent \(0, 0\) has height 0 and is not a root")):
         with pytest.raises(ValueError, match=message):
-            denominator_R(d, _Table(3, {beta: _Entry(1, 0)}), 3)
+            denominator_R(d, _Table(3, {beta: _Entry(1, 0)}))
 
 
 def test_series_json_round_trip():

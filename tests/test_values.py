@@ -206,7 +206,7 @@ def test_solved_table_has_the_height_bound_of_its_numerator(bound):
         pytest.param(lambda: irreducible_character(R2, R2.zero_weight(), -1),
                      id="irreducible_character"),
         pytest.param(lambda: numerator_series(R2, R2.zero_weight(), -1), id="numerator_series"),
-        pytest.param(lambda: denominator_R(R2, RootTable(2, {}), -1), id="denominator_R"),
+        pytest.param(lambda: denominator_R(R2, RootTable(-1, {})), id="denominator_R"),
         pytest.param(lambda: CharSeries(-1, 2), id="CharSeries"),
         pytest.param(lambda: weight_window(2, -1), id="weight_window"),
         pytest.param(lambda: irreducible_dims(R2, R2.zero_weight(), -1), id="irreducible_dims"),
