@@ -13,10 +13,10 @@ heights above, reaching every multiple of it where L vanishes too.  A
 negative or non-integral multiplicity aborts: neither can happen for a
 valid datum, and rounding or clamping would corrupt every later height.
 
-The way back expands each root the same way, up to the table's own
-height bound: table_log sums a table's terms, denominator_R turns that
-sum into the product through CharSeries.from_log_derivative, and
-denominator_residual_terms checks D(N_0) = N_0 L through
+The way back expands each root the same way: table_log sums a table's
+terms through CharSeries, at the table's own height bound, denominator_R
+turns that sum into the product through CharSeries.from_log_derivative,
+and denominator_residual_terms checks D(N_0) = N_0 L through
 series.product_holds.  Every series here holds exponent tuples.  Besides
 this module, only cli._root_rows reads a table's records, and writes
 them in the graded order the solver fills.
@@ -85,32 +85,26 @@ def root_log_multiples(beta, entry, height_bound):
 
 def table_log(datum, table) -> CharSeries:
     """L = D(R)/R of the table's denominator R, each root's term -m h at
-    itself and its root_log_multiples, up to the table's height bound.
-    The table is read only through entries and height_bound, unsorted.  A
-    root of multiplicity 0 adds nothing; any other is checked once, as
-    CharSeries checks an exponent, and refused at height 0, before a root
-    past the bound is skipped; its multiples then need no check."""
+    itself and its root_log_multiples, built through CharSeries at the
+    table's height bound.  The table is read only through entries and
+    height_bound, unsorted.  A root of multiplicity 0 adds nothing,
+    unchecked, and any other at height 0 is refused.  CharSeries refuses
+    the rest of the misshapen roots: only multiples of roots of smaller
+    |h| land on a root, so the misshapen one of least |h| keeps its
+    nonzero term."""
     height_bound = table.height_bound
     log = defaultdict(int)
     for beta, entry in table.entries.items():
         if not entry.mult:
             continue
-        if len(beta) != datum.rank:
-            raise ValueError("exponent length does not match the rank")
-        if min(beta) < 0:
-            raise ValueError(f"exponent {beta} leaves the cone")
         h = sum(beta)
         if not h:
             raise ValueError(f"exponent {beta} has height 0 and is not a root")
-        if h > height_bound:
-            continue
         log[beta] -= entry.mult * h
         if 2 * h <= height_bound:
             for multiple, coef in root_log_multiples(beta, entry, height_bound):
                 log[multiple] += coef
-    out = CharSeries(height_bound, datum.rank)
-    out.terms = {e: c for e, c in log.items() if c}
-    return out
+    return CharSeries(height_bound, datum.rank, log)
 
 
 def denominator_R(datum, table) -> CharSeries:

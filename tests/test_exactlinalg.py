@@ -1,5 +1,6 @@
 """Fraction-free elimination and rank against brute force, against the
-Fraction elimination it replaced, and on random cross-checks.
+Fraction elimination it replaced, on random cross-checks and on the
+oracle's own cells.
 
 row_basis takes int entries; a rational row reaches it scaled by the lcm
 of its denominators (integral), as the oracle builds its rows."""
@@ -8,9 +9,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbsuper import verma_oracle
+from bbsuper.datum import OddCartanDatum, Weight
 from bbsuper.exactlinalg import row_basis
 
 from reference import rank_gauss, row_basis_fraction
@@ -184,12 +188,50 @@ def sparse_rows(draw):
     return [integral(row) for row in rows]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(sparse_rows())
-def test_row_basis_matches_fraction_elimination(rows):
-    pivots, coords = row_basis(rows)
+def assert_matches_fraction_elimination(rows, pivots, coords):
     assert_reconstructs(rows, pivots, coords)
     ref_pivots, ref_coords = row_basis_fraction(rows)
     # the same rows chosen, in the same order, and the same coordinates
     assert [id(p) for p in pivots] == [id(p) for p in ref_pivots]
     assert [rational(c) for c in coords] == ref_coords
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_rows())
+def test_row_basis_matches_fraction_elimination(rows):
+    assert_matches_fraction_elimination(rows, *row_basis(rows))
+
+
+R4 = OddCartanDatum(
+    [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 0, -1], [-1, 0, -1, -2]], [1, 1, 1, 1], odd=[2]
+)
+R3 = OddCartanDatum([[2, -1, -1], [-1, 0, -1], [-1, -1, -2]], [1, 1, 1], odd=[1])
+AFF = OddCartanDatum([[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, -2]], [1] * 4)
+
+
+@pytest.mark.parametrize(
+    "datum, lam, height",
+    [
+        (R4, Weight((1, 1, 0, 0), (0,) * 4, (0,) * 4), 7),
+        (R3, None, 6),
+        (AFF, Weight((1, 0, 0, 0), (0,) * 4, (0,) * 4), 7),
+    ],
+    ids=["numeric-r4-h7", "generic-r3-h6", "aff-h7"],
+)
+def test_row_basis_matches_fraction_elimination_on_oracle_cells(monkeypatch, datum, lam, height):
+    # the draws above stop at 7 rows over 5 columns; the oracle's cells
+    # have tuple columns, two-part rows for the generic weight and up to
+    # 144 rows, and each elimination feeds the f-matrices the next cells read
+    cells = []
+
+    def recording(rows):
+        pivots, coords = row_basis(rows)
+        cells.append((rows, pivots, coords))
+        return pivots, coords
+
+    monkeypatch.setattr(verma_oracle, "row_basis", recording)
+    verma_oracle.irreducible_dims(datum, lam, height)
+    # every cell but the zero offset is eliminated
+    assert len(cells) == len(verma_oracle.weight_window(datum.rank, height)) - 1
+    for rows, pivots, coords in cells:
+        assert_matches_fraction_elimination(rows, pivots, coords)

@@ -192,17 +192,25 @@ def test_denominator_needs_full_table():
 
 def test_denominator_checks_each_root_once():
     # a root of multiplicity 0 adds nothing unchecked, and one past the
-    # bound nothing once checked; any other is refused as CharSeries
-    # refuses its exponent, or at height 0
+    # bound nothing once CharSeries has checked its term; a root of height
+    # 0 is refused, and any other misshapen one as CharSeries refuses its
+    # exponent
     d = OddCartanDatum([[2, -1], [-1, 2]], [1, 1])
     table = _Table(3, {(1, 0): _Entry(1, 0), (-1, 2): _Entry(0, 0), (3, 1): _Entry(1, 0)})
     assert denominator_R(d, table).terms == {(0, 0): 1, (1, 0): -1}
     for beta, message in (((2, -1), r"exponent \(2, -1\) leaves the cone"),
                           ((9, -1), r"exponent \(9, -1\) leaves the cone"),
                           ((1, 0, 0), "exponent length does not match the rank"),
-                          ((0, 0), r"exponent \(0, 0\) has height 0 and is not a root")):
+                          ((0, 0), r"exponent \(0, 0\) has height 0 and is not a root"),
+                          ((1, -1), r"exponent \(1, -1\) has height 0 and is not a root")):
         with pytest.raises(ValueError, match=message):
             denominator_R(d, _Table(3, {beta: _Entry(1, 0)}))
+    # the root (4, -2) adds -2 at itself and the root (2, -1), of
+    # multiplicity -2, adds 2 at its double (4, -2): the two cancel, and
+    # the root of least height is the one named
+    table = _Table(6, {(4, -2): _Entry(1, 0), (2, -1): _Entry(-2, 0)})
+    with pytest.raises(ValueError, match=r"exponent \(2, -1\) leaves the cone"):
+        denominator_R(d, table)
 
 
 def test_series_json_round_trip():

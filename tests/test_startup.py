@@ -3,8 +3,8 @@ integral input loads no fractions, only the process entry freezes its
 start-up objects, a reader that closes stdout early gets no traceback,
 nor does a write to a full device, the package defines nothing that it
 does not use itself and no exception class, the kernels, series.py and
-exactlinalg.py, import nothing from the package, and roots.py imports
-only datum.py and series.py.
+exactlinalg.py, import nothing from the package, roots.py imports only
+datum.py and series.py, and only series.py writes a series' terms.
 
 Every run starts a fresh interpreter, because a module loaded by an
 earlier test would hide what a subcommand imports by itself.
@@ -295,6 +295,23 @@ def test_root_solver_imports_only_the_datum_and_series():
     # the caller passes the N_0 that the solver peels, so roots.py needs
     # nothing of charformula, which builds it
     assert sorted(package_imports("roots")) == [".datum", ".series"]
+
+
+def test_only_series_writes_series_terms():
+    # a series' terms are written only by series.py, whose constructor
+    # checks and cuts every exponent; elsewhere a series is built through
+    # CharSeries(...), so the exponent rule has one owner
+    writers = []
+    for path in Path(bbsuper.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an assigned or deleted target, as in `s.terms = ...`,
+            # `s.terms[e] += c` or `del s.terms[e]`
+            if not isinstance(getattr(node, "ctx", ast.Load()), ast.Load):
+                while isinstance(node, ast.Subscript):
+                    node = node.value
+                if isinstance(node, ast.Attribute) and node.attr == "terms":
+                    writers.append((path.name, node.lineno))
+    assert {name for name, _ in writers} == {"series.py"}, writers
 
 
 def test_one_exception_class():
